@@ -1,16 +1,19 @@
-"""Pure-Python enumeration kernel.
+"""Enumeration kernel: bit-sliced search for the first countermodel.
 
-Fallback twin of the compiled ``_kernel`` extension; both expose the same
-``find_first`` entry point and must return bit-identical results.  Models
-are enumerated by world count, then relation bits, then valuation bits,
-where bit strings are read most-significant-first in row-major order.
+Models are enumerated by world count, then relation bits, then valuation
+bits, where bit strings are read most-significant-first in row-major
+order (the layout of ``enumeration.relation_from_bits`` and
+``enumeration.valuation_from_bits``).
 
 Formulas arrive as postfix bytecode (see ``enumeration.compile_formula``)
-and are evaluated as truth bitmasks over worlds: bit ``w`` of a mask is
-the truth value at world ``w``.
+and are evaluated for one relation over every valuation at once: the
+value of a formula is a list holding one int per world, whose bit ``v``
+is the formula's truth at that world under valuation bits ``v``.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 OP_ATOM = 0
 OP_NOT = 1
@@ -25,17 +28,7 @@ FRAME_TRANSITIVE = 4
 FRAME_EUCLIDEAN = 8
 FRAME_SERIAL = 16
 
-MAX_WORLDS = 5  # keeps relation/valuation bit strings in small ints
-
-
-def _successor_masks(rel: int, n: int) -> list[int]:
-    nn = n * n
-    succ = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if (rel >> (nn - 1 - (i * n + j))) & 1:
-                succ[i] |= 1 << j
-    return succ
+MAX_WORLDS = 5  # 2^25 relations; larger sweeps are out of reach anyway
 
 
 def _frame_ok(succ: list[int], n: int, frame_mask: int) -> bool:
@@ -67,51 +60,77 @@ def _frame_ok(succ: list[int], n: int, frame_mask: int) -> bool:
     return True
 
 
-def _atom_mask_table(n: int, atom_count: int) -> list[list[int]]:
-    """atom_masks per valuation integer; table[val][atom] is a world mask."""
-    bits = atom_count * n
-    table = []
-    for val in range(1 << bits):
-        masks = [0] * atom_count
-        for a in range(atom_count):
-            m = 0
-            for w in range(n):
-                if (val >> (bits - 1 - (a * n + w))) & 1:
-                    m |= 1 << w
-            masks[a] = m
-        table.append(masks)
-    return table
+def _decode(n: int, frame_mask: int):
+    """(relation bits, successors per world) for every relation meeting the
+    frame conditions, in relation-bit order.  Row ``i`` of a relation is
+    ``n`` bits, world 0 most significant."""
+    rows = [tuple(j for j in range(n) if (r >> (n - 1 - j)) & 1) for r in range(1 << n)]
+    masks = [sum(1 << j for j in succ) for succ in rows]
+    full = (1 << n) - 1
+    shifts = range(n * n - n, -1, -n)
+    for rel in range(1 << (n * n)):
+        cut = [(rel >> s) & full for s in shifts]
+        if _frame_ok([masks[r] for r in cut], n, frame_mask):
+            yield rel, tuple(rows[r] for r in cut)
 
 
-def eval_mask(code: tuple[int, ...], succ: list[int], atom_masks: list[int], n: int, full: int) -> int:
-    stack: list[int] = []
+@cache
+def _relations(n: int, frame_mask: int) -> tuple:
+    return tuple(_decode(n, frame_mask))
+
+
+@cache
+def atom_columns(n: int, atom_count: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per atom, per world: the int whose bit ``v`` is the atom's truth at
+    that world under valuation bits ``v``; plus the all-valuations mask."""
+    total = atom_count * n
+    every = (1 << (1 << total)) - 1
+    columns = []
+    for a in range(atom_count):
+        column = []
+        for w in range(n):
+            half = 1 << (total - 1 - (a * n + w))  # run length of equal bits
+            column.append(every // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+        columns.append(tuple(column))
+    return tuple(columns), every
+
+
+def evaluate(
+    code: tuple[int, ...], succ: tuple[tuple[int, ...], ...], columns: tuple, every: int
+) -> list[int]:
+    """Per-world truth ints of ``code`` under the relation ``succ``."""
+    stack: list = []
     push = stack.append
     for instr in code:
         op = instr & 7
         if op == OP_ATOM:
-            push(atom_masks[instr >> 3])
+            push(columns[instr >> 3])
         elif op == OP_NOT:
-            stack[-1] = ~stack[-1] & full
+            stack[-1] = [every ^ x for x in stack[-1]]
         elif op == OP_AND:
-            x = stack.pop()
-            stack[-1] &= x
+            y = stack.pop()
+            stack[-1] = [x & z for x, z in zip(stack[-1], y)]
         elif op == OP_OR:
-            x = stack.pop()
-            stack[-1] |= x
+            y = stack.pop()
+            stack[-1] = [x | z for x, z in zip(stack[-1], y)]
         elif op == OP_BOX:
-            x = stack.pop()
-            m = 0
-            for w in range(n):
-                if not succ[w] & ~x:
-                    m |= 1 << w
-            push(m)
+            x = stack[-1]
+            out = []
+            for targets in succ:
+                m = every
+                for j in targets:
+                    m &= x[j]
+                out.append(m)
+            stack[-1] = out
         else:  # OP_DIA
-            x = stack.pop()
-            m = 0
-            for w in range(n):
-                if succ[w] & x:
-                    m |= 1 << w
-            push(m)
+            x = stack[-1]
+            out = []
+            for targets in succ:
+                m = 0
+                for j in targets:
+                    m |= x[j]
+                out.append(m)
+            stack[-1] = out
     return stack[-1]
 
 
@@ -129,22 +148,25 @@ def find_first(
     if max_worlds > MAX_WORLDS:
         raise ValueError(f"enumeration supports at most {MAX_WORLDS} worlds")
     for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        table = _atom_mask_table(n, atom_count)
-        val_range = range(len(table))
-        for rel in range(1 << (n * n)):
-            succ = _successor_masks(rel, n)
-            if not _frame_ok(succ, n, frame_mask):
-                continue
-            for val in val_range:
-                masks = table[val]
-                for code in premises:
-                    if eval_mask(code, succ, masks, n, full) != full:
-                        break
-                else:
-                    c = eval_mask(conclusion, succ, masks, n, full)
-                    if c != full:
-                        for w in range(n):
-                            if not (c >> w) & 1:
-                                return (n, rel, val, w)
+        columns, every = atom_columns(n, atom_count)
+        # 2^25 relations at the cap: stream them rather than decode all first
+        relations = _relations(n, frame_mask) if n < MAX_WORLDS else _decode(n, frame_mask)
+        for rel, succ in relations:
+            held = every  # valuations under which every premise holds everywhere
+            for code in premises:
+                for x in evaluate(code, succ, columns, every):
+                    held &= x
+                if not held:
+                    break
+            else:
+                values = evaluate(conclusion, succ, columns, every)
+                everywhere = every
+                for x in values:
+                    everywhere &= x
+                hit = held & ~everywhere
+                if hit:
+                    val = (hit & -hit).bit_length() - 1
+                    for w, x in enumerate(values):
+                        if not (x >> val) & 1:
+                            return (n, rel, val, w)
     return None

@@ -32,7 +32,8 @@ from .arguments import (
     derivation_suite,
     jacquette_suite,
 )
-from .enumeration import KERNEL, CountermodelWitness, EnumerationBudget, find_countermodel
+from . import __version__
+from .enumeration import MAX_WORLDS, CountermodelWitness, EnumerationBudget, find_countermodel
 from .semantics import FrameClass, frame_class, model_to_dict
 from .syntax import FormulaSyntaxError, atoms_of, desugar, parse, print_formula
 from .tableau import Invalid, ResourceLimit, Valid, Verdict, prove_valid
@@ -333,10 +334,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unicode", action="store_true", help="render formulas with symbol glyphs")
 
 
+def _world_budget(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_WORLDS:
+        raise argparse.ArgumentTypeError(f"expected a whole number from 1 to {MAX_WORLDS}, got {text!r}")
+    return n
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dot", metavar="FILE", help="write the countermodel as a Graphviz digraph")
-    p.add_argument("--max-worlds", type=int, default=3, metavar="N",
-                   help="world budget for enumeration cross-checks (default 3)")
+    p.add_argument("--max-worlds", type=_world_budget, default=3, metavar="N",
+                   help=f"world budget for enumeration cross-checks, 1..{MAX_WORLDS} (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="modaltab",
         description="Propositional modal logic: tableau prover, Kripke countermodels, argument analysis.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s ({KERNEL} kernel)")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="analyze a corpus argument or argument file")

@@ -8,10 +8,10 @@ hold globally while the conclusion fails somewhere.  Exhausting the
 budget without a hit does NOT certify validity; the tableau module owns
 that direction.
 
-The inner loop runs on a compiled kernel when the ``_kernel`` extension
-built, and on a pure-Python twin otherwise; both produce bit-identical
-answers.  Every witness is re-verified against the reference semantics
-before it is returned.
+The search itself runs in ``_kernel_py``, which evaluates each formula
+over every valuation of a relation at once (one int per world, one bit
+per valuation).  Every witness is re-verified against the reference
+semantics before it is returned.
 """
 
 from __future__ import annotations
@@ -22,26 +22,22 @@ from typing import Iterator, Sequence
 from .semantics import FrameClass, FrameCondition, KripkeModel, evaluate, frame_satisfies, holds_globally
 from .syntax import And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or, atoms_of, desugar
 
-try:
-    from . import _kernel as _backend
-
-    KERNEL = "compiled"
-except ImportError:  # extension not built; fall back to the pure twin
-    from . import _kernel_py as _backend
-
-    KERNEL = "pure-python"
-
 from . import _kernel_py
+from ._kernel_py import MAX_WORLDS
+
+KERNEL = "pure-python"
+# find_countermodel calls the kernel through this name, so tracing can rebind it
+_backend = _kernel_py
 
 __all__ = [
     "KERNEL",
+    "MAX_WORLDS",
     "EnumerationBudget",
     "CountermodelWitness",
     "compile_formula",
     "enumerate_models",
     "find_countermodel",
     "minimize_countermodel",
-    "kernel_backends",
 ]
 
 _FRAME_BITS = {
@@ -216,7 +212,7 @@ def minimize_countermodel(
     the given witness's size.  Witnesses beyond the kernel's world cap
     are returned unchanged when nothing smaller is found under the cap."""
     atoms = tuple(sorted(set().union(*(atoms_of(desugar(f)) for f in [*premises, conclusion]))))
-    cap = min(witness.model.world_count, _kernel_py.MAX_WORLDS)
+    cap = min(witness.model.world_count, MAX_WORLDS)
     budget = EnumerationBudget(max_worlds=cap, atoms=atoms)
     found = find_countermodel(premises, conclusion, frame, budget)
     if found is None:
@@ -224,11 +220,3 @@ def minimize_countermodel(
             raise AssertionError("a verified witness must be re-findable within its own size")
         return witness
     return found
-
-
-def kernel_backends() -> dict[str, object]:
-    """Available kernel implementations, keyed by name."""
-    backends: dict[str, object] = {"pure-python": _kernel_py}
-    if KERNEL == "compiled":
-        backends["compiled"] = _backend
-    return backends

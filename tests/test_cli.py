@@ -132,6 +132,21 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "[]p -> p", "--logic", "T", "--unicode")
         assert "□p ⊃ p" in out
 
+    @pytest.mark.parametrize("budget", ["7", "0", "-3", "two"])
+    def test_world_budget_out_of_range(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "~<><><><><><>p", "--max-worlds", budget])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--max-worlds: expected a whole number from 1 to 5" in err
+        assert "Traceback" not in err
+
+    def test_world_budget_at_cap(self, capsys):
+        code, out, err = run(capsys, "prove", "~<><><><><><>p", "--max-worlds", "5")
+        assert code == 1
+        assert "countermodel (1 worlds" in out
+        assert err == ""
+
 
 class TestSuites:
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import pytest
 
-from modaltab import _kernel_py
+from modaltab import _kernel_py, enumeration
 from modaltab.enumeration import (
     KERNEL,
     CountermodelWitness,
@@ -9,7 +9,6 @@ from modaltab.enumeration import (
     enumerate_models,
     find_countermodel,
     frame_mask,
-    kernel_backends,
     minimize_countermodel,
 )
 from modaltab.semantics import (
@@ -19,7 +18,7 @@ from modaltab.semantics import (
     holds_globally,
     model_to_json,
 )
-from modaltab.syntax import desugar, parse
+from modaltab.syntax import atoms_of, desugar, parse
 
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
@@ -135,38 +134,72 @@ class TestMinimize:
         assert small.world == 0
 
 
+EUCLIDEAN = frozenset({FrameCondition.EUCLIDEAN})
+SERIAL = frozenset({FrameCondition.SERIAL})
+TRANSITIVE = frozenset({FrameCondition.TRANSITIVE})
+RST = frozenset({FrameCondition.REFLEXIVE, FrameCondition.SYMMETRIC, FrameCondition.TRANSITIVE})
+
+# find_first at 3 worlds over atoms (g, p, q): (premises, conclusion, frame,
+# result).  The results were recorded from the per-valuation kernel this
+# module replaced, so they pin the enumeration order, not just agreement.
+GOLDEN_FIXED_ATOMS = [
+    ([], "[]p -> p", K, (1, 0, 0, 0)),
+    ([], "[]p -> p", REFL, None),
+    (["g -> []g", "<>g"], "g", K, (2, 5, 16, 0)),
+    (["g -> []g", "<>g"], "g", SYM, None),
+    ([], "(p -> q) -> ([]~q -> []~p)", RST, (2, 15, 4, 0)),
+    ([], "<>p -> []<>q", EUCLIDEAN, (1, 1, 2, 0)),
+    ([], "[]p -> <>p", SERIAL, None),
+    ([], "~(<>(p & q) & <>(p & ~q) & <>~p)", K, (3, 7, 25, 2)),
+    (["[]p -> p"], "~(<>(p & q) & <>(p & ~q) & <>~p)", TRANSITIVE, (3, 7, 50, 2)),
+    ([], "<>p -> [][]<>p", SERIAL, (2, 7, 8, 1)),
+]
+
+# Full sweeps and an early exit at 3 worlds over each query's own atoms.
+GOLDEN_OWN_ATOMS = [
+    ([], "[](p -> q) -> ([]p -> []q)", K, None),
+    (["p -> q"], "[]~q -> []~p", K, None),
+    (["g -> []g", "<>g"], "g", SYM, None),
+    (["g -> []g", "<>g"], "g", K, (2, 5, 1, 0)),
+]
+
+
+def _find_first(raw_premises, raw_conclusion, frame, atoms=None):
+    premises = [desugar(parse(s)) for s in raw_premises]
+    conclusion = desugar(parse(raw_conclusion))
+    if atoms is None:
+        atoms = sorted(set().union(*(atoms_of(f) for f in [*premises, conclusion])))
+    index = {a: i for i, a in enumerate(atoms)}
+    return _kernel_py.find_first(
+        3,
+        len(atoms),
+        frame_mask(frame),
+        tuple(compile_formula(f, index) for f in premises),
+        compile_formula(conclusion, index),
+    )
+
+
 class TestKernels:
     def test_selected_kernel_reported(self):
-        assert KERNEL in ("compiled", "pure-python")
-        assert "pure-python" in kernel_backends()
+        assert KERNEL == "pure-python"
+        assert enumeration._backend is _kernel_py
 
-    def test_backends_agree(self):
-        backends = kernel_backends()
-        if "compiled" not in backends:
-            pytest.skip("compiled kernel not built")
-        queries = [
-            ([], "[]p -> p", K),
-            ([], "[]p -> p", REFL),
-            (["g -> []g", "<>g"], "g", K),
-            (["g -> []g", "<>g"], "g", SYM),
-            ([], "(p -> q) -> ([]~q -> []~p)", frozenset({FrameCondition.REFLEXIVE,
-                                                          FrameCondition.SYMMETRIC,
-                                                          FrameCondition.TRANSITIVE})),
-            ([], "<>p -> []<>q", frozenset({FrameCondition.EUCLIDEAN})),
-            ([], "[]p -> <>p", frozenset({FrameCondition.SERIAL})),
-        ]
-        for raw_premises, raw_conclusion, frame in queries:
-            premises = [desugar(parse(s)) for s in raw_premises]
-            conclusion = desugar(parse(raw_conclusion))
-            atoms = ("g", "p", "q")
-            index = {a: i for i, a in enumerate(atoms)}
-            compiled_codes = tuple(compile_formula(f, index) for f in premises)
-            conclusion_code = compile_formula(conclusion, index)
-            results = {
-                name: backend.find_first(3, len(atoms), frame_mask(frame), compiled_codes, conclusion_code)
-                for name, backend in backends.items()
-            }
-            assert results["compiled"] == results["pure-python"], (raw_premises, raw_conclusion)
+    @pytest.mark.parametrize("premises,conclusion,frame,expected", GOLDEN_FIXED_ATOMS)
+    def test_golden_fixed_atoms(self, premises, conclusion, frame, expected):
+        assert _find_first(premises, conclusion, frame, ("g", "p", "q")) == expected
+
+    @pytest.mark.parametrize("premises,conclusion,frame,expected", GOLDEN_OWN_ATOMS)
+    def test_golden_own_atoms(self, premises, conclusion, frame, expected):
+        assert _find_first(premises, conclusion, frame) == expected
+
+    def test_world_cap(self):
+        with pytest.raises(ValueError):
+            _kernel_py.find_first(_kernel_py.MAX_WORLDS + 1, 1, 0, (), (_kernel_py.OP_ATOM,))
+
+    def test_deep_formula(self):
+        # nesting depth is bounded by the parser, not by the kernel
+        text = "p" + " & (p" * 100 + ")" * 100
+        assert _find_first([], text, K) == (1, 0, 0, 0)
 
     def test_mask_evaluation_matches_reference(self, small_models):
         battery = [parse(s) for s in ("[]p -> p", "<>p & ~q", "[](p <-> q)", "<>[]p | []~q")]
@@ -174,14 +207,15 @@ class TestKernels:
         index = {a: i for i, a in enumerate(atoms)}
         for f in battery:
             code = compile_formula(f, index)
-            for m in small_models[:: 5]:
+            for m in small_models[::5]:
                 n = m.world_count
-                succ = [0] * n
-                for i, j in m.access:
-                    succ[i] |= 1 << j
-                masks = [
-                    sum(1 << w for w in m.valuation.get(a, ())) for a in atoms
-                ]
-                got = _kernel_py.eval_mask(code, succ, masks, n, (1 << n) - 1)
-                expected = sum(evaluate(m, w, f) << w for w in range(n))
-                assert got == expected
+                succ = tuple(tuple(sorted(j for i, j in m.access if i == w)) for w in range(n))
+                columns, every = _kernel_py.atom_columns(n, len(atoms))
+                got = _kernel_py.evaluate(code, succ, columns, every)
+                total = len(atoms) * n
+                val = sum(
+                    1 << (total - 1 - (a * n + w))
+                    for a, name in enumerate(atoms)
+                    for w in m.valuation.get(name, ())
+                )
+                assert [(x >> val) & 1 for x in got] == [evaluate(m, w, f) for w in range(n)]
