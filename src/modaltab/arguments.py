@@ -13,6 +13,7 @@ derivation replay, and the modal modus-tollens checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .enumeration import CountermodelWitness, minimize_countermodel
 from .semantics import LOGICS, FrameClass, FrameCondition
@@ -82,13 +83,34 @@ class Argument:
         return [f for _, f in self.premises]
 
 
-@dataclass(frozen=True)
 class AnalysisReport:
-    name: str
-    verdict: Verdict
-    verdict_without_frame: Verdict
-    triviality: Verdict | None  # None when the argument shape does not fit
-    minimal_frames: tuple[FrameClass, ...]
+    """Report on one argument; each field is computed on first read."""
+
+    def __init__(self, argument: Argument):
+        self.argument = argument
+        self.name = argument.name
+
+    @cached_property
+    def verdict(self) -> Verdict:
+        a = self.argument
+        return decide(a.premise_formulas(), a.conclusion, a.frame)
+
+    @cached_property
+    def verdict_without_frame(self) -> Verdict:
+        a = self.argument
+        return decide(a.premise_formulas(), a.conclusion, frozenset())
+
+    @cached_property
+    def triviality(self) -> Verdict | None:
+        """None when the argument shape does not fit the schema."""
+        try:
+            return triviality_check(self.argument)
+        except ShapeError:
+            return None
+
+    @cached_property
+    def minimal_frames(self) -> tuple[FrameClass, ...]:
+        return tuple(frame_requirement_search(self.argument))
 
 
 @dataclass(frozen=True)
@@ -227,18 +249,9 @@ def frame_requirement_search(a: Argument) -> list[FrameClass]:
 
 def analyze(a: Argument) -> AnalysisReport:
     """Full report: verdict under the stated frame, verdict without frame
-    assumptions, the triviality schema, and minimal frame requirements."""
-    try:
-        triviality = triviality_check(a)
-    except ShapeError:
-        triviality = None
-    return AnalysisReport(
-        name=a.name,
-        verdict=decide(a.premise_formulas(), a.conclusion, a.frame),
-        verdict_without_frame=decide(a.premise_formulas(), a.conclusion, frozenset()),
-        triviality=triviality,
-        minimal_frames=tuple(frame_requirement_search(a)),
-    )
+    assumptions, the triviality schema, and minimal frame requirements.
+    Each part is computed when it is first read."""
+    return AnalysisReport(a)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "StrictImplies",
     "Formula",
     "FormulaSyntaxError",
+    "MAX_DEPTH",
     "parse",
     "print_formula",
     "desugar",
@@ -109,18 +110,28 @@ class FormulaSyntaxError(ValueError):
     """Malformed concrete syntax.
 
     Carries the byte offset of the offending position and the set of
-    token spellings that would have been accepted there.
+    token spellings that would have been accepted there; ``reason``
+    replaces the expected-token text when the input is well formed but
+    too deep.
     """
 
-    def __init__(self, text: str, pos: int, expected: tuple[str, ...]):
+    def __init__(self, text: str, pos: int, expected: tuple[str, ...], reason: str | None = None):
         self.offset = len(text[:pos].encode("utf-8"))
         self.expected = tuple(sorted(expected))
         found = text[pos : pos + 8] or "end of input"
-        super().__init__(
-            f"syntax error at byte {self.offset}: expected one of "
-            f"{', '.join(self.expected)}; found {found!r}"
-        )
+        detail = reason or f"expected one of {', '.join(self.expected)}; found {found!r}"
+        super().__init__(f"syntax error at byte {self.offset}: {detail}")
 
+
+# Deepest formula ``parse`` accepts, and deepest parenthesis nesting.
+# Depth counts one per connective, two per ``<->`` and ``|>`` (which
+# desugaring and NNF expand by one extra level) and nothing for a negated
+# atom, so every formula that desugar and NNF derive from a parsed one,
+# and hence every formula a proof records, parses again.  Each nesting
+# level costs the parser six stack frames and the transforms, printer,
+# evaluator and compiler at most three, which keeps all of them well
+# under the default recursion limit of 1000.
+MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
 
@@ -157,6 +168,9 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield ("eof", "", n)
 
 
+_UNARY = {"~": Not, "[]": Box, "<>": Diamond}
+
+
 class _Parser:
     """Recursive descent over the grammar:
 
@@ -166,13 +180,15 @@ class _Parser:
     unary := ("~" | "[]" | "<>")* primary ;
     primary := IDENT | "(" formula ")"
 
-    ``<->`` associates to the left, ``->``/``|>`` to the right.
+    ``<->`` associates to the left, ``->``/``|>`` to the right.  Only
+    parentheses recurse; every rule returns its formula with its depth.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -184,68 +200,92 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def formula(self) -> Formula:
-        f = self.imp()
+    def too_deep(self, tok: _Token) -> FormulaSyntaxError:
+        return FormulaSyntaxError(
+            self.text, tok[2], (), f"formula nested deeper than {MAX_DEPTH} levels"
+        )
+
+    def node(self, tok: _Token, f: Formula, depth: int) -> tuple[Formula, int]:
+        """``f`` built at operator ``tok``, with its depth, if not too deep."""
+        if depth > MAX_DEPTH:
+            raise self.too_deep(tok)
+        return f, depth
+
+    def formula(self) -> tuple[Formula, int]:
+        f, d = self.imp()
         while self.peek()[0] == "<->":
-            self.take("<->")
-            f = Iff(f, self.imp())
-        return f
+            tok = self.take("<->")
+            g, e = self.imp()
+            f, d = self.node(tok, Iff(f, g), 2 + max(d, e))
+        return f, d
 
-    def imp(self) -> Formula:
-        f = self.disj()
-        kind = self.peek()[0]
-        if kind == "->":
-            self.take("->")
-            return Implies(f, self.imp())
-        if kind == "|>":
-            self.take("|>")
-            return StrictImplies(f, self.imp())
-        return f
+    def imp(self) -> tuple[Formula, int]:
+        operands = [self.disj()]
+        arrows = []
+        while self.peek()[0] in ("->", "|>"):
+            arrows.append(self.take(self.peek()[0]))
+            operands.append(self.disj())
+        f, d = operands.pop()
+        while arrows:  # fold from the right
+            tok = arrows.pop()
+            g, e = operands.pop()
+            if tok[0] == "->":
+                f, d = self.node(tok, Implies(g, f), 1 + max(d, e))
+            else:
+                f, d = self.node(tok, StrictImplies(g, f), 2 + max(d, e))
+        return f, d
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        f, d = self.conj()
         while self.peek()[0] == "|":
-            self.take("|")
-            f = Or(f, self.conj())
-        return f
+            tok = self.take("|")
+            g, e = self.conj()
+            f, d = self.node(tok, Or(f, g), 1 + max(d, e))
+        return f, d
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        f, d = self.unary()
         while self.peek()[0] == "&":
-            self.take("&")
-            f = And(f, self.unary())
-        return f
+            tok = self.take("&")
+            g, e = self.unary()
+            f, d = self.node(tok, And(f, g), 1 + max(d, e))
+        return f, d
 
-    def unary(self) -> Formula:
-        kind = self.peek()[0]
-        if kind == "~":
-            self.take("~")
-            return Not(self.unary())
-        if kind == "[]":
-            self.take("[]")
-            return Box(self.unary())
-        if kind == "<>":
-            self.take("<>")
-            return Diamond(self.unary())
-        return self.primary()
+    def unary(self) -> tuple[Formula, int]:
+        ops = []
+        while self.peek()[0] in _UNARY:
+            ops.append(self.take(self.peek()[0]))
+        f, d = self.primary()
+        for tok in reversed(ops):
+            literal = tok[0] == "~" and isinstance(f, Atom)  # adds no depth
+            f, d = self.node(tok, _UNARY[tok[0]](f), d if literal else d + 1)
+        return f, d
 
-    def primary(self) -> Formula:
+    def primary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok[0] == "ident":
             self.take("ident")
-            return Atom(tok[1])
+            return Atom(tok[1]), 0
         if tok[0] == "(":
             self.take("(")
-            f = self.formula()
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise self.too_deep(tok)
+            result = self.formula()
             self.take(")")
-            return f
+            self.nesting -= 1
+            return result
         raise FormulaSyntaxError(self.text, tok[2], ("identifier", "(", "~", "[]", "<>"))
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; whitespace and comments ignored."""
+    """Parse concrete syntax into a Formula; whitespace and comments ignored.
+
+    Raises FormulaSyntaxError on malformed input and on input deeper than
+    ``MAX_DEPTH``.
+    """
     parser = _Parser(text)
-    f = parser.formula()
+    f, _ = parser.formula()
     parser.take("eof")
     return f
 

@@ -221,16 +221,93 @@ class _Budget:
             raise ResourceLimit(f"rule-application ceiling {self.max_steps} exceeded")
 
 
-class _State:
-    """One tableau branch under construction."""
+class _Branch:
+    """Labels, formula sets and edges of one tableau branch, plus the
+    licence checks that read them.  Shared by the search and by proof
+    replay, so it enqueues no work and detects no closure."""
+
+    __slots__ = ("frame", "premises", "label_sets", "out_edges", "in_edges", "edge_set")
+
+    def __init__(self, frame: FrameClass, premises: tuple[Formula, ...]):
+        self.frame = frame
+        self.premises = premises
+        self.label_sets: list[dict[Formula, None]] = []
+        self.out_edges: list[list[int]] = []
+        self.in_edges: list[list[int]] = []
+        self.edge_set: set[tuple[int, int]] = set()
+
+    def clone(self):
+        other = object.__new__(type(self))
+        other.frame = self.frame
+        other.premises = self.premises
+        other.label_sets = [dict(d) for d in self.label_sets]
+        other.out_edges = [list(l) for l in self.out_edges]
+        other.in_edges = [list(l) for l in self.in_edges]
+        other.edge_set = set(self.edge_set)
+        return other
+
+    def new_label(self) -> int:
+        self.label_sets.append({})
+        self.out_edges.append([])
+        self.in_edges.append([])
+        return len(self.label_sets) - 1
+
+    def add_formula(self, label: int, f: Formula) -> bool:
+        s = self.label_sets[label]
+        if f in s:
+            return False
+        s[f] = None
+        return True
+
+    def add_edge(self, a: int, b: int) -> bool:
+        if (a, b) in self.edge_set:
+            return False
+        self.edge_set.add((a, b))
+        self.out_edges[a].append(b)
+        self.in_edges[b].append(a)
+        return True
+
+    def move_licensed(self, src: int, f: Formula | None, dst: int) -> bool:
+        """May ``f`` be written to dst, justified by the contents of src?"""
+        if f is None:
+            return False
+        if (src, dst) in self.edge_set:
+            if Box(f) in self.label_sets[src]:
+                return True  # K: operand across an edge
+            if f in self.label_sets[src]:
+                if isinstance(f, Box) and FrameCondition.TRANSITIVE in self.frame:
+                    return True  # 4: boxes persist forward
+                if FrameCondition.EUCLIDEAN in self.frame:
+                    if isinstance(f, Diamond):
+                        return True  # co-successors of src see f's witness too
+                    if isinstance(f, Box) and self.in_edges[src]:
+                        return True  # successors of a non-root world see no more
+        if (dst, src) in self.edge_set and FrameCondition.EUCLIDEAN in self.frame:
+            # backward within range: dst's successors include src's
+            if _is_modal(f) and f in self.label_sets[src] and self.in_edges[dst]:
+                return True
+        return False
+
+    def edge_licensed(self, a: int, b: int) -> bool:
+        """Is edge (a, b) derivable by one Horn closure step?"""
+        if a == b and FrameCondition.REFLEXIVE in self.frame:
+            return True
+        if FrameCondition.SYMMETRIC in self.frame and (b, a) in self.edge_set:
+            return True
+        if FrameCondition.TRANSITIVE in self.frame:
+            if any((c, b) in self.edge_set for c in self.out_edges[a]):
+                return True
+        if FrameCondition.EUCLIDEAN in self.frame:
+            if any((c, b) in self.edge_set for c in self.in_edges[a]):
+                return True
+        return False
+
+
+class _State(_Branch):
+    """One tableau branch under search: the rule queue, closure detection,
+    the shared budget, blocking and the proof steps of this segment."""
 
     __slots__ = (
-        "frame",
-        "premises",
-        "label_sets",
-        "out_edges",
-        "in_edges",
-        "edge_set",
         "heap",
         "seq",
         "queued",
@@ -243,12 +320,7 @@ class _State:
     )
 
     def __init__(self, frame: FrameClass, premises: tuple[Formula, ...], budget: _Budget):
-        self.frame = frame
-        self.premises = premises
-        self.label_sets: list[dict[Formula, None]] = []
-        self.out_edges: list[list[int]] = []
-        self.in_edges: list[list[int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
+        super().__init__(frame, premises)
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.queued: set[tuple] = set()
@@ -262,13 +334,7 @@ class _State:
         self._blocking_cache: tuple[int, list[int | None]] | None = None
 
     def clone(self) -> "_State":
-        other = _State.__new__(_State)
-        other.frame = self.frame
-        other.premises = self.premises
-        other.label_sets = [dict(d) for d in self.label_sets]
-        other.out_edges = [list(l) for l in self.out_edges]
-        other.in_edges = [list(l) for l in self.in_edges]
-        other.edge_set = set(self.edge_set)
+        other = super().clone()
         other.heap = list(self.heap)
         other.seq = self.seq
         other.queued = set(self.queued)
@@ -293,24 +359,19 @@ class _State:
 
     def new_label(self) -> int:
         self.budget.count_label()
-        self.label_sets.append({})
-        self.out_edges.append([])
-        self.in_edges.append([])
         self.version += 1
-        return len(self.label_sets) - 1
+        return super().new_label()
 
     def add_formula(self, label: int, f: Formula) -> bool:
-        s = self.label_sets[label]
-        if f in s:
+        if not super().add_formula(label, f):
             return False
-        s[f] = None
         self.version += 1
         match f:
             case Atom(name):
-                if Not(f) in s and self.closed is None:
+                if Not(f) in self.label_sets[label] and self.closed is None:
                     self.closed = (label, name)
             case Not(Atom(name)):
-                if Atom(name) in s and self.closed is None:
+                if Atom(name) in self.label_sets[label] and self.closed is None:
                     self.closed = (label, name)
             case And():
                 self.enqueue(_P_ALPHA, label, ("alpha", label, f))
@@ -334,11 +395,8 @@ class _State:
         self.enqueue(_P_MOVE, dst, ("move", src, f, dst))
 
     def add_edge(self, a: int, b: int) -> bool:
-        if (a, b) in self.edge_set:
+        if not super().add_edge(a, b):
             return False
-        self.edge_set.add((a, b))
-        self.out_edges[a].append(b)
-        self.in_edges[b].append(a)
         # Horn closure products involving the new edge
         if FrameCondition.SYMMETRIC in self.frame:
             self.enqueue(_P_EDGE, b, ("edge", b, a))
@@ -371,16 +429,6 @@ class _State:
                         self.enqueue(_P_MOVE, b, ("move", c, f, b))
         return True
 
-    # -- licences (shared with proof replay via module functions) -------
-
-    def move_licensed(self, src: int, f: Formula, dst: int) -> bool:
-        return _move_licensed(
-            self.frame, self.edge_set, self.in_edges, self.label_sets, src, f, dst
-        )
-
-    def edge_licensed(self, a: int, b: int) -> bool:
-        return _edge_licensed(self.frame, self.edge_set, self.out_edges, self.in_edges, a, b)
-
     # -- blocking --------------------------------------------------------
 
     def blocking(self) -> list[int | None]:
@@ -409,43 +457,6 @@ class _State:
 
     def diamond_satisfied(self, label: int, f: Diamond) -> bool:
         return any(f.operand in self.label_sets[m] for m in self.out_edges[label])
-
-
-def _move_licensed(frame, edge_set, in_edges, label_sets, src, f, dst) -> bool:
-    """May ``f`` be written to dst, justified by the contents of src?"""
-    if f is None:
-        return False
-    if (src, dst) in edge_set:
-        if Box(f) in label_sets[src]:
-            return True  # K: operand across an edge
-        if f in label_sets[src]:
-            if isinstance(f, Box) and FrameCondition.TRANSITIVE in frame:
-                return True  # 4: boxes persist forward
-            if FrameCondition.EUCLIDEAN in frame:
-                if isinstance(f, Diamond):
-                    return True  # co-successors of src see f's witness too
-                if isinstance(f, Box) and in_edges[src]:
-                    return True  # successors of a non-root world see no more
-    if (dst, src) in edge_set and FrameCondition.EUCLIDEAN in frame:
-        # backward within range: dst's successors include src's
-        if _is_modal(f) and f in label_sets[src] and in_edges[dst]:
-            return True
-    return False
-
-
-def _edge_licensed(frame, edge_set, out_edges, in_edges, a, b) -> bool:
-    """Is edge (a, b) derivable by one Horn closure step?"""
-    if a == b and FrameCondition.REFLEXIVE in frame:
-        return True
-    if FrameCondition.SYMMETRIC in frame and (b, a) in edge_set:
-        return True
-    if FrameCondition.TRANSITIVE in frame:
-        if any((c, b) in edge_set for c in out_edges[a]):
-            return True
-    if FrameCondition.EUCLIDEAN in frame:
-        if any((c, b) in edge_set for c in in_edges[a]):
-            return True
-    return False
 
 
 def _spawn_successor(state: _State, parent: int, principal: Formula | None, rule: str, rule_formula: str | None) -> None:
@@ -740,111 +751,66 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 # proof replay
 
 
-class _Replay:
-    """Minimal branch state for licence checking; no queue, no search."""
-
-    def __init__(self, frame: FrameClass, premises_nnf: tuple[Formula, ...]):
-        self.frame = frame
-        self.premises = premises_nnf
-        self.label_sets: list[dict[Formula, None]] = []
-        self.out_edges: list[list[int]] = []
-        self.in_edges: list[list[int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
-
-    def clone(self) -> "_Replay":
-        other = _Replay.__new__(_Replay)
-        other.frame = self.frame
-        other.premises = self.premises
-        other.label_sets = [dict(d) for d in self.label_sets]
-        other.out_edges = [list(l) for l in self.out_edges]
-        other.in_edges = [list(l) for l in self.in_edges]
-        other.edge_set = set(self.edge_set)
-        return other
-
-    def new_label(self) -> int:
-        self.label_sets.append({})
-        self.out_edges.append([])
-        self.in_edges.append([])
-        return len(self.label_sets) - 1
-
-    def add_formula(self, label: int, f: Formula) -> None:
-        self.label_sets[label][f] = None
-
-    def add_edge(self, a: int, b: int) -> None:
-        if (a, b) not in self.edge_set:
-            self.edge_set.add((a, b))
-            self.out_edges[a].append(b)
-            self.in_edges[b].append(a)
-
-
-def _replay_step(replay: _Replay, node: dict) -> bool:
+def _replay_step(branch: _Branch, node: dict) -> bool:
     """Check and apply one unary rule application."""
     rule = node["rule"]
     labels = node["labels"]
     formula = node.get("formula")
     f = parse(formula) if formula is not None else None
-    for lab in labels:
-        if not 0 <= lab <= len(replay.label_sets):
-            return False
+    # every label names an existing one, except a spawned child, which
+    # must be the next new id
+    count = len(branch.label_sets)
+    spawns = rule in ("diamond", "serial")
+    existing = labels[:-1] if spawns else labels
+    if not all(0 <= lab < count for lab in existing) or (spawns and labels[-1] != count):
+        return False
 
     if rule == "alpha":
         (label,) = labels
-        if not isinstance(f, And) or f not in replay.label_sets[label]:
+        if not isinstance(f, And) or f not in branch.label_sets[label]:
             return False
-        replay.add_formula(label, f.left)
-        replay.add_formula(label, f.right)
+        branch.add_formula(label, f.left)
+        branch.add_formula(label, f.right)
         return True
     if rule == "box":
         src, dst = labels
-        if src >= len(replay.label_sets) or dst >= len(replay.label_sets):
+        if not branch.move_licensed(src, f, dst):
             return False
-        if not _move_licensed(
-            replay.frame, replay.edge_set, replay.in_edges, replay.label_sets, src, f, dst
-        ):
-            return False
-        replay.add_formula(dst, f)
+        branch.add_formula(dst, f)
         return True
     if rule == "frame-closure":
         a, b = labels
-        if a >= len(replay.label_sets) or b >= len(replay.label_sets):
+        if not branch.edge_licensed(a, b):
             return False
-        if not _edge_licensed(replay.frame, replay.edge_set, replay.out_edges, replay.in_edges, a, b):
-            return False
-        replay.add_edge(a, b)
+        branch.add_edge(a, b)
         return True
     if rule == "global-premise":
         (label,) = labels
-        if f not in replay.premises or label >= len(replay.label_sets):
+        if f not in branch.premises:
             return False
-        replay.add_formula(label, f)
+        branch.add_formula(label, f)
         return True
     if rule == "diamond":
         parent, child = labels
-        if parent >= len(replay.label_sets):
+        if not isinstance(f, Diamond) or f not in branch.label_sets[parent]:
             return False
-        if not isinstance(f, Diamond) or f not in replay.label_sets[parent]:
-            return False
-        if child != replay.new_label():
-            return False
-        replay.add_formula(child, f.operand)
-        replay.add_edge(parent, child)
+        branch.new_label()
+        branch.add_formula(child, f.operand)
+        branch.add_edge(parent, child)
         return True
     if rule == "serial":
         parent, child = labels
-        if parent >= len(replay.label_sets):
+        if FrameCondition.SERIAL not in branch.frame or branch.out_edges[parent]:
             return False
-        if FrameCondition.SERIAL not in replay.frame or replay.out_edges[parent]:
-            return False
-        if child != replay.new_label():
-            return False
-        replay.add_edge(parent, child)
+        branch.new_label()
+        branch.add_edge(parent, child)
         return True
     return False
 
 
-def _replay(replay: _Replay, root: dict) -> bool:
+def _replay(branch: _Branch, root: dict) -> bool:
     """Iteratively replay a proof tree; every leaf must be a closure."""
-    stack: list[tuple[_Replay, dict]] = [(replay, root)]
+    stack: list[tuple[_Branch, dict]] = [(branch, root)]
     while stack:
         state, node = stack.pop()
         while True:
@@ -893,11 +859,11 @@ def check_proof(
     Returns False on any mismatch; never raises."""
     try:
         premises_nnf = tuple(nnf(desugar(p)) for p in premises)
-        replay = _Replay(frozenset(frame), premises_nnf)
-        root = replay.new_label()
-        replay.add_formula(root, nnf(Not(desugar(conclusion))))
+        branch = _Branch(frozenset(frame), premises_nnf)
+        root = branch.new_label()
+        branch.add_formula(root, nnf(Not(desugar(conclusion))))
         for p in premises_nnf:
-            replay.add_formula(root, p)
-        return _replay(replay, proof.root)
+            branch.add_formula(root, p)
+        return _replay(branch, proof.root)
     except Exception:
         return False

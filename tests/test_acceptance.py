@@ -6,12 +6,16 @@ each criterion reports its own timing honestly.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import modaltab
 
 from modaltab.arguments import (
     axiom_correspondence_suite,
@@ -312,12 +316,15 @@ def test_criterion_10_determinism():
         ["jacquette", "--json", "--stable"],
         ["check", "eder_ramharter", "--json", "--stable", "--minimal-frames"],
     ]
+    # the child processes import the same package as this one, installed or not
+    src = str(Path(modaltab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in commands:
         first = subprocess.run(
-            [sys.executable, "-m", "modaltab.cli", *argv], capture_output=True
+            [sys.executable, "-m", "modaltab.cli", *argv], capture_output=True, env=env
         )
         second = subprocess.run(
-            [sys.executable, "-m", "modaltab.cli", *argv], capture_output=True
+            [sys.executable, "-m", "modaltab.cli", *argv], capture_output=True, env=env
         )
         assert first.stdout == second.stdout, argv
         assert first.stdout

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from modaltab import arguments
 from modaltab.cli import export_dot, load_argument_file, main
 from modaltab.enumeration import CountermodelWitness, EnumerationBudget, find_countermodel
 from modaltab.semantics import KripkeModel
-from modaltab.syntax import parse
+from modaltab.syntax import MAX_DEPTH, parse
 
 
 def run(capsys, *argv):
@@ -48,6 +49,27 @@ class TestCheck:
         assert "minimal frames" in out
         assert "{euclidean}" in out and "{symmetric}" in out
 
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (["check", "eder_ramharter"], 2),  # the verdict and the triviality schema
+            (["countermodel", "kane"], 2),
+            (["check", "malcolm", "--minimal-frames"], 34),  # plus all 32 frame subsets
+        ],
+    )
+    def test_decides_only_what_it_prints(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        real = arguments.decide
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(arguments, "decide", counting)
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert len(seen) == calls
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "check", "adams", "--json", "--stable")
         doc = json.loads(out)
@@ -82,6 +104,31 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (
+                {
+                    "name": "dup",
+                    "premises": [{"name": "P", "formula": "p"}, {"name": "P", "formula": "q"}],
+                    "frame": [],
+                    "conclusion": "p",
+                },
+                "duplicate premise names in 'dup'",
+            ),
+            ({"name": "x", "premises": [], "frame": [3], "conclusion": "p"}, "frame must be a list"),
+            ({"name": "x", "premises": [], "frame": "symmetric", "conclusion": "p"}, "frame must be a list"),
+        ],
+        ids=["duplicate-premise-names", "frame-not-a-name", "frame-not-a-list"],
+    )
+    def test_rejected_argument_file(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_bad_frame_name_in_file(self, capsys, tmp_path):
         path = tmp_path / "frame.json"
@@ -123,6 +170,29 @@ class TestProve:
         code, _, err = run(capsys, "prove", "p & ")
         assert code == 2
         assert "byte 4" in err
+
+    def test_nesting_at_the_bound(self, capsys):
+        n = MAX_DEPTH
+        code, out, _ = run(capsys, "prove", "p" + " & (p" * n + ")" * n, "--logic", "K")
+        assert code == 1
+        assert "countermodel (1 worlds" in out
+        code, out, _ = run(capsys, "prove", "p" + " -> p" * n, "--logic", "K")
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "p" + " & (p" * (MAX_DEPTH + 1) + ")" * (MAX_DEPTH + 1),
+            "p" + " & p" * 1500,
+            "(" * 170 + "p" + ")" * 170,
+        ],
+        ids=["one-past-the-bound", "1500-conjuncts", "170-parentheses"],
+    )
+    def test_nesting_past_the_bound(self, capsys, formula):
+        code, out, err = run(capsys, "prove", formula, "--logic", "K")
+        assert code == 2
+        assert out == ""
+        assert f"nested deeper than {MAX_DEPTH} levels" in err
 
     def test_logic_and_frame_conflict(self, capsys):
         code, _, err = run(capsys, "prove", "p", "--logic", "T", "--frame", "serial")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from modaltab.syntax import (
+    MAX_DEPTH,
     And,
     Atom,
     Box,
@@ -78,6 +79,38 @@ class TestParse:
     def test_error_stray_token(self):
         with pytest.raises(FormulaSyntaxError):
             parse("p q")
+
+
+# shape -> (text with k nesting steps, depth each step adds)
+NESTED = {
+    "parentheses": (lambda k: "(" * k + "p" + ")" * k, 1),
+    "conjunction": (lambda k: "p" + " & (p" * k + ")" * k, 1),
+    "conjunction-chain": (lambda k: "p" + " & p" * k, 1),
+    "negation": (lambda k: "~" * (k + 1) + "p", 1),  # ~p is a literal
+    "box": (lambda k: "[]" * k + "p", 1),
+    "implication": (lambda k: "p" + " -> p" * k, 1),
+    "strict": (lambda k: "p" + " |> p" * k, 2),
+    "biconditional": (lambda k: "p" + " <-> p" * k, 2),
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_bound_parses_and_one_past_it_fails(self, shape):
+        build, step = NESTED[shape]
+        k = MAX_DEPTH // step
+        parse(build(k))
+        with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse(build(k + 1))
+
+    @pytest.mark.parametrize("shape", sorted(set(NESTED) - {"biconditional"}))
+    def test_proof_formulas_at_the_bound_parse_again(self, shape):
+        # everything a proof can record is a subformula of the NNF of the
+        # desugared query or of its negation
+        build, step = NESTED[shape]
+        f = desugar(parse(build(MAX_DEPTH // step)))
+        for g in subformulas(nnf(f)) | subformulas(nnf(Not(f))):
+            assert parse(print_formula(g)) == g
 
 
 class TestPrint:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from modaltab.arguments import builtin_corpus, eder_ramharter_manual
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import (
     FrameCondition,
@@ -12,6 +14,7 @@ from modaltab.semantics import (
     model_to_json,
 )
 from modaltab.syntax import (
+    MAX_DEPTH,
     And,
     Atom,
     Box,
@@ -243,6 +246,118 @@ class TestProofObjects:
     def test_garbage_rejected_without_raising(self):
         junk = ProofObject({"rule": "closure", "labels": [5], "formula": "p", "children": []})
         assert check_proof(junk, [], parse("p"), K) is False
+
+
+    def test_proof_at_the_depth_bound_replays(self):
+        f = parse("p" + " -> p" * MAX_DEPTH)
+        verdict = decide([], f, K)
+        assert isinstance(verdict, Valid)
+        assert check_proof(ProofObject.from_json_dict(json.loads(verdict.proof.to_json())), [], f, K)
+
+
+def _golden_queries():
+    """Valid queries whose proofs together use every rule name."""
+    queries = {f"corpus/{a.name}": (a.premise_formulas(), a.conclusion, a.frame) for a in builtin_corpus()}
+    for name, text, frame in [
+        ("K", "[](p -> q) -> ([]p -> []q)", K),
+        ("T", "[]p -> p", REFL),
+        ("D", "[]p -> <>p", SERIAL),
+        ("B", "p -> []<>p", SYM),
+        ("4", "[]p -> [][]p", frozenset({FrameCondition.TRANSITIVE})),
+        ("5", "<>p -> []<>p", EUCL),
+    ]:
+        queries[f"axiom/{name}"] = ([], parse(text), frame)
+    script = eder_ramharter_manual()
+    premises = [f for _, f in script.premises]
+    for name, step in script.steps:
+        queries[f"step/{name}"] = (list(premises), step, script.frame)
+        premises.append(step)
+    return queries
+
+
+GOLDEN_QUERIES = _golden_queries()
+
+# sha256 of ProofObject.to_json(); the CLI's proof_id is a prefix of it,
+# so a refactor of the search or of replay must leave these unchanged
+GOLDEN_PROOF_IDS = {
+    "corpus/eder_ramharter": "8bd4280d9a408ae5aa02b0abbdca97a73dcfb3f9ad92e4a51a262dfa6a8b7836",
+    "corpus/kane": "385aa29315181c5030b517869a2dccb9ad8763b4da8d02ed3d2045b17a0bab71",
+    "corpus/malcolm": "cba6e2afbd3e8bd0123ccf357b485305643ef34cc092c0ad3b211d83a505f0a3",
+    "corpus/malcolm_alt": "26bdd46f28f84879d7b89ee69b8c69c24bb2ea0ab37a5992de600d0256667ad1",
+    "corpus/adams": "eb7bd2986055864478cef1131f0f0d7411ac8af6e7b564f823a1ac2450543b8c",
+    "corpus/adams_alt": "9fd0a8aff2466f471af7e37aa87024df3c14784e19b0e5a0ecd9d4af602731e8",
+    "corpus/hartshorne": "385aa29315181c5030b517869a2dccb9ad8763b4da8d02ed3d2045b17a0bab71",
+    "corpus/hartshorne_alt": "eb7bd2986055864478cef1131f0f0d7411ac8af6e7b564f823a1ac2450543b8c",
+    "axiom/K": "179d6a1736c72a618ebc9ae8406b158ba579772cf0c496628db43dc4a2b40bf2",
+    "axiom/T": "dec7f243c34dead1b26331386c1a1d66083f797fd074f6c6f9416639c6422105",
+    "axiom/D": "ba697853e45cc0f56d4ca8c625cda55f3b7c889de6e5c222ed5c49ac78671d0f",
+    "axiom/B": "3f80b976ad50d017c39fa339073e9638dad5b4722f590de0e5a3743e6ba49c9d",
+    "axiom/4": "62fd1f08e561f05b4042cbe39bff7177985f15122b2725d25ddc212761a4713f",
+    "axiom/5": "e797c45c3fc742129ff25070c00bef89e7a59497dd864b9bfa5385adbd012e7d",
+    "step/step1": "4b40361512a7440ea3c6adbce20036f17b1165d9ce6987aa7ca83cf4bfd2edbc",
+    "step/step2": "2f6e3e129b93087a2bdda8a5171314af0b63a8e5dfb6174de8d948d5418cf893",
+    "step/step3": "6839a9d08367ed9ba6771083a14920c7476c990222ca11452e2d312689abefa2",
+    "step/step4": "6d2331c95e80ab9c8dee260cfe88ec74c6dbe535034d7af06e41ab5d67fcc47c",
+    "step/step5": "7db50ec0079763cd043201d6ea35ead45480963bd3ee193bf57e4647f5830eea",
+}
+
+UNARY_RULES = ("alpha", "box", "frame-closure", "global-premise", "diamond", "serial")
+
+
+def _proof_doc(name):
+    verdict = decide(*GOLDEN_QUERIES[name])
+    assert isinstance(verdict, Valid)
+    return verdict.proof.to_json_dict()
+
+
+class TestGoldenProofs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PROOF_IDS))
+    def test_proof_id_unchanged(self, name):
+        verdict = decide(*GOLDEN_QUERIES[name])
+        assert isinstance(verdict, Valid)
+        assert hashlib.sha256(verdict.proof.to_json().encode()).hexdigest() == GOLDEN_PROOF_IDS[name]
+        assert check_proof(verdict.proof, *GOLDEN_QUERIES[name])
+
+    def test_every_rule_is_covered(self):
+        rules = {e["rule"] for name in GOLDEN_QUERIES for e in _proof_doc(name)["nodes"]}
+        assert rules == set(UNARY_RULES) | {"beta", "closure"}
+
+    def test_diamond_witness_must_be_a_new_label(self):
+        # <>q -> ([]p -> p) is invalid over K; taking the root as its own
+        # <>q witness would add the edge (0, 0) and close the branch
+        conclusion = parse("<>q -> ([]p -> p)")
+        steps = [
+            ("alpha", [0], "<>q & ([]p & ~p)"),
+            ("alpha", [0], "[]p & ~p"),
+            ("diamond", [0, 0], "<>q"),
+            ("box", [0, 0], "p"),
+        ]
+        node = {"rule": "closure", "labels": [0], "formula": "p", "children": []}
+        for rule, labels, formula in reversed(steps):
+            node = {"rule": rule, "labels": labels, "formula": formula, "children": [node]}
+        assert isinstance(decide([], conclusion, K), Invalid)
+        assert not check_proof(ProofObject(node), [], conclusion, K)
+
+    @pytest.mark.parametrize("rule", UNARY_RULES)
+    def test_out_of_range_label_rejected(self, rule):
+        name, doc = next(
+            (name, doc)
+            for name in sorted(GOLDEN_QUERIES)
+            for doc in [_proof_doc(name)]
+            if any(e["rule"] == rule for e in doc["nodes"])
+        )
+        node = next(e for e in doc["nodes"] if e["rule"] == rule)
+        past_end = 1 + max(lab for e in doc["nodes"] for lab in e["labels"])
+        bad = [(i, v) for i in range(len(node["labels"])) for v in (-1, past_end)]
+        if rule in ("diamond", "serial"):
+            bad.append((1, node["labels"][0]))  # a spawned child must be a new label
+        assert check_proof(ProofObject.from_json_dict(doc), *GOLDEN_QUERIES[name])
+        for position, value in bad:
+            labels = list(node["labels"])
+            labels[position] = value
+            mutated = {"nodes": [{**e, "labels": labels} if e is node else e for e in doc["nodes"]]}
+            assert not check_proof(ProofObject.from_json_dict(mutated), *GOLDEN_QUERIES[name]), (
+                position, value)
 
 
 class TestResourceLimit:
