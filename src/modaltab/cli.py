@@ -162,7 +162,10 @@ def _maybe_write_dot(args, witness: CountermodelWitness | None) -> None:
     if witness is None:
         print("note: verdict is valid; no countermodel to export", file=sys.stderr)
         return
-    Path(args.dot).write_text(export_dot(witness))
+    try:
+        Path(args.dot).write_text(export_dot(witness))
+    except OSError as e:
+        raise CliError(f"cannot write {args.dot}: {e}") from None
 
 
 def cmd_check(args) -> int:

@@ -13,7 +13,7 @@ Concrete syntax is ASCII (``~ & | -> <-> [] <> |>``); the Unicode glyphs
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 __all__ = [
@@ -41,54 +41,110 @@ __all__ = [
 ]
 
 
+_set = object.__setattr__  # nodes are frozen: only constructors and the text cache write
+
+
 @dataclass(frozen=True, slots=True)
-class Atom:
+class _Node:
+    """Shared storage of the formula classes.
+
+    ``_hash`` is computed once, when the node is built, from its class and
+    its children's stored hashes, so hashing never walks the tree.
+    ``_text`` holds the node's ASCII rendering once :func:`print_formula`
+    has produced it.  Neither takes part in equality, which stays
+    structural.
+    """
+
+    _hash: int = field(init=False, repr=False, compare=False)
+    _text: str | None = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: a stored hash is only valid in
+        # the process that computed it
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# Each constructor below is written out, not generated, because formulas
+# are built on every transform and rule application.  ``__hash__`` is
+# restated in each class so that the dataclass decorator keeps it.
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Atom(_Node):
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Atom, name)))
+        _set(self, "_text", None)
 
-@dataclass(frozen=True, slots=True)
-class Not:
+    __hash__ = _Node.__hash__
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class _Unary(_Node):
     operand: "Formula"
 
+    def __init__(self, operand: "Formula"):
+        _set(self, "operand", operand)
+        _set(self, "_hash", hash((type(self), operand._hash)))
+        _set(self, "_text", None)
 
-@dataclass(frozen=True, slots=True)
-class And:
+    __hash__ = _Node.__hash__
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class _Binary(_Node):
     left: "Formula"
     right: "Formula"
 
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set(self, "_text", None)
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+    __hash__ = _Node.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+# The connectives inherit fields, constructor, structural equality, repr
+# and pattern-matching positions from ``_Unary`` / ``_Binary``; a node of
+# one class never equals a node of another.
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    operand: "Formula"
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Diamond:
-    operand: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class StrictImplies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class Diamond(_Unary):
+    __slots__ = ()
+
+
+class StrictImplies(_Binary):
+    __slots__ = ()
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Iff, Box, Diamond, StrictImplies]
@@ -324,11 +380,20 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
 
     With ``unicode=True`` the five aliased connectives are emitted as
     glyphs (``<->`` and ``|>`` have no accepted glyph and stay ASCII).
+    Each node keeps its ASCII text once rendered, so printing a formula
+    again, or a formula that shares subtrees with one already printed,
+    reuses it; Unicode output is never cached.
     """
     ops = _UNICODE_OPS if unicode else _ASCII_OPS
 
     def wrap(g: Formula, limit: int) -> str:
-        s = render(g)
+        if unicode:
+            s = render(g)
+        else:
+            s = g._text
+            if s is None:
+                s = render(g)
+                _set(g, "_text", s)
         return f"({s})" if _prec(g) < limit else s
 
     def render(g: Formula) -> str:
@@ -355,7 +420,7 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
                 return f"{wrap(a, _PREC_IFF)} {ops['iff']} {wrap(b, _PREC_IFF + 1)}"
         raise TypeError(f"not a formula: {g!r}")
 
-    return render(f)
+    return wrap(f, 0)  # no precedence is below 0: never parenthesised
 
 
 def desugar(f: Formula) -> Formula:

@@ -751,12 +751,22 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 # proof replay
 
 
-def _replay_step(branch: _Branch, node: dict) -> bool:
+def _node_formula(node: dict, texts: dict[str, Formula]) -> Formula | None:
+    """The node's formula, parsed once per distinct text of one replay."""
+    text = node.get("formula")
+    if text is None:
+        return None
+    f = texts.get(text)
+    if f is None:
+        f = texts[text] = parse(text)
+    return f
+
+
+def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool:
     """Check and apply one unary rule application."""
     rule = node["rule"]
     labels = node["labels"]
-    formula = node.get("formula")
-    f = parse(formula) if formula is not None else None
+    f = _node_formula(node, texts)
     # every label names an existing one, except a spawned child, which
     # must be the next new id
     count = len(branch.label_sets)
@@ -808,8 +818,9 @@ def _replay_step(branch: _Branch, node: dict) -> bool:
     return False
 
 
-def _replay(branch: _Branch, root: dict) -> bool:
-    """Iteratively replay a proof tree; every leaf must be a closure."""
+def _replay(branch: _Branch, root: dict, texts: dict[str, Formula]) -> bool:
+    """Iteratively replay a proof tree; every leaf must be a closure.
+    ``texts`` maps each formula text seen so far to its parse."""
     stack: list[tuple[_Branch, dict]] = [(branch, root)]
     while stack:
         state, node = stack.pop()
@@ -822,15 +833,14 @@ def _replay(branch: _Branch, root: dict) -> bool:
                 (label,) = node["labels"]
                 if not 0 <= label < len(state.label_sets):
                     return False
-                f = parse(node["formula"]) if node.get("formula") is not None else None
+                f = _node_formula(node, texts)
                 s = state.label_sets[label]
                 if not (isinstance(f, Atom) and f in s and Not(f) in s):
                     return False
                 break  # this branch verified closed
             if rule == "beta":
                 (label,) = node["labels"]
-                formula = node.get("formula")
-                f = parse(formula) if formula is not None else None
+                f = _node_formula(node, texts)
                 if len(children) != 2 or not isinstance(f, Or):
                     return False
                 if not 0 <= label < len(state.label_sets) or f not in state.label_sets[label]:
@@ -842,7 +852,7 @@ def _replay(branch: _Branch, root: dict) -> bool:
                 break
             if len(children) != 1:
                 return False
-            if not _replay_step(state, node):
+            if not _replay_step(state, node, texts):
                 return False
             node = children[0]
     return True
@@ -864,6 +874,6 @@ def check_proof(
         branch.add_formula(root, nnf(Not(desugar(conclusion))))
         for p in premises_nnf:
             branch.add_formula(root, p)
-        return _replay(branch, proof.root)
+        return _replay(branch, proof.root, {})
     except Exception:
         return False

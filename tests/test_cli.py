@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -254,6 +255,40 @@ class TestDeterminism:
         assert first == second
 
 
+# sha256 of the `--json --stable` output of each command.  Formula hashes
+# differ from one process to the next, so a digest that changes between
+# runs exposes output that depends on hash or set order.
+GOLDEN_OUTPUT_DIGESTS = {
+    "axioms": "731d31fa401d87fd7e0de21fa5e6c953859b21f69441e9d81be7d50bcbc775a8",
+    "corpus": "27395b1b2727e910d83190aac05047d6c68151d94c46550f4dcc209e01933767",
+    "jacquette": "dd6020e922997335f3197b8be0b5b001105e10bad0f8e55e44777e2a69aa56fb",
+    "steps": "ee1a905c157f606a4f2f6de4a782d3c2a9d6f631171f0cefc905f981de996563",
+    "check adams": "7d53f2f2db5c8bccb9bfce82fbff1079a3d6836e073b5913734451a112c67462",
+    "check adams_alt": "1056ba32d7918e084d273d25955d3338507c1f0194b9b627500fd5fe3c5fc574",
+    "check eder_ramharter": "326221446069e758ab84ec8057d4e31a4c014549a99cf1efec7893aaddb9d8b8",
+    "check hartshorne": "cf723d37eaf10f431d63d667392be9eaf9c969d1c9a949e224408daafc9ac56f",
+    "check hartshorne_alt": "1d0c6d9707db58664c286280577eb9320a9c3b439b7e41d3cc1b0759dfaa8250",
+    "check kane": "0900555adbebf70a171abecde69827c14bf20689690880127beb6bdfb4ac20aa",
+    "check malcolm": "0c69e81fac31d01d8977dda32360437f4e1cb027bcab007ed2e0fa50bc5b5c08",
+    "check malcolm_alt": "fbbd3cdc235012492be39561df7cb32efd8a7850f715a0169e90715c6de00e42",
+    "countermodel adams": "b8f3e138bce33201db3d6516cc75991c50c092b96cf86555f63f48122130f6a7",
+    "countermodel adams_alt": "261315cc246a561e0325d0a8bdc029e4f00f21209e7c3d2284f8ce12b8fef252",
+    "countermodel eder_ramharter": "c1c57ec17106efbc0d9b840268008d5c998d818db4aca975f261d4792c29dad9",
+    "countermodel hartshorne": "1ed42aa8bdade7f5a839cebea8a1492d7c595132eedc3a96615b2ff111b74bed",
+    "countermodel hartshorne_alt": "a5c328d45b6b697ce2691939bfd5158b343d52b867a177e33bece701fbf00527",
+    "countermodel kane": "441af34ac6ab1bb479ba7e7a290a137f0542e4d2a759f942f9dbc0f135cf8640",
+    "countermodel malcolm": "6d773cbcbc4b050f6a2e9baaacfc5cedf87f7c9f49df88e31d4df3d02305617c",
+    "countermodel malcolm_alt": "a3d057e1b0d465114a25e258a8b928c93ecad040e32b6fca762cf26cb6f6ed22",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUT_DIGESTS))
+    def test_output_digest_unchanged(self, capsys, argv):
+        _, out, _ = run(capsys, *argv.split(), "--json", "--stable")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUT_DIGESTS[argv]
+
+
 class TestDot:
     def test_single_world(self):
         witness = CountermodelWitness(KripkeModel(1, frozenset()), 0)
@@ -295,6 +330,12 @@ class TestDot:
         assert code == 0
         assert not out_file.exists()
         assert "no countermodel" in err
+
+    @pytest.mark.parametrize("target", ["missing/model.dot", "."])
+    def test_dot_flag_unwritable_path(self, capsys, tmp_path, target):
+        code, _, err = run(capsys, "prove", "<>p", "--dot", str(tmp_path / target))
+        assert code == 2
+        assert err.startswith("error: cannot write ")
 
 
 class TestArgumentFileLoader:

@@ -1,6 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
+import modaltab
 from modaltab.syntax import (
     MAX_DEPTH,
     And,
@@ -143,6 +149,117 @@ class TestPrint:
     @settings(max_examples=150)
     def test_unicode_round_trip(self, f):
         assert parse(print_formula(f, unicode=True)) == f
+
+
+def rebuild(f):
+    """A structurally equal copy of ``f`` that shares no node with it."""
+    match f:
+        case Atom(name):
+            return Atom(name)
+        case Not(x) | Box(x) | Diamond(x):
+            return type(f)(rebuild(x))
+    return type(f)(rebuild(f.left), rebuild(f.right))
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+ALL_CONNECTIVES = "~[]p -> <>(p & ~q) | q <-> (p |> []q)"
+
+
+class TestNodeHash:
+    def test_equal_formulas_built_separately(self):
+        a = And(Box(Atom("p")), Not(Diamond(Atom("q"))))
+        b = And(Box(Atom("p")), Not(Diamond(Atom("q"))))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        c, d = parse(ALL_CONNECTIVES), parse(ALL_CONNECTIVES)
+        assert c == d and hash(c) == hash(d)
+
+    @pytest.mark.parametrize("a,b", [
+        (And(p, q), Or(p, q)),
+        (Box(p), Diamond(p)),
+        (Implies(p, q), StrictImplies(p, q)),
+        (Not(p), Box(p)),
+        (And(p, q), And(q, p)),
+    ])
+    def test_different_formulas(self, a, b):
+        assert a != b
+        assert hash(a) != hash(b)
+        assert len({a, b}) == 2
+
+    def test_hash_at_the_depth_bound_does_not_recurse(self):
+        built = []
+        for _ in range(2):
+            f = Atom("p")
+            for i in range(MAX_DEPTH):
+                f = (Box(f), And(q, f))[i % 2]
+            built.append(f)
+        a, b = built
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 10)
+        try:
+            assert hash(a) == hash(b)
+            assert a in {a}
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_unpickled_in_another_process(self):
+        # string hashes differ between processes, so the stored hash
+        # must be recomputed when a pickled formula is loaded
+        code = (
+            "import pickle, sys; from modaltab.syntax import parse; "
+            f"sys.stdout.buffer.write(pickle.dumps(parse({ALL_CONNECTIVES!r})))"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "1",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(modaltab.__file__))}
+        data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              check=True, timeout=60).stdout
+        f = pickle.loads(data)
+        assert f == parse(ALL_CONNECTIVES) and f in {parse(ALL_CONNECTIVES)}
+        assert print_formula(f) == print_formula(parse(ALL_CONNECTIVES))
+
+
+class TestTextCache:
+    def test_ascii_then_unicode_on_one_node(self):
+        f = parse(ALL_CONNECTIVES)
+        ascii_text = print_formula(f)
+        assert ascii_text == print_formula(parse(ALL_CONNECTIVES))
+        assert print_formula(f, unicode=True) == print_formula(parse(ALL_CONNECTIVES), unicode=True)
+        assert print_formula(f) == ascii_text
+
+    def test_unicode_then_ascii_on_one_node(self):
+        f = parse(ALL_CONNECTIVES)
+        unicode_text = print_formula(f, unicode=True)
+        assert unicode_text == "¬□p ⊃ ◇(p ∧ ¬q) ∨ q <-> p |> □q"
+        assert print_formula(f) == print_formula(parse(ALL_CONNECTIVES))
+        assert print_formula(f, unicode=True) == unicode_text
+
+    def test_parent_adds_parentheses_around_cached_text(self):
+        disjunction = Or(p, q)
+        assert print_formula(disjunction) == "p | q"
+        assert print_formula(And(disjunction, p)) == "(p | q) & p"
+        assert print_formula(Box(disjunction)) == "[](p | q)"
+
+    def test_unicode_ignores_the_ascii_text(self):
+        f = Box(And(p, q))
+        print_formula(f, unicode=True)
+        assert f._text is None  # unicode output never writes the cache
+        object.__setattr__(f, "_text", "bogus")
+        assert print_formula(f, unicode=True) == "□(p ∧ q)"  # nor reads it
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
+    @settings(max_examples=150)
+    def test_both_orders_match_fresh_nodes(self, f):
+        ascii_text, unicode_text = print_formula(rebuild(f)), print_formula(rebuild(f), unicode=True)
+        first, second = rebuild(f), rebuild(f)
+        assert (print_formula(first), print_formula(first, unicode=True)) == (ascii_text, unicode_text)
+        assert (print_formula(second, unicode=True), print_formula(second)) == (unicode_text, ascii_text)
+        assert print_formula(first) == print_formula(second) == ascii_text
 
 
 class TestDesugar:

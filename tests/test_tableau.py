@@ -304,6 +304,15 @@ GOLDEN_PROOF_IDS = {
 UNARY_RULES = ("alpha", "box", "frame-closure", "global-premise", "diamond", "serial")
 
 
+def linear_proof(steps, label, atom):
+    """Unary (rule, labels, formula text) steps ending in one closure of
+    ``atom`` at ``label``."""
+    node = {"rule": "closure", "labels": [label], "formula": atom, "children": []}
+    for rule, labels, formula in reversed(steps):
+        node = {"rule": rule, "labels": labels, "formula": formula, "children": [node]}
+    return ProofObject(node)
+
+
 def _proof_doc(name):
     verdict = decide(*GOLDEN_QUERIES[name])
     assert isinstance(verdict, Valid)
@@ -337,6 +346,28 @@ class TestGoldenProofs:
             node = {"rule": rule, "labels": labels, "formula": formula, "children": [node]}
         assert isinstance(decide([], conclusion, K), Invalid)
         assert not check_proof(ProofObject(node), [], conclusion, K)
+
+    def test_text_seen_before_is_still_licensed_per_step(self):
+        # (p & q) -> []q is invalid over K.  "p & q" is licensed at the
+        # root, which holds it; replay parses that text once, but reusing
+        # it at label 1, which does not hold it, must still be refused
+        conclusion = parse("p & q -> []q")
+        steps = [
+            ("alpha", [0], "p & q & <>~q"),
+            ("alpha", [0], "p & q"),
+            ("diamond", [0, 1], "<>~q"),
+            ("alpha", [1], "p & q"),
+        ]
+        assert isinstance(decide([], conclusion, K), Invalid)
+        assert not check_proof(linear_proof(steps, 1, "q"), [], conclusion, K)
+        # reusing a text where it is licensed both times replays
+        steps = [
+            ("alpha", [0], "[](p & q) & <>~q"),
+            ("diamond", [0, 1], "<>~q"),
+            ("box", [0, 1], "p & q"),
+            ("alpha", [1], "p & q"),
+        ]
+        assert check_proof(linear_proof(steps, 1, "q"), [], parse("[](p & q) -> []q"), K)
 
     @pytest.mark.parametrize("rule", UNARY_RULES)
     def test_out_of_range_label_rejected(self, rule):
