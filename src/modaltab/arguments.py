@@ -13,10 +13,10 @@ derivation replay, and the modal modus-tollens checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .enumeration import CountermodelWitness, minimize_countermodel
-from .semantics import LOGICS, FrameClass, FrameCondition
+from .semantics import LOGICS, FrameClass, FrameCondition, frame_satisfies
 from .syntax import (
     Atom,
     Diamond,
@@ -162,8 +162,15 @@ def _arg(name: str, premises: list[tuple[str, str]], frame: list[str], conclusio
 
 
 def builtin_corpus() -> list[Argument]:
-    """The eight argument variants, keyed by their usual attributions."""
-    return [
+    """The eight argument variants, keyed by their usual attributions.
+
+    A fresh list on each call; the entries are parsed once and shared."""
+    return list(_corpus())
+
+
+@cache
+def _corpus() -> tuple[Argument, ...]:
+    return (
         _arg("eder_ramharter", [("ER1", "g -> []g"), ("ER2", "<>g")], ["symmetric"], "g"),
         _arg("kane", [("K1", "[](g -> []g)"), ("K2", "<>g")], ["symmetric"], "g"),
         _arg("malcolm", [("M1", "g -> []g"), ("M2", "<>g")], ["euclidean"], "[]g"),
@@ -172,7 +179,7 @@ def builtin_corpus() -> list[Argument]:
         _arg("adams_alt", [("A1", "[](g -> []g)"), ("A2", "<>g")], ["symmetric"], "[]g"),
         _arg("hartshorne", [("H1", "g |> []g"), ("H2", "<>g")], ["symmetric"], "g"),
         _arg("hartshorne_alt", [("H1", "g |> []g"), ("H2", "<>g")], ["euclidean"], "[]g"),
-    ]
+    )
 
 
 def corpus_entry(name: str) -> Argument:
@@ -228,23 +235,39 @@ def _triviality_schema(a: Argument, schema_atom: str) -> tuple[str, Formula, For
 # all five conditions, in the name order used for sorted output
 _ALL_CONDITIONS = tuple(sorted(FrameCondition, key=lambda c: c.value))
 
+# all 32 condition subsets in output order: by size, then by condition names
+_SUBSETS = tuple(sorted(
+    (frozenset(c for i, c in enumerate(_ALL_CONDITIONS) if (mask >> i) & 1)
+     for mask in range(1 << len(_ALL_CONDITIONS))),
+    key=lambda s: (len(s), sorted(c.value for c in s)),
+))
+
 
 def frame_requirement_search(a: Argument) -> list[FrameClass]:
     """Minimal frame-condition subsets (under inclusion) that make the
-    argument valid, from an exhaustive sweep of all 32 subsets; sorted by
-    size, then by condition names."""
-    valid_sets: list[frozenset] = []
-    for mask in range(1 << len(_ALL_CONDITIONS)):
-        subset = frozenset(
-            c for i, c in enumerate(_ALL_CONDITIONS) if (mask >> i) & 1
-        )
-        verdict = decide(a.premise_formulas(), a.conclusion, subset)
+    argument valid; sorted by size, then by condition names.
+
+    Subsets are visited in that order, and ``decide`` runs only on those
+    whose answer is not yet implied.  Validity is upward-closed in the
+    conditions, so a superset of a minimal valid set is valid and not
+    minimal.  A countermodel refutes every class whose conditions its
+    frame satisfies, so a subset of those conditions is invalid.  Every
+    proper subset of a visited set comes earlier, so a set found valid is
+    minimal.
+    """
+    premises = a.premise_formulas()
+    minimal: list[FrameClass] = []
+    refuted: list[FrameClass] = []  # the conditions each countermodel's frame satisfies
+    for subset in _SUBSETS:
+        if any(m <= subset for m in minimal) or any(subset <= r for r in refuted):
+            continue
+        verdict = decide(premises, a.conclusion, subset)
         if isinstance(verdict, Valid):
-            valid_sets.append(subset)
-    minimal = [
-        s for s in valid_sets if not any(t < s for t in valid_sets)
-    ]
-    return sorted(minimal, key=lambda s: (len(s), sorted(c.value for c in s)))
+            minimal.append(subset)
+        else:
+            model = verdict.witness.model
+            refuted.append(frozenset(c for c in _ALL_CONDITIONS if frame_satisfies(model, c)))
+    return minimal
 
 
 def analyze(a: Argument) -> AnalysisReport:

@@ -14,6 +14,7 @@ fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -58,9 +59,13 @@ def load_argument_file(path: str | Path) -> Argument:
         raise CliError(f"{path}: not valid JSON: {e}") from None
     try:
         name = data["name"]
+        if not isinstance(name, str):
+            raise CliError(f"{path}: argument name must be a string")
         premises = tuple(
             (entry["name"], parse(entry["formula"])) for entry in data["premises"]
         )
+        if not all(isinstance(n, str) for n, _ in premises):
+            raise CliError(f"{path}: every premise name must be a string")
         frame_names = data["frame"]
         if not isinstance(frame_names, list) or not all(isinstance(n, str) for n in frame_names):
             raise CliError(f"{path}: frame must be a list of condition names or logic aliases")
@@ -359,7 +364,10 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help=f"world budget for enumeration cross-checks, 1..{MAX_WORLDS} (default 3)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused; each
+    subcommand's ``func`` looks up what it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="modaltab",
         description="Propositional modal logic: tableau prover, Kripke countermodels, argument analysis.",

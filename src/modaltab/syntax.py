@@ -476,40 +476,41 @@ def nnf(f: Formula) -> Formula:
     (``~[]a`` becomes ``<>~a`` and vice versa); ``<->`` is expanded as the
     conjunction of the two implications.
     """
+    return _nnf(f, False)
+
+
+def _nnf(f: Formula, negated: bool) -> Formula:
+    """NNF of ``~f`` if ``negated``, else of ``f``; builds only the nodes
+    of the result.  A run of negations is peeled in one frame."""
+    while type(f) is Not:
+        if not negated and type(f.operand) is Atom:
+            return f  # a literal is its own NNF
+        f, negated = f.operand, not negated
     match f:
         case Atom():
-            return f
+            return Not(f) if negated else f
         case And(a, b):
-            return And(nnf(a), nnf(b))
+            if negated:
+                return Or(_nnf(a, True), _nnf(b, True))
+            return And(_nnf(a, False), _nnf(b, False))
         case Or(a, b):
-            return Or(nnf(a), nnf(b))
+            if negated:
+                return And(_nnf(a, True), _nnf(b, True))
+            return Or(_nnf(a, False), _nnf(b, False))
         case Implies(a, b):
-            return Or(nnf(Not(a)), nnf(b))
+            if negated:
+                return And(_nnf(a, False), _nnf(b, True))
+            return Or(_nnf(a, True), _nnf(b, False))
         case Iff(a, b):
-            return And(nnf(Implies(a, b)), nnf(Implies(b, a)))
+            # (a -> b) & (b -> a), or its negation ~(a -> b) | ~(b -> a)
+            if negated:
+                return Or(And(_nnf(a, False), _nnf(b, True)), And(_nnf(b, False), _nnf(a, True)))
+            return And(Or(_nnf(a, True), _nnf(b, False)), Or(_nnf(b, True), _nnf(a, False)))
         case Box(x):
-            return Box(nnf(x))
+            return Diamond(_nnf(x, True)) if negated else Box(_nnf(x, False))
         case Diamond(x):
-            return Diamond(nnf(x))
-        case Not(g):
-            match g:
-                case Atom():
-                    return f
-                case Not(x):
-                    return nnf(x)
-                case And(a, b):
-                    return Or(nnf(Not(a)), nnf(Not(b)))
-                case Or(a, b):
-                    return And(nnf(Not(a)), nnf(Not(b)))
-                case Implies(a, b):
-                    return And(nnf(a), nnf(Not(b)))
-                case Iff(a, b):
-                    return nnf(Not(And(Implies(a, b), Implies(b, a))))
-                case Box(x):
-                    return Diamond(nnf(Not(x)))
-                case Diamond(x):
-                    return Box(nnf(Not(x)))
-    raise TypeError(f"nnf requires sugar-free input: {f!r}")
+            return Box(_nnf(x, True)) if negated else Diamond(_nnf(x, False))
+    raise TypeError(f"nnf requires sugar-free input: {Not(f) if negated else f!r}")
 
 
 def substitute(f: Formula, name: str, replacement: Formula) -> Formula:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from modaltab import arguments
 from modaltab.arguments import (
     AnalysisReport,
     Argument,
@@ -21,8 +24,21 @@ from modaltab.arguments import (
 )
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import FrameCondition, evaluate, frame_satisfies, holds_globally, model_to_json
-from modaltab.syntax import Atom, Box, Diamond, Not, And, desugar, parse, print_formula, substitute
-from modaltab.tableau import Invalid, Valid, decide, prove_valid
+from modaltab.syntax import (
+    And,
+    Atom,
+    Box,
+    Diamond,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    desugar,
+    parse,
+    print_formula,
+    substitute,
+)
+from modaltab.tableau import Invalid, ResourceLimit, Valid, decide, prove_valid
 
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
@@ -183,12 +199,113 @@ class TestFrameRequirementSearch:
         assert frame_requirement_search(a) == [K]
 
     def test_every_minimal_set_checks_out(self):
-        a = corpus_entry("adams")
-        for frame in frame_requirement_search(a):
-            assert isinstance(decide(a.premise_formulas(), a.conclusion, frame), Valid)
-            for cond in frame:
-                weaker = frame - {cond}
-                assert isinstance(decide(a.premise_formulas(), a.conclusion, weaker), Invalid)
+        for a in builtin_corpus():
+            for frame in frame_requirement_search(a):
+                assert isinstance(decide(a.premise_formulas(), a.conclusion, frame), Valid)
+                for cond in frame:
+                    weaker = frame - {cond}
+                    assert isinstance(decide(a.premise_formulas(), a.conclusion, weaker), Invalid)
+
+    @pytest.mark.parametrize("name", [a.name for a in builtin_corpus()])
+    def test_agrees_with_the_exhaustive_sweep_on_the_corpus(self, name):
+        a = corpus_entry(name)
+        assert frame_requirement_search(a) == exhaustive_frame_search(a)
+
+    def test_agrees_with_the_exhaustive_sweep_on_random_arguments(self):
+        rng = random.Random(20261018)
+        compared = 0
+        for _ in range(220):
+            a = Argument(
+                name="random",
+                premises=(("P1", _random_formula(rng, rng.randrange(1, 4))), ("P2", parse("<>a"))),
+                frame=K,
+                conclusion=_random_conclusion(rng),
+            )
+            try:
+                expected = exhaustive_frame_search(a)
+            except ResourceLimit:
+                continue
+            assert frame_requirement_search(a) == expected, a
+            compared += 1
+        assert compared >= 200
+
+    def test_minimal_sets_of_three_conditions(self):
+        # without reflexivity, T needs a serial equivalence-like frame
+        a = Argument(name="t", premises=(), frame=K, conclusion=parse("[]p -> p"))
+        expected = [frozenset({FrameCondition.REFLEXIVE}),
+                    frozenset({FrameCondition.EUCLIDEAN, FrameCondition.SERIAL, FrameCondition.SYMMETRIC}),
+                    frozenset({FrameCondition.SERIAL, FrameCondition.SYMMETRIC, FrameCondition.TRANSITIVE})]
+        assert exhaustive_frame_search(a) == expected
+        assert frame_requirement_search(a) == expected
+
+    # decide calls per search, against 32 for the exhaustive sweep
+    DECIDES = {
+        "eder_ramharter": 4, "kane": 4, "malcolm": 3, "malcolm_alt": 3,
+        "adams": 4, "adams_alt": 4, "hartshorne": 4, "hartshorne_alt": 4,
+    }
+
+    @pytest.mark.parametrize("name", sorted(DECIDES))
+    def test_decides_only_the_frontier(self, monkeypatch, name):
+        seen = []
+        real = arguments.decide
+
+        def counting(*args, **kwargs):
+            seen.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(arguments, "decide", counting)
+        frame_requirement_search(corpus_entry(name))
+        assert len(seen) == self.DECIDES[name]
+        assert len(set(seen)) == len(seen)
+
+
+def exhaustive_frame_search(a):
+    """The reference: decide all 32 condition subsets, keep the minimal
+    valid ones, sort by size and then by condition names."""
+    conditions = sorted(FrameCondition, key=lambda c: c.value)
+    valid = []
+    for mask in range(1 << len(conditions)):
+        subset = frozenset(c for i, c in enumerate(conditions) if (mask >> i) & 1)
+        if isinstance(decide(a.premise_formulas(), a.conclusion, subset), Valid):
+            valid.append(subset)
+    minimal = [s for s in valid if not any(t < s for t in valid)]
+    return sorted(minimal, key=lambda s: (len(s), sorted(c.value for c in s)))
+
+
+# T, D, B, 4 and 5, so that about half the random conclusions need a
+# frame condition
+_SCHEMAS = (
+    lambda x: Implies(Box(x), x),
+    lambda x: Implies(Box(x), Diamond(x)),
+    lambda x: Implies(x, Box(Diamond(x))),
+    lambda x: Implies(Box(x), Box(Box(x))),
+    lambda x: Implies(Diamond(x), Box(Diamond(x))),
+)
+
+
+def _random_conclusion(rng):
+    if rng.randrange(2):
+        return _random_formula(rng, rng.randrange(1, 4), (And, Or, Implies, Iff))
+    return rng.choice(_SCHEMAS)(_random_formula(rng, 0))
+
+
+def _random_formula(rng, depth, binary=(And, Or, Implies)):
+    """A formula over atoms a, p, q, nested at most ``depth`` levels.
+    Premises leave out ``<->``: a global premise such as
+    ``a <-> a <-> q -> a <-> ([]a <-> a -> p)`` takes the tableau
+    seconds over the empty frame class."""
+    if depth == 0:
+        return Atom(rng.choice("apq"))
+    pick = rng.randrange(4 + len(binary))
+    if pick == 0:
+        return Atom(rng.choice("apq"))
+    if pick == 1:
+        return Not(_random_formula(rng, depth - 1, binary))
+    if pick == 2:
+        return Box(_random_formula(rng, depth - 1, binary))
+    if pick == 3:
+        return Diamond(_random_formula(rng, depth - 1, binary))
+    return binary[pick - 4](_random_formula(rng, depth - 1, binary), _random_formula(rng, depth - 1, binary))
 
 
 class TestAxiomSuite:

@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
+
+import modaltab
 
 from modaltab import arguments
 from modaltab.cli import export_dot, load_argument_file, main
@@ -55,7 +61,7 @@ class TestCheck:
         [
             (["check", "eder_ramharter"], 2),  # the verdict and the triviality schema
             (["countermodel", "kane"], 2),
-            (["check", "malcolm", "--minimal-frames"], 34),  # plus all 32 frame subsets
+            (["check", "malcolm", "--minimal-frames"], 5),  # plus the 3 subsets not implied
         ],
     )
     def test_decides_only_what_it_prints(self, capsys, monkeypatch, argv, calls):
@@ -120,8 +126,17 @@ class TestCheck:
             ),
             ({"name": "x", "premises": [], "frame": [3], "conclusion": "p"}, "frame must be a list"),
             ({"name": "x", "premises": [], "frame": "symmetric", "conclusion": "p"}, "frame must be a list"),
+            ({"name": {"k": 1}, "premises": [], "frame": [], "conclusion": "p"},
+             "argument name must be a string"),
+            ({"name": "x", "premises": [{"name": 5, "formula": "p"}], "frame": [], "conclusion": "p"},
+             "every premise name must be a string"),
+            ({"name": "x", "premises": [{"name": None, "formula": "p"}], "frame": [], "conclusion": "p"},
+             "every premise name must be a string"),
+            ({"name": "x", "premises": [{"name": ["a"], "formula": "p"}], "frame": [], "conclusion": "p"},
+             "every premise name must be a string"),
         ],
-        ids=["duplicate-premise-names", "frame-not-a-name", "frame-not-a-list"],
+        ids=["duplicate-premise-names", "frame-not-a-name", "frame-not-a-list", "name-not-a-string",
+             "premise-name-number", "premise-name-null", "premise-name-list"],
     )
     def test_rejected_argument_file(self, capsys, tmp_path, doc, message):
         path = tmp_path / "rejected.json"
@@ -279,6 +294,14 @@ GOLDEN_OUTPUT_DIGESTS = {
     "countermodel kane": "441af34ac6ab1bb479ba7e7a290a137f0542e4d2a759f942f9dbc0f135cf8640",
     "countermodel malcolm": "6d773cbcbc4b050f6a2e9baaacfc5cedf87f7c9f49df88e31d4df3d02305617c",
     "countermodel malcolm_alt": "a3d057e1b0d465114a25e258a8b928c93ecad040e32b6fca762cf26cb6f6ed22",
+    "check adams --minimal-frames": "7090fc42f687546ddf831bd9289d8160c9cee10f7e5e48306b8a8d1ea2c2f2c8",
+    "check adams_alt --minimal-frames": "d7913508187271ab06fe5d080878e24956288ba5e4859daa20fbd3eb9c7d80fb",
+    "check eder_ramharter --minimal-frames": "2c7b649a3273637babd804f299e3f81d3f005d83a372a48b425dd3e119dd48aa",
+    "check hartshorne --minimal-frames": "dea8cb014f20af3ac062147f74007d11c433352be5b28123cfc9c5bb68317575",
+    "check hartshorne_alt --minimal-frames": "38fcd1ac91d8d816e9d84c61f0b665e42b8c7c229cf15aab58db06ba73118167",
+    "check kane --minimal-frames": "b12c67d3d24c5740de65c0a243485298fde677f5745ab7120bf66d5527ef0f9e",
+    "check malcolm --minimal-frames": "a440aa4df046e124db399cb98eaae7cb0c30ee80a6cdf07a9df76d6c0ab8c871",
+    "check malcolm_alt --minimal-frames": "60ab463d0be86731813e1ee81d29044bd4c590ec39fae63436dd08ec7aa53768",
 }
 
 
@@ -287,6 +310,48 @@ class TestGoldenOutput:
     def test_output_digest_unchanged(self, capsys, argv):
         _, out, _ = run(capsys, *argv.split(), "--json", "--stable")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUT_DIGESTS[argv]
+
+
+class TestParserReuse:
+    # one process reuses the parser that its first call built; flags of
+    # one call must not carry over to the next
+    SEQUENCE = [
+        ("check", "kane", "--json", "--stable"),
+        ("check", "kane"),
+        ("check", "kane", "--no-such-flag"),
+        ("prove", "p", "--logic", "K"),
+    ]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def fresh(argv):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(modaltab.__file__))}
+        done = subprocess.run([sys.executable, "-m", "modaltab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_repeated_calls_match_fresh_interpreters(self, capsys):
+        def untimed(text):
+            return re.sub(r"\(\d+\.\d ms\)", "(ms)", text)
+
+        results = []
+        for argv in self.SEQUENCE:
+            code, out, err = self.in_process(capsys, argv)
+            fresh_code, fresh_out, fresh_err = self.fresh(argv)
+            assert (code, untimed(out), err) == (fresh_code, untimed(fresh_out), fresh_err)
+            results.append((code, out))
+        assert [code for code, _ in results] == [0, 0, 2, 1]
+        assert json.loads(results[0][1])["argument"] == "kane"
+        text = results[1][1]
+        assert text.startswith("kane:\n") and untimed(text) != text  # neither --json nor --stable
 
 
 class TestDot:

@@ -309,6 +309,49 @@ class TestNnf:
                 assert isinstance(s.operand, Atom)
             assert not isinstance(s, (Implies, Iff))
 
+    @given(formula_strategy(atoms=("p", "q"), max_leaves=24, sugar=False))
+    @settings(max_examples=300)
+    def test_same_tree_as_rewriting(self, f):
+        for h in (f, Not(f), Not(Not(f))):
+            assert nnf(h) == nnf_by_rewriting(h)
+
+
+def nnf_by_rewriting(f):
+    """Reference NNF: rewrite one connective at a time, building each
+    intermediate ``~a`` and ``a -> b`` node and recursing into it."""
+    match f:
+        case Atom():
+            return f
+        case And(a, b):
+            return And(nnf_by_rewriting(a), nnf_by_rewriting(b))
+        case Or(a, b):
+            return Or(nnf_by_rewriting(a), nnf_by_rewriting(b))
+        case Implies(a, b):
+            return Or(nnf_by_rewriting(Not(a)), nnf_by_rewriting(b))
+        case Iff(a, b):
+            return And(nnf_by_rewriting(Implies(a, b)), nnf_by_rewriting(Implies(b, a)))
+        case Box(x):
+            return Box(nnf_by_rewriting(x))
+        case Diamond(x):
+            return Diamond(nnf_by_rewriting(x))
+    match f.operand:
+        case Atom():
+            return f
+        case Not(x):
+            return nnf_by_rewriting(x)
+        case And(a, b):
+            return Or(nnf_by_rewriting(Not(a)), nnf_by_rewriting(Not(b)))
+        case Or(a, b):
+            return And(nnf_by_rewriting(Not(a)), nnf_by_rewriting(Not(b)))
+        case Implies(a, b):
+            return And(nnf_by_rewriting(a), nnf_by_rewriting(Not(b)))
+        case Iff(a, b):
+            return nnf_by_rewriting(Not(And(Implies(a, b), Implies(b, a))))
+        case Box(x):
+            return Diamond(nnf_by_rewriting(Not(x)))
+        case Diamond(x):
+            return Box(nnf_by_rewriting(Not(x)))
+
 
 class TestSubstitute:
     def test_diamond_instance(self):
