@@ -29,6 +29,9 @@ FRAME_EUCLIDEAN = 8
 FRAME_SERIAL = 16
 
 MAX_WORLDS = 5  # 2^25 relations; larger sweeps are out of reach anyway
+# atoms x worlds: each truth int has 2^(atoms x worlds) bits, so 20 keeps
+# every int within 128 KiB
+MAX_VALUATION_BITS = 20
 
 
 def _frame_ok(succ: list[int], n: int, frame_mask: int) -> bool:
@@ -84,15 +87,21 @@ def atom_columns(n: int, atom_count: int) -> tuple[tuple[tuple[int, ...], ...], 
     """Per atom, per world: the int whose bit ``v`` is the atom's truth at
     that world under valuation bits ``v``; plus the all-valuations mask."""
     total = atom_count * n
-    every = (1 << (1 << total)) - 1
+    size = 1 << total  # valuations
     columns = []
     for a in range(atom_count):
         column = []
         for w in range(n):
             half = 1 << (total - 1 - (a * n + w))  # run length of equal bits
-            column.append(every // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half))
+            # repeat the ones-over-zeros unit by doubling: shifts, not a
+            # division, which is quadratic in the int's length
+            bits, width = ((1 << half) - 1) << half, 2 * half
+            while width < size:
+                bits |= bits << width
+                width *= 2
+            column.append(bits)
         columns.append(tuple(column))
-    return tuple(columns), every
+    return tuple(columns), (1 << size) - 1
 
 
 def evaluate(
@@ -147,6 +156,8 @@ def find_first(
     such model exists within the budget."""
     if max_worlds > MAX_WORLDS:
         raise ValueError(f"enumeration supports at most {MAX_WORLDS} worlds")
+    if atom_count * max_worlds > MAX_VALUATION_BITS:
+        raise ValueError(f"enumeration supports at most {MAX_VALUATION_BITS} atoms x worlds")
     for n in range(1, max_worlds + 1):
         columns, every = atom_columns(n, atom_count)
         # 2^25 relations at the cap: stream them rather than decode all first

@@ -34,9 +34,12 @@ from .arguments import (
     jacquette_suite,
 )
 from . import __version__
-from .enumeration import MAX_WORLDS, CountermodelWitness, EnumerationBudget, find_countermodel
+from .enumeration import MAX_WORLDS, CountermodelWitness, minimize_countermodel
 from .semantics import FrameClass, frame_class, model_to_dict
-from .syntax import FormulaSyntaxError, atoms_of, desugar, parse, print_formula
+from .syntax import FormulaSyntaxError, parse, print_formula
+# not called here; verdictbench/spans.py rebinds these names on this module
+from .enumeration import find_countermodel  # noqa: F401
+from .syntax import desugar  # noqa: F401
 from .tableau import Invalid, ResourceLimit, Valid, Verdict, prove_valid
 
 __all__ = ["main", "export_dot", "load_argument_file"]
@@ -153,12 +156,7 @@ def _minimized(
     max_worlds: int,
 ) -> CountermodelWitness:
     """Smallest enumerator witness within the budget, else the one given."""
-    budget = EnumerationBudget(
-        max_worlds=min(witness.model.world_count, max_worlds),
-        atoms=tuple(sorted(set().union(*(atoms_of(desugar(f)) for f in [*premises, conclusion])))),
-    )
-    found = find_countermodel(premises, conclusion, frame, budget)
-    return found if found is not None else witness
+    return minimize_countermodel(witness, premises, conclusion, frame, max_worlds)
 
 
 def _maybe_write_dot(args, witness: CountermodelWitness | None) -> None:

@@ -23,7 +23,7 @@ from .semantics import FrameClass, FrameCondition, KripkeModel, evaluate, frame_
 from .syntax import And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or, atoms_of, desugar
 
 from . import _kernel_py
-from ._kernel_py import MAX_WORLDS
+from ._kernel_py import MAX_VALUATION_BITS, MAX_WORLDS
 
 KERNEL = "pure-python"
 # find_countermodel calls the kernel through this name, so tracing can rebind it
@@ -32,6 +32,7 @@ _backend = _kernel_py
 __all__ = [
     "KERNEL",
     "MAX_WORLDS",
+    "MAX_VALUATION_BITS",
     "EnumerationBudget",
     "CountermodelWitness",
     "compile_formula",
@@ -206,15 +207,19 @@ def minimize_countermodel(
     premises: Sequence[Formula],
     conclusion: Formula,
     frame: FrameClass,
+    max_worlds: int = MAX_WORLDS,
 ) -> CountermodelWitness:
     """Witness with the fewest worlds, then the lexicographically least
     relation and valuation: simply the first hit when re-searching up to
-    the given witness's size.  Witnesses beyond the kernel's world cap
-    are returned unchanged when nothing smaller is found under the cap."""
+    the given witness's size.  The search stops at ``max_worlds`` worlds
+    and at the kernel's ``MAX_VALUATION_BITS`` bound on atoms x worlds; a
+    witness beyond either is returned unchanged when nothing smaller is
+    found under them."""
     atoms = tuple(sorted(set().union(*(atoms_of(desugar(f)) for f in [*premises, conclusion]))))
-    cap = min(witness.model.world_count, MAX_WORLDS)
-    budget = EnumerationBudget(max_worlds=cap, atoms=atoms)
-    found = find_countermodel(premises, conclusion, frame, budget)
+    cap = min(witness.model.world_count, max_worlds, MAX_VALUATION_BITS // max(len(atoms), 1))
+    found = None
+    if cap:
+        found = find_countermodel(premises, conclusion, frame, EnumerationBudget(cap, atoms))
     if found is None:
         if cap == witness.model.world_count:
             raise AssertionError("a verified witness must be re-findable within its own size")

@@ -85,68 +85,55 @@ class NotSaturated(ValueError):
     still has applicable rules."""
 
 
+def _node(nid: int, rule: str, labels: list[int], formula: str | None, children: list[int]) -> dict:
+    return {"id": nid, "rule": rule, "labels": labels, "formula": formula, "children": children}
+
+
 @dataclass(frozen=True)
 class ProofObject:
-    """Tree of rule applications witnessing a closed tableau.
+    """Rule applications witnessing a closed tableau, as a flat table.
 
-    Nodes are dicts with keys ``rule``, ``labels``, ``formula`` and
-    ``children``; leaves are closure pairs.  Replaying the applications
-    from the seeded root (see :func:`check_proof`) reconstructs the
-    closed tableau without rerunning any search.
+    ``nodes`` maps each node id to a dict with keys ``id``, ``rule``,
+    ``labels``, ``formula`` and ``children`` (child ids); node 0 is the
+    root and leaves are closure pairs.  The search records nodes in
+    depth-first preorder, so a step's child is the next id.  Replaying
+    the applications from the seeded root (see :func:`check_proof`)
+    reconstructs the closed tableau without rerunning any search.  The
+    table is also the wire format: proof chains can be thousands of
+    applications long, and a nested encoding would overflow recursive
+    encoders.
     """
 
-    root: dict
+    nodes: dict[int, dict]
 
     def to_json_dict(self) -> dict:
-        """Flat node table; children are referenced by id.
-
-        Proof chains can be thousands of applications long, so the wire
-        format avoids nesting (which would overflow recursive encoders).
-        Node 0 is the root; ids are assigned in depth-first preorder.
-        """
-        nodes: list[dict] = []
-        stack: list[tuple[dict, int | None]] = [(self.root, None)]
-        while stack:
-            node, parent = stack.pop()
-            nid = len(nodes)
-            nodes.append(
-                {
-                    "id": nid,
-                    "rule": node["rule"],
-                    "labels": list(node["labels"]),
-                    "formula": node["formula"],
-                    "children": [],
-                }
-            )
-            if parent is not None:
-                nodes[parent]["children"].append(nid)
-            for child in reversed(node["children"]):
-                stack.append((child, nid))
-        return {"nodes": nodes}
+        """A copy of the table; changing it leaves the proof as it was."""
+        return {
+            "nodes": [
+                _node(e["id"], e["rule"], list(e["labels"]), e["formula"], list(e["children"]))
+                for e in self.nodes.values()
+            ]
+        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps({"nodes": list(self.nodes.values())}, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
-        entries = {e["id"]: e for e in data["nodes"]}
-        if 0 not in entries:
+        """The table of ``data``, checked to be a tree rooted at node 0;
+        ids may be any ints in any order."""
+        nodes = {
+            e["id"]: _node(e["id"], e["rule"], list(e["labels"]), e.get("formula"), list(e["children"]))
+            for e in data["nodes"]
+        }
+        if 0 not in nodes:
             raise ValueError("proof table has no root node 0")
-        referenced: list[int] = [c for e in entries.values() for c in e["children"]]
+        referenced: list[int] = [c for e in nodes.values() for c in e["children"]]
         if 0 in referenced or len(referenced) != len(set(referenced)):
             raise ValueError("proof table is not a tree")
-        internal = {
-            nid: {
-                "rule": e["rule"],
-                "labels": list(e["labels"]),
-                "formula": e.get("formula"),
-                "children": [],
-            }
-            for nid, e in entries.items()
-        }
-        for nid, e in entries.items():
-            internal[nid]["children"] = [internal[c] for c in e["children"]]
-        return cls(internal[0])
+        if not all(c in nodes for c in referenced):
+            raise ValueError("proof table references a missing node")
+        return cls(nodes)
 
 
 @dataclass(frozen=True)
@@ -305,14 +292,14 @@ class _Branch:
 
 class _State(_Branch):
     """One tableau branch under search: the rule queue, closure detection,
-    the shared budget, blocking and the proof steps of this segment."""
+    blocking, and the budget and proof table shared by every branch."""
 
     __slots__ = (
         "heap",
         "seq",
         "queued",
         "closed",
-        "steps",
+        "proof",
         "budget",
         "equality_blocking",
         "version",
@@ -325,7 +312,7 @@ class _State(_Branch):
         self.seq = 0
         self.queued: set[tuple] = set()
         self.closed: tuple[int, str] | None = None
-        self.steps: list[dict] = []
+        self.proof: dict[int, dict] = {}
         self.budget = budget
         self.equality_blocking = bool(
             frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN}
@@ -339,12 +326,20 @@ class _State(_Branch):
         other.seq = self.seq
         other.queued = set(self.queued)
         other.closed = self.closed
-        other.steps = []  # fresh proof segment for the branch
+        other.proof = self.proof  # shared: branches record in proof preorder
         other.budget = self.budget  # shared: the ceiling spans all branches
         other.equality_blocking = self.equality_blocking
         other.version = self.version
         other._blocking_cache = None
         return other
+
+    def record(self, rule: str, labels: list[int], formula: str | None, leaf: bool = False) -> dict:
+        """Append one rule application to the proof table.  The search
+        runs depth first, left branch first, so it fires rules in proof
+        preorder: the next node recorded is this one's (first) child."""
+        nid = len(self.proof)
+        node = self.proof[nid] = _node(nid, rule, labels, formula, [] if leaf else [nid + 1])
+        return node
 
     # -- queue ---------------------------------------------------------
 
@@ -461,7 +456,7 @@ class _State(_Branch):
 
 def _spawn_successor(state: _State, parent: int, principal: Formula | None, rule: str, rule_formula: str | None) -> None:
     child = state.new_label()
-    state.steps.append({"rule": rule, "labels": [parent, child], "formula": rule_formula})
+    state.record(rule, [parent, child], rule_formula)
     if principal is not None:
         state.add_formula(child, principal)
     state.add_edge(parent, child)
@@ -469,9 +464,7 @@ def _spawn_successor(state: _State, parent: int, principal: Formula | None, rule
         state.enqueue(_P_EDGE, child, ("edge", child, child))
     for p in state.premises:
         if state.add_formula(child, p):
-            state.steps.append(
-                {"rule": "global-premise", "labels": [child], "formula": print_formula(p)}
-            )
+            state.record("global-premise", [child], print_formula(p))
 
 
 def _dispatch(state: _State, task: tuple) -> tuple | None:
@@ -483,9 +476,7 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
         s = state.label_sets[label]
         if f.left in s and f.right in s:
             return None
-        state.steps.append(
-            {"rule": "alpha", "labels": [label], "formula": print_formula(f)}
-        )
+        state.record("alpha", [label], print_formula(f))
         state.add_formula(label, f.left)
         state.add_formula(label, f.right)
     elif kind == "move":
@@ -494,9 +485,7 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
             return None
         if not state.move_licensed(src, f, dst):
             return None
-        state.steps.append(
-            {"rule": "box", "labels": [src, dst], "formula": print_formula(f)}
-        )
+        state.record("box", [src, dst], print_formula(f))
         state.add_formula(dst, f)
     elif kind == "edge":
         _, a, b = task
@@ -504,7 +493,7 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
             return None
         if not state.edge_licensed(a, b):
             return None
-        state.steps.append({"rule": "frame-closure", "labels": [a, b], "formula": None})
+        state.record("frame-closure", [a, b], None)
         state.add_edge(a, b)
     elif kind == "beta":
         _, label, f = task
@@ -546,77 +535,52 @@ def _audit(state: _State) -> bool:
     return work
 
 
-def _chain(steps: list[dict], terminal: dict) -> dict:
-    node = terminal
-    for step in reversed(steps):
-        node = {**step, "children": [node]}
-    return node
-
-
-def _expand_segment(state: _State) -> tuple[str, object]:
-    """Run queued rules until the branch closes, splits, or saturates."""
+def _expand_segment(state: _State) -> tuple | None:
+    """Run queued rules until the branch closes, splits, or saturates.
+    Returns the beta task of a split; None once the branch is closed
+    (its closure recorded) or open."""
     while True:
         while state.heap and state.closed is None:
             _, _, _, task = heapq.heappop(state.heap)
             state.queued.discard(task)
             split = _dispatch(state, task)
             if split is not None:
-                return "split", split
+                return split
         if state.closed is not None:
             label, name = state.closed
-            leaf = {"rule": "closure", "labels": [label], "formula": name, "children": []}
-            return "closed", _chain(state.steps, leaf)
+            state.record("closure", [label], name, leaf=True)
+            return None
         if not _audit(state):
-            return "open", state
+            return None
 
 
-def _run(state: _State) -> tuple[str, dict | _State]:
-    """Expand a tableau to closure of all branches or the first open one.
+def _run(state: _State) -> _State | None:
+    """Expand a tableau to closure of all branches, recording the proof in
+    ``state.proof``; returns None then, or else the first open branch.
 
     Beta rules split; the left disjunct is explored first, depth first,
     and the first open branch wins, so verdicts, witnesses, and proofs
     are deterministic.  Iterative so that proof depth is unbounded by the
     interpreter's recursion limit.
     """
-    root_record: dict = {"parent": None, "children": [None]}
-    stack: list[tuple[_State, tuple[dict, int]]] = [(state, (root_record, 0))]
+    stack: list[tuple[_State, dict | None]] = [(state, None)]
     while stack:
-        st, slot = stack.pop()
-        status, payload = _expand_segment(st)
-        if status == "open":
-            return "open", payload
-        if status == "closed":
-            # write the finished node and cascade completed beta records up
-            node = payload
-            while True:
-                record, idx = slot
-                record["children"][idx] = node
-                if record["parent"] is None or any(c is None for c in record["children"]):
-                    break
-                beta_node = {
-                    "rule": "beta",
-                    "labels": record["labels"],
-                    "formula": record["formula"],
-                    "children": record["children"],
-                }
-                node = _chain(record["steps"], beta_node)
-                slot = record["parent"]
+        st, beta = stack.pop()
+        if beta is not None:
+            beta["children"].append(len(st.proof))  # the right branch starts here
+        split = _expand_segment(st)
+        if split is None:
+            if st.closed is None:
+                return st
             continue
-        _, label, f = payload  # beta split
-        record = {
-            "parent": slot,
-            "children": [None, None],
-            "labels": [label],
-            "formula": print_formula(f),
-            "steps": st.steps,
-        }
+        _, label, f = split
+        beta = st.record("beta", [label], print_formula(f))
         right = st.clone()
         right.add_formula(label, f.right)
-        left = st.clone()
-        left.add_formula(label, f.left)
-        stack.append((right, (record, 1)))
-        stack.append((left, (record, 0)))  # popped first: left before right
-    return "closed", root_record["children"][0]
+        st.add_formula(label, f.left)
+        stack.append((right, beta))
+        stack.append((st, None))  # popped first: left before right
+    return None
 
 
 def _state_to_branch(
@@ -716,6 +680,16 @@ def extract_countermodel(branch: Branch) -> CountermodelWitness:
     return witness
 
 
+def _seed_root(branch: _Branch, conclusion: Formula) -> None:
+    """Open root label 0 with the negated conclusion, then the premises,
+    all in NNF: the state that both the search and proof replay start
+    from.  ``conclusion`` is desugared; ``branch.premises`` are in NNF."""
+    root = branch.new_label()
+    branch.add_formula(root, nnf(Not(conclusion)))
+    for p in branch.premises:
+        branch.add_formula(root, p)
+
+
 def decide(
     premises: Sequence[Formula],
     conclusion: Formula,
@@ -725,20 +699,16 @@ def decide(
     """Valid with a proof, or Invalid with a re-verified countermodel."""
     desugared_premises = tuple(desugar(p) for p in premises)
     desugared_conclusion = desugar(conclusion)
-    premises_nnf = tuple(nnf(p) for p in desugared_premises)
-    state = _State(frozenset(frame), premises_nnf, _Budget(max_labels))
-    root = state.new_label()
-    state.add_formula(root, nnf(Not(desugared_conclusion)))
-    for p in premises_nnf:
-        state.add_formula(root, p)
+    state = _State(frozenset(frame), tuple(nnf(p) for p in desugared_premises), _Budget(max_labels))
+    _seed_root(state, desugared_conclusion)
     if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(_P_EDGE, root, ("edge", root, root))
+        state.enqueue(_P_EDGE, 0, ("edge", 0, 0))
     if FrameCondition.SERIAL in state.frame:
-        state.enqueue(_P_SERIAL, root, ("serial", root))
-    status, payload = _run(state)
-    if status == "closed":
-        return Valid(ProofObject(payload))
-    branch = _state_to_branch(payload, desugared_premises, desugared_conclusion)
+        state.enqueue(_P_SERIAL, 0, ("serial", 0))
+    open_branch = _run(state)
+    if open_branch is None:
+        return Valid(ProofObject(state.proof))
+    branch = _state_to_branch(open_branch, desugared_premises, desugared_conclusion)
     return Invalid(extract_countermodel(branch))
 
 
@@ -818,15 +788,20 @@ def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool
     return False
 
 
-def _replay(branch: _Branch, root: dict, texts: dict[str, Formula]) -> bool:
-    """Iteratively replay a proof tree; every leaf must be a closure.
-    ``texts`` maps each formula text seen so far to its parse."""
-    stack: list[tuple[_Branch, dict]] = [(branch, root)]
+def _replay(branch: _Branch, nodes: dict[int, dict], texts: dict[str, Formula]) -> bool:
+    """Iteratively replay a proof table from node 0; every leaf must be a
+    closure.  ``texts`` maps each formula text seen so far to its parse."""
+    stack: list[tuple[_Branch, int]] = [(branch, 0)]
+    visits = 0  # a tree visits each node once; more means a cycle
     while stack:
-        state, node = stack.pop()
+        state, nid = stack.pop()
         while True:
+            visits += 1
+            if visits > len(nodes):
+                return False
+            node = nodes[nid]
             rule = node["rule"]
-            children = node.get("children", [])
+            children = node["children"]
             if rule == "closure":
                 if children:
                     return False
@@ -854,7 +829,7 @@ def _replay(branch: _Branch, root: dict, texts: dict[str, Formula]) -> bool:
                 return False
             if not _replay_step(state, node, texts):
                 return False
-            node = children[0]
+            nid = children[0]
     return True
 
 
@@ -868,12 +843,8 @@ def check_proof(
     must be licensed and every leaf must be a present closure pair.
     Returns False on any mismatch; never raises."""
     try:
-        premises_nnf = tuple(nnf(desugar(p)) for p in premises)
-        branch = _Branch(frozenset(frame), premises_nnf)
-        root = branch.new_label()
-        branch.add_formula(root, nnf(Not(desugar(conclusion))))
-        for p in premises_nnf:
-            branch.add_formula(root, p)
-        return _replay(branch, proof.root, {})
+        branch = _Branch(frozenset(frame), tuple(nnf(desugar(p)) for p in premises))
+        _seed_root(branch, desugar(conclusion))
+        return _replay(branch, proof.nodes, {})
     except Exception:
         return False

@@ -233,6 +233,15 @@ class TestProve:
         assert "countermodel (1 worlds" in out
         assert err == ""
 
+    def test_many_atoms_keep_the_tableau_witness(self, capsys):
+        # 20 atoms x 2 worlds would need ints of 2^40 bits; minimisation
+        # stops at the kernel's bound and keeps the 3-world tableau witness
+        conjunction = " & ".join(f"p{i}" for i in range(1, 21))
+        code, out, err = run(capsys, "prove", f"~(<>({conjunction}) & <>~p1)", "--logic", "K")
+        assert code == 1
+        assert "countermodel (3 worlds, fails at w0)" in out
+        assert err == ""
+
 
 class TestSuites:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from modaltab import _kernel_py, enumeration
 from modaltab.enumeration import (
     KERNEL,
+    MAX_VALUATION_BITS,
     CountermodelWitness,
     EnumerationBudget,
     compile_formula,
@@ -13,6 +14,7 @@ from modaltab.enumeration import (
 )
 from modaltab.semantics import (
     FrameCondition,
+    KripkeModel,
     evaluate,
     frame_satisfies,
     holds_globally,
@@ -101,8 +103,6 @@ class TestFindCountermodel:
 
 class TestMinimize:
     def test_shrinks_to_two_worlds(self):
-        from modaltab.semantics import KripkeModel
-
         # a valid 3-world witness, padded with a reflexive g-world
         big = CountermodelWitness(
             KripkeModel(3, frozenset({(0, 1), (1, 1), (2, 2)}), {"g": frozenset({1, 2})}),
@@ -132,6 +132,31 @@ class TestMinimize:
             == '{"access":[[0,0],[0,1],[1,0],[1,1]],"valuation":{"p":[1]},"worlds":2}'
         )
         assert small.world == 0
+
+    def test_world_budget(self):
+        big = CountermodelWitness(
+            KripkeModel(3, frozenset({(0, 1), (1, 1), (2, 2)}), {"g": frozenset({1, 2})}), 0
+        )
+        # the 2-world witness lies beyond a 1-world budget
+        assert minimize_countermodel(big, ER_PREMISES, ER_CONCLUSION, K, max_worlds=1) is big
+        small = minimize_countermodel(big, ER_PREMISES, ER_CONCLUSION, K, max_worlds=2)
+        assert small.model.world_count == 2
+
+    def test_valuation_bits_bound(self):
+        # 21 atoms: not even one world fits the kernel's bound
+        atoms = [f"p{i}" for i in range(MAX_VALUATION_BITS + 1)]
+        conclusion = parse(" & ".join(atoms))
+        witness = CountermodelWitness(KripkeModel(1, frozenset()), 0)
+        assert minimize_countermodel(witness, [], conclusion, K) is witness
+        # one world fits but two do not, so no 2-world witness of
+        # ~(<>(p0 & p1 & ...) & <>~p0) is sought and the 3-world one is kept
+        few = atoms[: MAX_VALUATION_BITS // 2 + 1]
+        conclusion = parse(f"~(<>({' & '.join(few)}) & <>~p0)")
+        witness = CountermodelWitness(
+            KripkeModel(3, frozenset({(0, 1), (0, 2)}), {a: frozenset({1}) for a in few}), 0
+        )
+        assert not evaluate(witness.model, 0, desugar(conclusion))
+        assert minimize_countermodel(witness, [], conclusion, K) is witness
 
 
 EUCLIDEAN = frozenset({FrameCondition.EUCLIDEAN})
@@ -195,6 +220,25 @@ class TestKernels:
     def test_world_cap(self):
         with pytest.raises(ValueError):
             _kernel_py.find_first(_kernel_py.MAX_WORLDS + 1, 1, 0, (), (_kernel_py.OP_ATOM,))
+
+    def test_valuation_bits_cap(self):
+        cap = _kernel_py.MAX_VALUATION_BITS
+        assert _kernel_py.find_first(1, cap, 0, (), (_kernel_py.OP_ATOM,)) == (1, 0, 0, 0)
+        with pytest.raises(ValueError, match="atoms x worlds"):
+            _kernel_py.find_first(2, cap // 2 + 1, 0, (), (_kernel_py.OP_ATOM,))
+
+    @pytest.mark.parametrize("n,atom_count", [(1, 1), (2, 2), (3, 2), (1, 5), (4, 1)])
+    def test_atom_columns_layout(self, n, atom_count):
+        # bit v of atom a's column at world w is bit (a * n + w) of v,
+        # counted from the most significant of the atom_count * n bits
+        columns, every = _kernel_py.atom_columns(n, atom_count)
+        total = atom_count * n
+        assert every == (1 << (1 << total)) - 1
+        for a in range(atom_count):
+            for w in range(n):
+                shift = total - 1 - (a * n + w)
+                expected = sum(1 << v for v in range(1 << total) if (v >> shift) & 1)
+                assert columns[a][w] == expected
 
     def test_deep_formula(self):
         # nesting depth is bounded by the parser, not by the kernel

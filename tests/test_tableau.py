@@ -244,8 +244,58 @@ class TestProofObjects:
         assert check_proof(verdict.proof, [], parse("[]p -> <>p"), SERIAL)
 
     def test_garbage_rejected_without_raising(self):
-        junk = ProofObject({"rule": "closure", "labels": [5], "formula": "p", "children": []})
+        junk = ProofObject({0: {"id": 0, "rule": "closure", "labels": [5], "formula": "p", "children": []}})
         assert check_proof(junk, [], parse("p"), K) is False
+
+    def test_cyclic_table_rejected(self):
+        # a licensed alpha step that names itself as its child would
+        # replay forever
+        loop = ProofObject({0: {"id": 0, "rule": "alpha", "labels": [0], "formula": "p & q", "children": [0]}})
+        assert check_proof(loop, [], parse("~(p & q)"), K) is False
+
+    def test_json_dict_is_a_copy(self):
+        verdict = decide(ER_PREMISES, parse("g"), SYM)
+        before = verdict.proof.to_json()
+        doc = verdict.proof.to_json_dict()
+        for e in doc["nodes"]:
+            e["rule"] = "closure"
+            e["labels"].append(99)
+            e["children"].clear()
+        doc["nodes"].clear()
+        assert verdict.proof.to_json() == before
+        assert check_proof(verdict.proof, ER_PREMISES, parse("g"), SYM)
+
+    def test_dangling_child_rejected(self):
+        verdict = decide(ER_PREMISES, parse("g"), SYM)
+        doc = verdict.proof.to_json_dict()
+        doc["nodes"][-1]["children"] = [len(doc["nodes"])]
+        with pytest.raises(ValueError, match="missing node"):
+            ProofObject.from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", ["corpus/eder_ramharter", "axiom/5", "step/step3"])
+    def test_reordered_and_padded_tables_replay(self, name):
+        doc = _proof_doc(name)
+        query = GOLDEN_QUERIES[name]
+        # renumber every id except the root's, and list the nodes backwards
+        renumber = {e["id"]: -e["id"] if e["id"] else 0 for e in doc["nodes"]}
+        reordered = {
+            "nodes": [
+                {**e, "id": renumber[e["id"]], "children": [renumber[c] for c in e["children"]]}
+                for e in reversed(doc["nodes"])
+            ]
+        }
+        assert check_proof(ProofObject.from_json_dict(reordered), *query)
+        # an extra node that nothing references is never replayed
+        extra = {"id": 10**6, "rule": "closure", "labels": [999], "formula": "x", "children": []}
+        padded = {"nodes": [*doc["nodes"], extra]}
+        assert check_proof(ProofObject.from_json_dict(padded), *query)
+        # ...and a reordered table still fails once one step is dropped
+        victim = next(e for e in reordered["nodes"] if e["rule"] == "box")
+        pruned = {"nodes": [
+            {**e, "children": victim["children"] if victim["id"] in e["children"] else e["children"]}
+            for e in reordered["nodes"] if e is not victim
+        ]}
+        assert not check_proof(ProofObject.from_json_dict(pruned), *query)
 
 
     def test_proof_at_the_depth_bound_replays(self):
@@ -306,11 +356,13 @@ UNARY_RULES = ("alpha", "box", "frame-closure", "global-premise", "diamond", "se
 
 def linear_proof(steps, label, atom):
     """Unary (rule, labels, formula text) steps ending in one closure of
-    ``atom`` at ``label``."""
-    node = {"rule": "closure", "labels": [label], "formula": atom, "children": []}
-    for rule, labels, formula in reversed(steps):
-        node = {"rule": rule, "labels": labels, "formula": formula, "children": [node]}
-    return ProofObject(node)
+    ``atom`` at ``label``, as a table with ids in preorder."""
+    rows = [*steps, ("closure", [label], atom)]
+    return ProofObject({
+        nid: {"id": nid, "rule": rule, "labels": labels, "formula": formula,
+              "children": [nid + 1] if nid + 1 < len(rows) else []}
+        for nid, (rule, labels, formula) in enumerate(rows)
+    })
 
 
 def _proof_doc(name):
@@ -341,11 +393,8 @@ class TestGoldenProofs:
             ("diamond", [0, 0], "<>q"),
             ("box", [0, 0], "p"),
         ]
-        node = {"rule": "closure", "labels": [0], "formula": "p", "children": []}
-        for rule, labels, formula in reversed(steps):
-            node = {"rule": rule, "labels": labels, "formula": formula, "children": [node]}
         assert isinstance(decide([], conclusion, K), Invalid)
-        assert not check_proof(ProofObject(node), [], conclusion, K)
+        assert not check_proof(linear_proof(steps, 0, "p"), [], conclusion, K)
 
     def test_text_seen_before_is_still_licensed_per_step(self):
         # (p & q) -> []q is invalid over K.  "p & q" is licensed at the
@@ -457,3 +506,30 @@ class TestOracleAgreement:
                 verify_witness(verdict.witness, premises, conclusion, frame)
                 if verdict.witness.model.world_count <= 3:
                     assert witness is not None
+
+
+# the frame correspondence schemas T, D, B, 4 and 5, plus converses and
+# variants of them; the tableau settles each over every frame subset
+LICENCE_FORMULAS = [
+    "[]p -> p", "[]p -> <>p", "p -> []<>p", "[]p -> [][]p", "<>p -> []<>p", "p -> []p",
+    "<>p -> []p", "[]<>p -> p", "[][]p -> []p", "[]<>p -> <>p", "<>[]p -> p", "<>[]p -> []p",
+]
+ALL_FRAMES = [
+    frozenset(c for i, c in enumerate(FrameCondition) if mask >> i & 1) for mask in range(32)
+]
+
+
+class TestRuleLicences:
+    """A Valid verdict that a small model refutes means some rule was
+    applied where its frame condition does not license it."""
+
+    def test_no_valid_verdict_has_a_countermodel(self):
+        budget = EnumerationBudget(3, ("p",))
+        unsound = []
+        for text in LICENCE_FORMULAS:
+            f = parse(text)
+            for frame in ALL_FRAMES:
+                verdict = prove_valid(f, frame)
+                if isinstance(verdict, Valid) and find_countermodel([], f, frame, budget) is not None:
+                    unsound.append((text, sorted(c.value for c in frame)))
+        assert unsound == []
