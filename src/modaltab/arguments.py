@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .enumeration import CountermodelWitness, minimize_countermodel
 from .semantics import LOGICS, FrameClass, FrameCondition, frame_satisfies
@@ -280,29 +282,39 @@ def analyze(a: Argument) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 # suites
 
+# One suite check: (entry, check name, premises, conclusion, frame,
+# expected, description).  ``expected`` is "valid", "invalid", or None for a
+# check that is reported but never fails.
+SuiteRow = tuple[str, str, list[Formula], Formula, FrameClass, str | None, str]
 
-def _run_check(
-    name: str,
-    premises: list[Formula],
-    conclusion: Formula,
-    frame: FrameClass,
-    expected: str | None,
-    description: str,
-) -> CheckResult:
-    verdict = decide(premises, conclusion, frame)
-    witness = None
-    if isinstance(verdict, Invalid):
-        witness = minimize_countermodel(verdict.witness, premises, conclusion, frame)
-    actual = "valid" if isinstance(verdict, Valid) else "invalid"
-    return CheckResult(
-        name=name,
-        description=description,
-        frame=frame,
-        expected=expected,
-        verdict=verdict,
-        witness=witness,
-        ok=expected is None or expected == actual,
-    )
+# the empty frame class: plain K
+_K: FrameClass = frozenset()
+
+
+def _suite(suite: str, rows: list[SuiteRow]) -> SuiteReport:
+    """Decide every row, minimise the countermodel of each Invalid one,
+    grade the verdict against the row's expectation, and group adjacent
+    rows with the same entry name into one entry."""
+    entries = []
+    for entry, group in groupby(rows, key=itemgetter(0)):
+        checks = []
+        for _, name, premises, conclusion, frame, expected, description in group:
+            verdict = decide(premises, conclusion, frame)
+            witness = None
+            if isinstance(verdict, Invalid):
+                witness = minimize_countermodel(verdict.witness, premises, conclusion, frame)
+            actual = "valid" if isinstance(verdict, Valid) else "invalid"
+            checks.append(CheckResult(
+                name=name,
+                description=description,
+                frame=frame,
+                expected=expected,
+                verdict=verdict,
+                witness=witness,
+                ok=expected is None or expected == actual,
+            ))
+        entries.append(SuiteEntryResult(name=entry, checks=tuple(checks), ok=all(c.ok for c in checks)))
+    return _finish(suite, entries)
 
 
 def _finish(suite: str, entries: list[SuiteEntryResult]) -> SuiteReport:
@@ -320,37 +332,22 @@ def _frame_text(frame: FrameClass) -> str:
 def corpus_suite() -> SuiteReport:
     """Every corpus entry: valid under its stated frame class, invalid
     over the empty one, and trivial per the schema."""
-    entries = []
+    rows: list[SuiteRow] = []
     for a in builtin_corpus():
         premises = a.premise_formulas()
         claim = " , ".join(f"{n}: {print_formula(f)}" for n, f in a.premises)
         claim += f"  =>  {print_formula(a.conclusion)}"
-        checks = [
-            _run_check(
-                f"{a.name}", premises, a.conclusion, a.frame, "valid",
-                f"{claim} over {_frame_text(a.frame)}",
-            ),
-            _run_check(
-                f"{a.name}_no_frame", premises, a.conclusion, frozenset(), "invalid",
-                f"{claim} over {{}}",
-            ),
+        fresh, p1, conclusion = _triviality_schema(a, _triviality_atom(a))
+        rows += [
+            (a.name, a.name, premises, a.conclusion, a.frame, "valid",
+             f"{claim} over {_frame_text(a.frame)}"),
+            (a.name, f"{a.name}_no_frame", premises, a.conclusion, _K, "invalid",
+             f"{claim} over {{}}"),
+            (a.name, f"{a.name}_triviality", [p1], Implies(Diamond(Atom(fresh)), conclusion),
+             a.frame, "valid",
+             f"premise 1 reduces to possibility-implies-conclusion over {_frame_text(a.frame)}"),
         ]
-        triv = triviality_check(a)
-        checks.append(
-            CheckResult(
-                name=f"{a.name}_triviality",
-                description=f"premise 1 reduces to possibility-implies-conclusion over {_frame_text(a.frame)}",
-                frame=a.frame,
-                expected="valid",
-                verdict=triv,
-                witness=None,
-                ok=isinstance(triv, Valid),
-            )
-        )
-        entries.append(
-            SuiteEntryResult(name=a.name, checks=tuple(checks), ok=all(c.ok for c in checks))
-        )
-    return _finish("corpus", entries)
+    return _suite("corpus", rows)
 
 
 _AXIOMS = {
@@ -376,33 +373,24 @@ def axiom_correspondence_suite() -> SuiteReport:
     make the corpus's frame assumptions interchangeable: B and 4 both hold
     over reflexive Euclidean frames, diamond is the dual of box, and
     strict implication is necessary material implication."""
-    entries = []
-
-    def entry(name: str, checks: list[CheckResult]) -> None:
-        entries.append(SuiteEntryResult(name=name, checks=tuple(checks), ok=all(c.ok for c in checks)))
-
-    k_formula = parse(_AXIOMS["K"])
-    entry("K", [_run_check("K", [], k_formula, frozenset(), "valid", f"{_AXIOMS['K']} over {{}}")])
-    for ax in ("T", "D", "B", "4", "5"):
-        f = parse(_AXIOMS[ax])
-        cond = frozenset({FrameCondition(_AXIOM_FRAMES[ax])})
-        entry(
-            ax,
-            [
-                _run_check(ax, [], f, cond, "valid", f"{_AXIOMS[ax]} over {_frame_text(cond)}"),
-                _run_check(f"{ax}_over_K", [], f, frozenset(), "invalid", f"{_AXIOMS[ax]} over {{}}"),
-            ],
-        )
+    k = _AXIOMS["K"]
+    rows: list[SuiteRow] = [("K", "K", [], parse(k), _K, "valid", f"{k} over {{}}")]
+    for ax, condition in _AXIOM_FRAMES.items():
+        text, frame = _AXIOMS[ax], frozenset({FrameCondition(condition)})
+        f = parse(text)
+        rows += [
+            (ax, ax, [], f, frame, "valid", f"{text} over {_frame_text(frame)}"),
+            (ax, f"{ax}_over_K", [], f, _K, "invalid", f"{text} over {{}}"),
+        ]
     s5 = LOGICS["S5"]
-    entry("B_in_S5", [_run_check("B_in_S5", [], parse(_AXIOMS["B"]), s5, "valid",
-                                 f"{_AXIOMS['B']} over {_frame_text(s5)}")])
-    entry("four_from_T5", [_run_check("four_from_T5", [], parse(_AXIOMS["4"]), s5, "valid",
-                                      f"{_AXIOMS['4']} over {_frame_text(s5)}")])
-    entry("dexpand", [_run_check("dexpand", [], parse("<>p <-> ~[]~p"), frozenset(), "valid",
-                                 "<>p <-> ~[]~p over {}")])
-    entry("strict_implication", [_run_check("strict_implication", [], parse("(p |> q) <-> [](p -> q)"),
-                                            frozenset(), "valid", "(p |> q) <-> [](p -> q) over {}")])
-    return _finish("axioms", entries)
+    for name, text, frame in (
+        ("B_in_S5", _AXIOMS["B"], s5),
+        ("four_from_T5", _AXIOMS["4"], s5),
+        ("dexpand", "<>p <-> ~[]~p", _K),
+        ("strict_implication", "(p |> q) <-> [](p -> q)", _K),
+    ):
+        rows.append((name, name, [], parse(text), frame, "valid", f"{text} over {_frame_text(frame)}"))
+    return _suite("axioms", rows)
 
 
 def eder_ramharter_manual() -> DerivationScript:
@@ -435,34 +423,18 @@ def run_derivation(script: DerivationScript) -> list[Verdict]:
 
 
 def derivation_suite(script: DerivationScript | None = None) -> SuiteReport:
+    """One check per step, as in ``run_derivation``: the step follows from
+    the base premises plus all prior steps over the script's frame class."""
     if script is None:
         script = eder_ramharter_manual()
-    verdicts = run_derivation(script)
-    entries = []
-    premise_names = [n for n, _ in script.premises]
-    for (name, formula), verdict in zip(script.steps, verdicts):
-        ok = isinstance(verdict, Valid)
-        entries.append(
-            SuiteEntryResult(
-                name=name,
-                checks=(
-                    CheckResult(
-                        name=name,
-                        description=(
-                            f"{print_formula(formula)} from {', '.join(premise_names)}"
-                            f" and prior steps over {_frame_text(script.frame)}"
-                        ),
-                        frame=script.frame,
-                        expected="valid",
-                        verdict=verdict,
-                        witness=None,
-                        ok=ok,
-                    ),
-                ),
-                ok=ok,
-            )
-        )
-    return _finish(script.name, entries)
+    base = [f for _, f in script.premises]
+    steps = [f for _, f in script.steps]
+    given = ", ".join(n for n, _ in script.premises)
+    return _suite(script.name, [
+        (name, name, base + steps[:i], step, script.frame, "valid",
+         f"{print_formula(step)} from {given} and prior steps over {_frame_text(script.frame)}")
+        for i, (name, step) in enumerate(script.steps)
+    ])
 
 
 def jacquette_suite() -> SuiteReport:
@@ -472,49 +444,16 @@ def jacquette_suite() -> SuiteReport:
     The fourth check reads the ambiguous arrow as strict implication
     throughout; its verdict is reported but not asserted.
     """
-    entries = []
-
-    tollens = _run_check(
-        "tollens",
-        [parse("p -> q")],
-        parse("[]~q -> []~p"),
-        frozenset(),
-        "valid",
-        "p -> q (global) entails []~q -> []~p over {}",
-    )
-    entries.append(SuiteEntryResult("tollens", (tollens,), tollens.ok))
-
     equiv = frozenset(
         {FrameCondition.REFLEXIVE, FrameCondition.SYMMETRIC, FrameCondition.TRANSITIVE}
     )
-    tollens_bad = _run_check(
-        "tollens_bad",
-        [],
-        parse("(p -> q) -> ([]~q -> []~p)"),
-        equiv,
-        "invalid",
-        f"(p -> q) -> ([]~q -> []~p) as one formula over {_frame_text(equiv)}",
-    )
-    entries.append(SuiteEntryResult("tollens_bad", (tollens_bad,), tollens_bad.ok))
-
-    prop5 = _run_check(
-        "prop5",
-        [parse("g -> []g")],
-        parse("[]~[]g -> []~g"),
-        frozenset(),
-        "valid",
-        "g -> []g (global) entails []~[]g -> []~g over {}",
-    )
-    entries.append(SuiteEntryResult("prop5", (prop5,), prop5.ok))
-
-    strict = _run_check(
-        "tollens_bad_strict",
-        [],
-        parse("(p |> q) |> ([]~q |> []~p)"),
-        equiv,
-        None,
-        f"(p |> q) |> ([]~q |> []~p) over {_frame_text(equiv)}",
-    )
-    entries.append(SuiteEntryResult("tollens_bad_strict", (strict,), strict.ok))
-
-    return _finish("jacquette", entries)
+    return _suite("jacquette", [
+        ("tollens", "tollens", [parse("p -> q")], parse("[]~q -> []~p"), _K, "valid",
+         "p -> q (global) entails []~q -> []~p over {}"),
+        ("tollens_bad", "tollens_bad", [], parse("(p -> q) -> ([]~q -> []~p)"), equiv, "invalid",
+         f"(p -> q) -> ([]~q -> []~p) as one formula over {_frame_text(equiv)}"),
+        ("prop5", "prop5", [parse("g -> []g")], parse("[]~[]g -> []~g"), _K, "valid",
+         "g -> []g (global) entails []~[]g -> []~g over {}"),
+        ("tollens_bad_strict", "tollens_bad_strict", [], parse("(p |> q) |> ([]~q |> []~p)"),
+         equiv, None, f"(p |> q) |> ([]~q |> []~p) over {_frame_text(equiv)}"),
+    ])

@@ -26,6 +26,7 @@ from .arguments import (
     Argument,
     SuiteFailure,
     SuiteReport,
+    _frame_text,
     analyze,
     axiom_correspondence_suite,
     builtin_corpus,
@@ -174,6 +175,7 @@ def _maybe_write_dot(args, witness: CountermodelWitness | None) -> None:
 def cmd_check(args) -> int:
     argument = resolve_argument(args.argument)
     no_frame = args.no_frame
+    frame = frozenset() if no_frame else argument.frame
     t0 = time.perf_counter()
     report: AnalysisReport = analyze(argument)
     # read only the parts this command prints, inside the timed span
@@ -188,7 +190,7 @@ def cmd_check(args) -> int:
             main_verdict.witness,
             argument.premise_formulas(),
             argument.conclusion,
-            frozenset() if no_frame else argument.frame,
+            frame,
             args.max_worlds,
         )
 
@@ -199,7 +201,7 @@ def cmd_check(args) -> int:
             {"name": n, "formula": print_formula(f)} for n, f in argument.premises
         ],
         "conclusion": print_formula(argument.conclusion),
-        "frame": [] if no_frame else _frame_names(argument.frame),
+        "frame": _frame_names(frame),
         "stated_frame": _frame_names(argument.frame),
         "no_frame": no_frame,
         "result": _verdict_dict(main_verdict, main_witness),
@@ -216,9 +218,8 @@ def cmd_check(args) -> int:
     for n, f in argument.premises:
         lines.append(f"  {n}: {print_formula(f, unicode=u)}")
     lines.append(f"  conclusion: {print_formula(argument.conclusion, unicode=u)}")
-    frame_desc = "{}" if no_frame else "{" + ", ".join(_frame_names(argument.frame)) + "}"
     status = "Valid" if isinstance(main_verdict, Valid) else "Invalid"
-    lines.append(f"  {status} under {frame_desc}")
+    lines.append(f"  {status} under {_frame_text(frame)}")
     text = "\n".join(lines) + "\n"
     if main_witness is not None:
         text += _witness_text(main_witness)
@@ -226,9 +227,7 @@ def cmd_check(args) -> int:
         triv = "Valid" if isinstance(triviality, Valid) else "Invalid"
         text += f"  triviality schema: {triv}\n"
     if args.minimal_frames:
-        shown = ", ".join(
-            "{" + ", ".join(_frame_names(fs)) + "}" for fs in minimal_frames
-        )
+        shown = ", ".join(_frame_text(fs) for fs in minimal_frames)
         text += f"  minimal frames: {shown}\n"
     if not args.stable:
         text += f"  ({elapsed:.1f} ms)\n"
@@ -271,8 +270,7 @@ def cmd_prove(args) -> int:
     }
     u = args.unicode
     status = "Valid" if isinstance(verdict, Valid) else "Invalid"
-    frame_desc = "{" + ", ".join(_frame_names(frame)) + "}"
-    text = f"{print_formula(formula, unicode=u)}\n  {status} under {frame_desc}\n"
+    text = f"{print_formula(formula, unicode=u)}\n  {status} under {_frame_text(frame)}\n"
     if witness is not None:
         text += _witness_text(witness)
     if not args.stable:

@@ -121,11 +121,13 @@ class ProofObject:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
         """The table of ``data``, checked to be a tree rooted at node 0;
-        ids may be any ints in any order."""
+        ids may be any distinct ints in any order."""
         nodes = {
             e["id"]: _node(e["id"], e["rule"], list(e["labels"]), e.get("formula"), list(e["children"]))
             for e in data["nodes"]
         }
+        if len(nodes) != len(data["nodes"]):
+            raise ValueError("proof table repeats a node id")
         if 0 not in nodes:
             raise ValueError("proof table has no root node 0")
         referenced: list[int] = [c for e in nodes.values() for c in e["children"]]

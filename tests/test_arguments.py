@@ -356,6 +356,25 @@ class TestAxiomSuite:
         assert not e.value.report.ok
 
 
+class TestSuiteRunner:
+    # one decide per check: the runner never decides a query twice
+    SUITES = [(corpus_suite, 24), (axiom_correspondence_suite, 15),
+              (derivation_suite, 5), (jacquette_suite, 4)]
+
+    @pytest.mark.parametrize("runner, decides", SUITES, ids=lambda x: getattr(x, "__name__", None))
+    def test_decide_calls_per_suite(self, monkeypatch, runner, decides):
+        seen = []
+        real = arguments.decide
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(arguments, "decide", counting)
+        report = runner()
+        assert len(seen) == decides == sum(len(e.checks) for e in report.entries)
+
+
 class TestDerivation:
     def test_builtin_script_all_steps_valid(self):
         verdicts = run_derivation(eder_ramharter_manual())
@@ -375,6 +394,25 @@ class TestDerivation:
         witness = verdicts[1].witness
         assert holds_globally(witness.model, parse("g -> []g"))
         assert evaluate(witness.model, witness.world, parse("g"))
+
+    def test_non_sequitur_fails_the_suite_with_its_countermodel(self):
+        script = DerivationScript(
+            name="broken",
+            premises=(("ER1", parse("g -> []g")), ("ER2", parse("<>g"))),
+            frame=eder_ramharter_manual().frame,
+            steps=(("step1", parse("[]g | []~[]g")), ("oops", parse("~g"))),
+        )
+        with pytest.raises(SuiteFailure) as e:
+            derivation_suite(script)
+        assert e.value.entry == "oops"
+        check = e.value.report.entry("oops").checks[0]
+        assert not check.ok and isinstance(check.verdict, Invalid)
+        # the witness refutes ER1, ER2, step1 => ~g over the script frame
+        model, world = check.witness.model, check.witness.world
+        for premise in ("g -> []g", "<>g", "[]g | []~[]g"):
+            assert holds_globally(model, parse(premise))
+        assert not evaluate(model, world, parse("~g"))
+        assert all(frame_satisfies(model, c) for c in script.frame)
 
     def test_empty_script(self):
         script = DerivationScript(name="empty", premises=(), frame=K, steps=())

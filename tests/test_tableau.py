@@ -272,6 +272,17 @@ class TestProofObjects:
         with pytest.raises(ValueError, match="missing node"):
             ProofObject.from_json_dict(doc)
 
+    @pytest.mark.parametrize("copy_first", [False, True])
+    def test_repeated_id_rejected(self, copy_first):
+        # with the last copy of an id kept, the table below replays False
+        # with the copy after the real node 1 and True with it before
+        f = parse("[](p -> q) -> ([]p -> []q)")
+        nodes = prove_valid(f, K).proof.to_json_dict()["nodes"]
+        copy = {**next(e for e in nodes if e["id"] == 1), "rule": "serial"}
+        doc = {"nodes": [copy, *nodes] if copy_first else [*nodes, copy]}
+        with pytest.raises(ValueError, match="repeats a node id"):
+            ProofObject.from_json_dict(doc)
+
     @pytest.mark.parametrize("name", ["corpus/eder_ramharter", "axiom/5", "step/step3"])
     def test_reordered_and_padded_tables_replay(self, name):
         doc = _proof_doc(name)
