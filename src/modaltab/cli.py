@@ -37,7 +37,7 @@ from .arguments import (
 from . import __version__
 from .enumeration import MAX_WORLDS, CountermodelWitness, minimize_countermodel
 from .semantics import FrameClass, frame_class, model_to_dict
-from .syntax import FormulaSyntaxError, parse, print_formula
+from .syntax import Formula, FormulaSyntaxError, parse, print_formula
 # not called here; verdictbench/spans.py rebinds these names on this module
 from .enumeration import find_countermodel  # noqa: F401
 from .syntax import desugar  # noqa: F401
@@ -51,22 +51,28 @@ class CliError(Exception):
 
 
 def load_argument_file(path: str | Path) -> Argument:
-    """Parse an argument file: JSON with name, named premise formulas, a
-    frame list (condition names or logic aliases), and a conclusion."""
+    """Parse an argument file: UTF-8 JSON with name, named premise formulas,
+    a frame list (condition names or logic aliases), and a conclusion."""
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise CliError(f"{path}: not valid JSON: {e}") from None
+
+    def formula(text) -> Formula:
+        if not isinstance(text, str):
+            raise CliError(f"{path}: every formula must be a string")
+        return parse(text)
+
     try:
         name = data["name"]
         if not isinstance(name, str):
             raise CliError(f"{path}: argument name must be a string")
         premises = tuple(
-            (entry["name"], parse(entry["formula"])) for entry in data["premises"]
+            (entry["name"], formula(entry["formula"])) for entry in data["premises"]
         )
         if not all(isinstance(n, str) for n, _ in premises):
             raise CliError(f"{path}: every premise name must be a string")
@@ -74,7 +80,7 @@ def load_argument_file(path: str | Path) -> Argument:
         if not isinstance(frame_names, list) or not all(isinstance(n, str) for n in frame_names):
             raise CliError(f"{path}: frame must be a list of condition names or logic aliases")
         frame = frame_class(frame_names)
-        conclusion = parse(data["conclusion"])
+        conclusion = formula(data["conclusion"])
         return Argument(name=name, premises=premises, frame=frame, conclusion=conclusion)
     except (KeyError, TypeError) as e:
         raise CliError(f"{path}: malformed argument file: {e!r}") from None
@@ -414,10 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ResourceLimit as e:
+    except (CliError, ResourceLimit) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

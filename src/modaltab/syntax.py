@@ -6,8 +6,9 @@ diamond, and strict implication.  Strict implication is pure sugar and is
 given meaning only through :func:`desugar`.
 
 Concrete syntax is ASCII (``~ & | -> <-> [] <> |>``); the Unicode glyphs
-``¬ ∧ ∨ ⊃ □ ◇`` are accepted on input but never emitted by
-:func:`print_formula`.
+``¬ ∧ ∨ ⊃ □ ◇`` are accepted on input and emitted by :func:`print_formula`
+only when asked for.  Each connective's spellings and precedence are
+stated once, in ``_CONNECTIVES``.
 """
 
 from __future__ import annotations
@@ -151,15 +152,24 @@ Formula = Union[Atom, Not, And, Or, Implies, Iff, Box, Diamond, StrictImplies]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# Unicode input aliases, rewritten to their ASCII spelling by the tokenizer.
-_UNICODE_ALIASES = {
-    "¬": "~",
-    "∧": "&",
-    "∨": "|",
-    "⊃": "->",
-    "□": "[]",
-    "◇": "<>",
+# Each connective once: its ASCII spelling, its Unicode spelling, and its
+# precedence (tightest binding highest).  ``<->`` and ``|>`` have no
+# accepted glyph, so their Unicode spelling is their ASCII one.
+_CONNECTIVES: dict[type, tuple[str, str, int]] = {
+    Iff: ("<->", "<->", 1),
+    Implies: ("->", "⊃", 2),
+    StrictImplies: ("|>", "|>", 2),
+    Or: ("|", "∨", 3),
+    And: ("&", "∧", 4),
+    Not: ("~", "¬", 5),
+    Box: ("[]", "□", 5),
+    Diamond: ("<>", "◇", 5),
 }
+_PREC_ATOM = 6
+_PREC_IMP = _CONNECTIVES[Implies][2]  # the one level that associates to the right
+
+# Unicode input aliases, rewritten to their ASCII spelling by the tokenizer.
+_UNICODE_ALIASES = {u: a for a, u, _ in _CONNECTIVES.values() if u != a}
 
 
 class FormulaSyntaxError(ValueError):
@@ -191,7 +201,8 @@ MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
 
-_PUNCT = ["<->", "->", "|>", "[]", "<>", "~", "&", "|", "(", ")"]
+# longest first, so that ``<->`` is not read as ``<`` and ``|>`` not as ``|``
+_PUNCT = sorted([a for a, _, _ in _CONNECTIVES.values()] + ["(", ")"], key=len, reverse=True)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
@@ -224,7 +235,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield ("eof", "", n)
 
 
-_UNARY = {"~": Not, "[]": Box, "<>": Diamond}
+_UNARY = {_CONNECTIVES[c][0]: c for c in (Not, Box, Diamond)}
 
 
 class _Parser:
@@ -346,33 +357,15 @@ def parse(text: str) -> Formula:
     return f
 
 
-# Precedence levels, tightest binding last.
-_PREC_IFF = 1
-_PREC_IMP = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
-
-_ASCII_OPS = {"not": "~", "and": "&", "or": "|", "imp": "->", "iff": "<->", "box": "[]", "dia": "<>", "strict": "|>"}
-_UNICODE_OPS = {"not": "¬", "and": "∧", "or": "∨", "imp": "⊃", "iff": "<->", "box": "□", "dia": "◇", "strict": "|>"}
+def _connective(f: Formula) -> tuple[str, str, int]:
+    try:
+        return _CONNECTIVES[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
 
 
 def _prec(f: Formula) -> int:
-    match f:
-        case Atom():
-            return _PREC_ATOM
-        case Not() | Box() | Diamond():
-            return _PREC_UNARY
-        case And():
-            return _PREC_AND
-        case Or():
-            return _PREC_OR
-        case Implies() | StrictImplies():
-            return _PREC_IMP
-        case Iff():
-            return _PREC_IFF
-    raise TypeError(f"not a formula: {f!r}")
+    return _PREC_ATOM if type(f) is Atom else _connective(f)[2]
 
 
 def print_formula(f: Formula, unicode: bool = False) -> str:
@@ -384,7 +377,7 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
     again, or a formula that shares subtrees with one already printed,
     reuses it; Unicode output is never cached.
     """
-    ops = _UNICODE_OPS if unicode else _ASCII_OPS
+    column = 1 if unicode else 0
 
     def wrap(g: Formula, limit: int) -> str:
         if unicode:
@@ -397,76 +390,53 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
         return f"({s})" if _prec(g) < limit else s
 
     def render(g: Formula) -> str:
-        match g:
-            case Atom(name):
-                return name
-            case Not(x):
-                return ops["not"] + wrap(x, _PREC_UNARY)
-            case Box(x):
-                return ops["box"] + wrap(x, _PREC_UNARY)
-            case Diamond(x):
-                return ops["dia"] + wrap(x, _PREC_UNARY)
-            case And(a, b):
-                # left associative: equal precedence needs parens on the right
-                return f"{wrap(a, _PREC_AND)} {ops['and']} {wrap(b, _PREC_AND + 1)}"
-            case Or(a, b):
-                return f"{wrap(a, _PREC_OR)} {ops['or']} {wrap(b, _PREC_OR + 1)}"
-            case Implies(a, b):
-                # right associative: equal precedence needs parens on the left
-                return f"{wrap(a, _PREC_IMP + 1)} {ops['imp']} {wrap(b, _PREC_IMP)}"
-            case StrictImplies(a, b):
-                return f"{wrap(a, _PREC_IMP + 1)} {ops['strict']} {wrap(b, _PREC_IMP)}"
-            case Iff(a, b):
-                return f"{wrap(a, _PREC_IFF)} {ops['iff']} {wrap(b, _PREC_IFF + 1)}"
-        raise TypeError(f"not a formula: {g!r}")
+        if type(g) is Atom:
+            return g.name
+        entry = _connective(g)
+        op, prec = entry[column], entry[2]
+        if isinstance(g, _Unary):
+            return op + wrap(g.operand, prec)
+        # an operand of equal precedence needs parentheses on the left of a
+        # right-associative connective, on the right of a left-associative one
+        right = prec == _PREC_IMP
+        return f"{wrap(g.left, prec + right)} {op} {wrap(g.right, prec + (not right))}"
 
     return wrap(f, 0)  # no precedence is below 0: never parenthesised
 
 
+def _rebuild(f: Formula, fn, *args) -> Formula:
+    """``f`` with each child ``c`` replaced by ``fn(c, *args)``.
+
+    An atom, and a node whose children all come back as they were (``is``),
+    is returned itself, so a transform that changes nothing copies nothing.
+    The extra arguments ride in ``*args`` rather than a closure, so each
+    nesting level costs two stack frames: ``fn`` and this one.
+    """
+    if type(f) is Atom:
+        return f
+    if isinstance(f, _Unary):
+        x = fn(f.operand, *args)
+        return f if x is f.operand else type(f)(x)
+    if isinstance(f, _Binary):
+        a, b = fn(f.left, *args), fn(f.right, *args)
+        return f if a is f.left and b is f.right else type(f)(a, b)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def desugar(f: Formula) -> Formula:
     """Replace every ``a |> b`` by ``~<>(a & ~b)``."""
-    match f:
-        case Atom():
-            return f
-        case Not(x):
-            return Not(desugar(x))
-        case Box(x):
-            return Box(desugar(x))
-        case Diamond(x):
-            return Diamond(desugar(x))
-        case And(a, b):
-            return And(desugar(a), desugar(b))
-        case Or(a, b):
-            return Or(desugar(a), desugar(b))
-        case Implies(a, b):
-            return Implies(desugar(a), desugar(b))
-        case Iff(a, b):
-            return Iff(desugar(a), desugar(b))
-        case StrictImplies(a, b):
-            return Not(Diamond(And(desugar(a), Not(desugar(b)))))
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) is StrictImplies:
+        return Not(Diamond(And(desugar(f.left), Not(desugar(f.right)))))
+    return _rebuild(f, desugar)
 
 
 def dual_expand(f: Formula) -> Formula:
     """Replace every ``<>a`` by ``~[]~a``.  Input must be sugar-free."""
-    match f:
-        case Atom():
-            return f
-        case Not(x):
-            return Not(dual_expand(x))
-        case Box(x):
-            return Box(dual_expand(x))
-        case Diamond(x):
-            return Not(Box(Not(dual_expand(x))))
-        case And(a, b):
-            return And(dual_expand(a), dual_expand(b))
-        case Or(a, b):
-            return Or(dual_expand(a), dual_expand(b))
-        case Implies(a, b):
-            return Implies(dual_expand(a), dual_expand(b))
-        case Iff(a, b):
-            return Iff(dual_expand(a), dual_expand(b))
-    raise TypeError(f"dual_expand requires sugar-free input: {f!r}")
+    if type(f) is Diamond:
+        return Not(Box(Not(dual_expand(f.operand))))
+    if type(f) is StrictImplies:
+        raise TypeError(f"dual_expand requires sugar-free input: {f!r}")
+    return _rebuild(f, dual_expand)
 
 
 def nnf(f: Formula) -> Formula:
@@ -515,46 +485,24 @@ def _nnf(f: Formula, negated: bool) -> Formula:
 
 def substitute(f: Formula, name: str, replacement: Formula) -> Formula:
     """Replace every occurrence of the named atom by ``replacement``."""
-    match f:
-        case Atom(a):
-            return replacement if a == name else f
-        case Not(x):
-            return Not(substitute(x, name, replacement))
-        case Box(x):
-            return Box(substitute(x, name, replacement))
-        case Diamond(x):
-            return Diamond(substitute(x, name, replacement))
-        case And(a, b):
-            return And(substitute(a, name, replacement), substitute(b, name, replacement))
-        case Or(a, b):
-            return Or(substitute(a, name, replacement), substitute(b, name, replacement))
-        case Implies(a, b):
-            return Implies(substitute(a, name, replacement), substitute(b, name, replacement))
-        case Iff(a, b):
-            return Iff(substitute(a, name, replacement), substitute(b, name, replacement))
-        case StrictImplies(a, b):
-            return StrictImplies(substitute(a, name, replacement), substitute(b, name, replacement))
-    raise TypeError(f"not a formula: {f!r}")
+    if type(f) is Atom:
+        return replacement if f.name == name else f
+    return _rebuild(f, substitute, name, replacement)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """All distinct subtrees of ``f``, including ``f`` itself."""
     acc: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if g in acc:
-            return
+            continue
         acc.add(g)
-        match g:
-            case Atom():
-                pass
-            case Not(x) | Box(x) | Diamond(x):
-                walk(x)
-            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b) | StrictImplies(a, b):
-                walk(a)
-                walk(b)
-
-    walk(f)
+        if isinstance(g, _Unary):
+            stack.append(g.operand)
+        elif isinstance(g, _Binary):
+            stack += (g.left, g.right)
     return frozenset(acc)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modaltab
 
@@ -134,17 +138,25 @@ class TestCheck:
              "every premise name must be a string"),
             ({"name": "x", "premises": [{"name": ["a"], "formula": "p"}], "frame": [], "conclusion": "p"},
              "every premise name must be a string"),
+            ({"name": "x", "premises": [], "frame": [], "conclusion": ["p"]},
+             "every formula must be a string"),
+            ({"name": "x", "premises": [{"name": "P", "formula": []}], "frame": [], "conclusion": "p"},
+             "every formula must be a string"),
+            (b"\xff\xfe\x00bad", "cannot read "),
+            (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
         ],
         ids=["duplicate-premise-names", "frame-not-a-name", "frame-not-a-list", "name-not-a-string",
-             "premise-name-number", "premise-name-null", "premise-name-list"],
+             "premise-name-number", "premise-name-null", "premise-name-list",
+             "conclusion-list", "premise-formula-list", "not-utf8", "nested-too-deep"],
     )
     def test_rejected_argument_file(self, capsys, tmp_path, doc, message):
         path = tmp_path / "rejected.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         code, out, err = run(capsys, "check", str(path))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_bad_frame_name_in_file(self, capsys, tmp_path):
         path = tmp_path / "frame.json"
@@ -156,6 +168,57 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "zigzag" in err
+
+
+VALID_ARGUMENT = {
+    "name": "fuzz",
+    "premises": [{"name": "P1", "formula": "g -> []g"}, {"name": "P2", "formula": "<>g"}],
+    "frame": ["symmetric"],
+    "conclusion": "g",
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def _replace_field(doc, field, value):
+    doc = json.loads(json.dumps(doc))  # deep copy
+    if field in ("premise name", "premise formula"):
+        doc["premises"][0][field.split()[1]] = value
+    else:
+        doc[field] = value
+    return json.dumps(doc).encode()
+
+
+argument_files = st.builds(
+    _replace_field,
+    st.just(VALID_ARGUMENT),
+    st.sampled_from(["name", "premises", "premise name", "premise formula", "frame", "conclusion"]),
+    json_values,
+) | st.binary(max_size=64)
+
+
+class TestArgumentFileFuzz:
+    """Any argument file gives exit 0, 1 or 2, never an exception, and
+    exit 2 always comes with an ``error:`` line."""
+
+    @given(data=argument_files)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_check_never_raises(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(path), "--json"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            json.loads(out.getvalue())
 
 
 class TestProve:

@@ -29,7 +29,8 @@ from modaltab.syntax import (
     subformulas,
     substitute,
 )
-from modaltab.semantics import evaluate
+from modaltab.semantics import KripkeModel, evaluate
+from modaltab.tableau import decide
 
 from conftest import formula_strategy
 
@@ -117,6 +118,45 @@ class TestDepthBound:
         f = desugar(parse(build(MAX_DEPTH // step)))
         for g in subformulas(nnf(f)) | subformulas(nnf(Not(f))):
             assert parse(print_formula(g)) == g
+
+
+ONE_WORLD = KripkeModel(1, frozenset(), {"p": frozenset({0})})
+
+# name -> (call, stack frames allowed per nesting level, sugar-free input only)
+PER_LEVEL = {
+    "desugar": (desugar, 2, False),
+    "substitute": (lambda f: substitute(f, "p", Atom("q")), 2, False),
+    "dual_expand": (dual_expand, 2, True),
+    "print_formula": (print_formula, 3, False),
+    "print_formula-unicode": (lambda f: print_formula(f, unicode=True), 3, False),
+    "subformulas": (subformulas, 3, False),
+    "decide": (lambda f: decide([], f, frozenset()), 3, False),
+    "nnf": (nnf, 3, True),
+    "evaluate": (lambda f: evaluate(ONE_WORLD, 0, f), 3, True),
+}
+
+
+class TestFramesPerLevel:
+    """``MAX_DEPTH`` promises at most three stack frames per nesting level
+    to the transforms, the printer and the evaluator; the rebuilding
+    transforms take two."""
+
+    @pytest.mark.parametrize("shape,name", [
+        (shape, name)
+        for shape in sorted(set(NESTED) - {"biconditional"})  # its NNF is exponential
+        for name, (_, _, sugar_free) in PER_LEVEL.items()
+        if not (sugar_free and shape == "strict")
+    ])
+    def test_at_the_bound(self, shape, name):
+        build, step = NESTED[shape]
+        f = parse(build(MAX_DEPTH // step))  # fresh nodes: no text cached yet
+        call, frames, _ = PER_LEVEL[name]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + frames * MAX_DEPTH + 50)
+        try:
+            call(f)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestPrint:
@@ -276,6 +316,18 @@ class TestDesugar:
         f = StrictImplies(StrictImplies(p, q), Box(StrictImplies(q, p)))
         assert not any(isinstance(s, StrictImplies) for s in subformulas(desugar(f)))
 
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
+    @settings(max_examples=150)
+    def test_sugar_free_input_is_returned_itself(self, f):
+        plain = desugar(f)
+        assert desugar(plain) is plain
+
+    def test_unchanged_subtrees_are_kept(self):
+        kept = parse("[]p & ~q")
+        f = desugar(Or(kept, Box(StrictImplies(p, q))))
+        assert f.left is kept
+        assert f.right == Box(Not(Diamond(And(p, Not(q)))))
+
 
 class TestDualExpand:
     def test_diamond(self):
@@ -290,6 +342,16 @@ class TestDualExpand:
     def test_no_diamond_left(self):
         f = desugar(parse("<>(p |> <>q) & <>p"))
         assert not any(isinstance(s, Diamond) for s in subformulas(dual_expand(f)))
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32, sugar=False))
+    @settings(max_examples=150)
+    def test_diamond_free_input_is_returned_itself(self, f):
+        expanded = dual_expand(f)
+        assert dual_expand(expanded) is expanded
+
+    def test_rejects_strict_implication(self):
+        with pytest.raises(TypeError, match="sugar-free"):
+            dual_expand(Box(StrictImplies(p, q)))
 
 
 class TestNnf:
@@ -362,6 +424,16 @@ class TestSubstitute:
 
     def test_single_occurrence(self):
         assert substitute(Box(Atom("P")), "P", g) == Box(g)
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
+    @settings(max_examples=150)
+    def test_absent_atom_returns_the_input_itself(self, f):
+        assert substitute(f, "z", parse("p & q")) is f
+
+    def test_unchanged_subtrees_are_kept(self):
+        kept = parse("[]p -> q")
+        f = substitute(And(kept, Diamond(g)), "g", p)
+        assert f.left is kept and f.right == Diamond(p)
 
     @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
     @settings(max_examples=150)
