@@ -196,7 +196,11 @@ class FormulaSyntaxError(ValueError):
 # and hence every formula a proof records, parses again.  Each nesting
 # level costs the parser six stack frames and the transforms, printer,
 # evaluator and compiler at most three, which keeps all of them well
-# under the default recursion limit of 1000.
+# under the default recursion limit of 1000.  One exception: ``desugar``
+# makes each ``|>`` four levels deep (``~<>(a & ~b)``) where the count
+# charges two, and ``dual_expand``, at two frames per level through
+# ``_rebuild``, then needs 3.5 per counted level: 351 frames for a ``|>``
+# chain at the bound, against 202 when each transform recursed into itself.
 MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
@@ -235,7 +239,7 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield ("eof", "", n)
 
 
-_UNARY = {_CONNECTIVES[c][0]: c for c in (Not, Box, Diamond)}
+_UNARY = {a: c for c, (a, _, _) in _CONNECTIVES.items() if issubclass(c, _Unary)}
 
 
 class _Parser:

@@ -127,9 +127,11 @@ PER_LEVEL = {
     "desugar": (desugar, 2, False),
     "substitute": (lambda f: substitute(f, "p", Atom("q")), 2, False),
     "dual_expand": (dual_expand, 2, True),
+    # desugar makes each |> four levels deep where MAX_DEPTH counts two
+    "dual_expand-desugared": (lambda f: dual_expand(desugar(f)), 3.5, False),
     "print_formula": (print_formula, 3, False),
     "print_formula-unicode": (lambda f: print_formula(f, unicode=True), 3, False),
-    "subformulas": (subformulas, 3, False),
+    "subformulas": (subformulas, 0, False),  # walks an explicit stack
     "decide": (lambda f: decide([], f, frozenset()), 3, False),
     "nnf": (nnf, 3, True),
     "evaluate": (lambda f: evaluate(ONE_WORLD, 0, f), 3, True),
@@ -138,8 +140,9 @@ PER_LEVEL = {
 
 class TestFramesPerLevel:
     """``MAX_DEPTH`` promises at most three stack frames per nesting level
-    to the transforms, the printer and the evaluator; the rebuilding
-    transforms take two."""
+    to the transforms, the printer and the evaluator, and 3.5 to
+    ``dual_expand`` of a desugared formula; the rebuilding transforms take
+    two and ``subformulas`` none."""
 
     @pytest.mark.parametrize("shape,name", [
         (shape, name)
@@ -152,7 +155,7 @@ class TestFramesPerLevel:
         f = parse(build(MAX_DEPTH // step))  # fresh nodes: no text cached yet
         call, frames, _ = PER_LEVEL[name]
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(stack_depth() + frames * MAX_DEPTH + 50)
+        sys.setrecursionlimit(stack_depth() + int(frames * MAX_DEPTH) + 50)
         try:
             call(f)
         finally:
