@@ -42,7 +42,6 @@ from .syntax import (
     StrictImplies,
     atoms_of,
     desugar,
-    dual_expand,
     fresh_atom,
     nnf,
     parse,
@@ -71,7 +70,7 @@ __all__ = [
     # syntax
     "Atom", "Not", "And", "Or", "Implies", "Iff", "Box", "Diamond",
     "StrictImplies", "Formula", "FormulaSyntaxError", "parse",
-    "print_formula", "desugar", "dual_expand", "nnf", "substitute",
+    "print_formula", "desugar", "nnf", "substitute",
     "subformulas", "atoms_of", "fresh_atom",
     # semantics
     "FrameCondition", "LOGICS", "frame_class", "KripkeModel",

@@ -40,7 +40,6 @@ __all__ = [
     "SuiteEntryResult",
     "SuiteReport",
     "ShapeError",
-    "SuiteFailure",
     "builtin_corpus",
     "corpus_entry",
     "analyze",
@@ -49,7 +48,6 @@ __all__ = [
     "frame_requirement_search",
     "axiom_correspondence_suite",
     "corpus_suite",
-    "run_derivation",
     "derivation_suite",
     "eder_ramharter_manual",
     "jacquette_suite",
@@ -58,15 +56,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Argument does not have the two-premise possibility form."""
-
-
-class SuiteFailure(Exception):
-    """An expected verdict did not hold; carries the full report."""
-
-    def __init__(self, entry: str, report: "SuiteReport"):
-        self.entry = entry
-        self.report = report
-        super().__init__(f"suite {report.suite!r}: entry {entry!r} failed")
 
 
 @dataclass(frozen=True)
@@ -200,38 +189,33 @@ def triviality_check(a: Argument) -> Verdict:
     schematized by a fresh atom, and the check is the global consequence
     premise1' => (<>p -> conclusion') over the argument's frame class.
     """
-    schema_atom = _triviality_atom(a)
-    fresh, p1, conclusion = _triviality_schema(a, schema_atom)
-    return decide([p1], Implies(Diamond(Atom(fresh)), conclusion), a.frame)
+    premises, conclusion = _triviality_query(a)
+    return decide(premises, conclusion, a.frame)
 
 
 def triviality_lifted(a: Argument) -> Verdict:
     """Alternative reading of the triviality schema as one lifted formula
     valid over the frame class, rather than a global consequence.  Offered
     for comparison; no built-in suite asserts its outcome."""
-    schema_atom = _triviality_atom(a)
-    fresh, p1, conclusion = _triviality_schema(a, schema_atom)
-    return prove_valid(Implies(p1, Implies(Diamond(Atom(fresh)), conclusion)), a.frame)
+    (p1,), conclusion = _triviality_query(a)
+    return prove_valid(Implies(p1, conclusion), a.frame)
 
 
-def _triviality_atom(a: Argument) -> str:
+def _triviality_query(a: Argument) -> tuple[list[Formula], Formula]:
+    """The triviality schema as a query: ([premise1'], <>fresh -> conclusion'),
+    where the primes rename the second premise's atom to a fresh one."""
     if len(a.premises) != 2:
         raise ShapeError(f"{a.name!r} must have exactly two premises")
     second = a.premises[1][1]
     if not (isinstance(second, Diamond) and isinstance(second.operand, Atom)):
         raise ShapeError(f"{a.name!r}: second premise must be a bare possibility claim")
-    return second.operand.name
-
-
-def _triviality_schema(a: Argument, schema_atom: str) -> tuple[str, Formula, Formula]:
-    """Rename the argument's subject atom to a fresh one throughout
-    premise 1 and the conclusion; returns (fresh, premise1', conclusion')."""
     avoid = set().union(*(atoms_of(f) for _, f in a.premises)) | atoms_of(a.conclusion)
-    fresh = fresh_atom(avoid)
-    replacement = Atom(fresh)
-    p1 = substitute(a.premises[0][1], schema_atom, replacement)
-    conclusion = substitute(a.conclusion, schema_atom, replacement)
-    return fresh, p1, conclusion
+    fresh = Atom(fresh_atom(avoid))
+    subject = second.operand.name
+    return (
+        [substitute(a.premises[0][1], subject, fresh)],
+        Implies(Diamond(fresh), substitute(a.conclusion, subject, fresh)),
+    )
 
 
 # all five conditions, in the name order used for sorted output
@@ -294,7 +278,8 @@ _K: FrameClass = frozenset()
 def _suite(suite: str, rows: list[SuiteRow]) -> SuiteReport:
     """Decide every row, minimise the countermodel of each Invalid one,
     grade the verdict against the row's expectation, and group adjacent
-    rows with the same entry name into one entry."""
+    rows with the same entry name into one entry.  The report's ``ok``
+    says whether every check met its expectation."""
     entries = []
     for entry, group in groupby(rows, key=itemgetter(0)):
         checks = []
@@ -303,7 +288,6 @@ def _suite(suite: str, rows: list[SuiteRow]) -> SuiteReport:
             witness = None
             if isinstance(verdict, Invalid):
                 witness = minimize_countermodel(verdict.witness, premises, conclusion, frame)
-            actual = "valid" if isinstance(verdict, Valid) else "invalid"
             checks.append(CheckResult(
                 name=name,
                 description=description,
@@ -311,18 +295,10 @@ def _suite(suite: str, rows: list[SuiteRow]) -> SuiteReport:
                 expected=expected,
                 verdict=verdict,
                 witness=witness,
-                ok=expected is None or expected == actual,
+                ok=expected is None or expected == verdict.answer,
             ))
         entries.append(SuiteEntryResult(name=entry, checks=tuple(checks), ok=all(c.ok for c in checks)))
-    return _finish(suite, entries)
-
-
-def _finish(suite: str, entries: list[SuiteEntryResult]) -> SuiteReport:
-    report = SuiteReport(suite=suite, entries=tuple(entries), ok=all(e.ok for e in entries))
-    if not report.ok:
-        first_bad = next(e.name for e in entries if not e.ok)
-        raise SuiteFailure(first_bad, report)
-    return report
+    return SuiteReport(suite=suite, entries=tuple(entries), ok=all(e.ok for e in entries))
 
 
 def _frame_text(frame: FrameClass) -> str:
@@ -337,13 +313,13 @@ def corpus_suite() -> SuiteReport:
         premises = a.premise_formulas()
         claim = " , ".join(f"{n}: {print_formula(f)}" for n, f in a.premises)
         claim += f"  =>  {print_formula(a.conclusion)}"
-        fresh, p1, conclusion = _triviality_schema(a, _triviality_atom(a))
+        trivial_premises, trivial_conclusion = _triviality_query(a)
         rows += [
             (a.name, a.name, premises, a.conclusion, a.frame, "valid",
              f"{claim} over {_frame_text(a.frame)}"),
             (a.name, f"{a.name}_no_frame", premises, a.conclusion, _K, "invalid",
              f"{claim} over {{}}"),
-            (a.name, f"{a.name}_triviality", [p1], Implies(Diamond(Atom(fresh)), conclusion),
+            (a.name, f"{a.name}_triviality", trivial_premises, trivial_conclusion,
              a.frame, "valid",
              f"premise 1 reduces to possibility-implies-conclusion over {_frame_text(a.frame)}"),
         ]
@@ -411,20 +387,9 @@ def eder_ramharter_manual() -> DerivationScript:
     )
 
 
-def run_derivation(script: DerivationScript) -> list[Verdict]:
-    """Check each step as a global consequence of the base premises plus
-    all prior steps, over the script's frame class."""
-    verdicts = []
-    premises = [f for _, f in script.premises]
-    for _, step in script.steps:
-        verdicts.append(decide(premises, step, script.frame))
-        premises.append(step)
-    return verdicts
-
-
 def derivation_suite(script: DerivationScript | None = None) -> SuiteReport:
-    """One check per step, as in ``run_derivation``: the step follows from
-    the base premises plus all prior steps over the script's frame class."""
+    """One check per step: the step follows from the base premises plus
+    all prior steps over the script's frame class."""
     if script is None:
         script = eder_ramharter_manual()
     base = [f for _, f in script.premises]

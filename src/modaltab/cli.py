@@ -24,12 +24,12 @@ from pathlib import Path
 from .arguments import (
     AnalysisReport,
     Argument,
-    SuiteFailure,
     SuiteReport,
     _frame_text,
     analyze,
     axiom_correspondence_suite,
     builtin_corpus,
+    corpus_entry,
     corpus_suite,
     derivation_suite,
     jacquette_suite,
@@ -76,6 +76,11 @@ def load_argument_file(path: str | Path) -> Argument:
         )
         if not all(isinstance(n, str) for n, _ in premises):
             raise CliError(f"{path}: every premise name must be a string")
+        for n in (name, *(n for n, _ in premises)):
+            try:
+                n.encode("utf-8")  # a JSON escape such as \ud800 gives a lone surrogate
+            except UnicodeEncodeError:
+                raise CliError(f"{path}: name {n!r} is not valid UTF-8 text") from None
         frame_names = data["frame"]
         if not isinstance(frame_names, list) or not all(isinstance(n, str) for n in frame_names):
             raise CliError(f"{path}: frame must be a list of condition names or logic aliases")
@@ -89,9 +94,10 @@ def load_argument_file(path: str | Path) -> Argument:
 
 
 def resolve_argument(name_or_path: str) -> Argument:
-    for a in builtin_corpus():
-        if a.name == name_or_path:
-            return a
+    try:
+        return corpus_entry(name_or_path)
+    except KeyError:
+        pass
     if name_or_path.endswith(".json") or Path(name_or_path).exists():
         return load_argument_file(name_or_path)
     known = ", ".join(a.name for a in builtin_corpus())
@@ -118,21 +124,22 @@ def _frame_names(frame: FrameClass) -> list[str]:
     return sorted(c.value for c in frame)
 
 
-def _verdict_dict(verdict: Verdict, witness: CountermodelWitness | None = None) -> dict:
+def _verdict_dict(verdict: Verdict, witness: CountermodelWitness | None) -> dict:
+    """The JSON result of ``verdict``; ``witness`` is its minimised
+    countermodel when Invalid, else None."""
     if isinstance(verdict, Valid):
         proof_json = verdict.proof.to_json()
         return {
-            "verdict": "valid",
+            "verdict": verdict.answer,
             "proof_id": hashlib.sha256(proof_json.encode()).hexdigest()[:16],
             "countermodel": None,
             "witness_world": None,
         }
-    w = witness or verdict.witness
     return {
-        "verdict": "invalid",
+        "verdict": verdict.answer,
         "proof_id": None,
-        "countermodel": model_to_dict(w.model),
-        "witness_world": w.world,
+        "countermodel": model_to_dict(witness.model),
+        "witness_world": witness.world,
     }
 
 
@@ -211,9 +218,7 @@ def cmd_check(args) -> int:
         "stated_frame": _frame_names(argument.frame),
         "no_frame": no_frame,
         "result": _verdict_dict(main_verdict, main_witness),
-        "triviality": None
-        if triviality is None
-        else _verdict_dict(triviality)["verdict"],
+        "triviality": None if triviality is None else triviality.answer,
         "elapsed_ms": elapsed,
     }
     if args.minimal_frames:
@@ -224,14 +229,12 @@ def cmd_check(args) -> int:
     for n, f in argument.premises:
         lines.append(f"  {n}: {print_formula(f, unicode=u)}")
     lines.append(f"  conclusion: {print_formula(argument.conclusion, unicode=u)}")
-    status = "Valid" if isinstance(main_verdict, Valid) else "Invalid"
-    lines.append(f"  {status} under {_frame_text(frame)}")
+    lines.append(f"  {main_verdict.answer.capitalize()} under {_frame_text(frame)}")
     text = "\n".join(lines) + "\n"
     if main_witness is not None:
         text += _witness_text(main_witness)
     if triviality is not None:
-        triv = "Valid" if isinstance(triviality, Valid) else "Invalid"
-        text += f"  triviality schema: {triv}\n"
+        text += f"  triviality schema: {triviality.answer.capitalize()}\n"
     if args.minimal_frames:
         shown = ", ".join(_frame_text(fs) for fs in minimal_frames)
         text += f"  minimal frames: {shown}\n"
@@ -275,7 +278,7 @@ def cmd_prove(args) -> int:
         "elapsed_ms": elapsed,
     }
     u = args.unicode
-    status = "Valid" if isinstance(verdict, Valid) else "Invalid"
+    status = verdict.answer.capitalize()
     text = f"{print_formula(formula, unicode=u)}\n  {status} under {_frame_text(frame)}\n"
     if witness is not None:
         text += _witness_text(witness)
@@ -297,12 +300,7 @@ _SUITES = {
 def cmd_suite(args) -> int:
     runner = _SUITES[args.suite_name]
     t0 = time.perf_counter()
-    try:
-        report: SuiteReport = runner()
-        failed_entry = None
-    except SuiteFailure as e:
-        report = e.report
-        failed_entry = e.entry
+    report: SuiteReport = runner()
     elapsed = 0.0 if args.stable else (time.perf_counter() - t0) * 1000
 
     entries = []
@@ -311,14 +309,13 @@ def cmd_suite(args) -> int:
     for entry in report.entries:
         checks = []
         for c in entry.checks:
-            verdict_name = "valid" if isinstance(c.verdict, Valid) else "invalid"
             checks.append(
                 {
                     "name": c.name,
                     "description": c.description,
                     "frame": _frame_names(c.frame),
                     "expected": c.expected,
-                    "actual": verdict_name,
+                    "actual": c.verdict.answer,
                     "ok": c.ok,
                     "countermodel": model_to_dict(c.witness.model) if c.witness else None,
                     "witness_world": c.witness.world if c.witness else None,
@@ -326,7 +323,7 @@ def cmd_suite(args) -> int:
             )
             expected = c.expected if c.expected is not None else "(reported)"
             mark = "ok " if c.ok else "FAIL"
-            lines.append(f"  [{mark}] {c.name}: expected {expected}, got {verdict_name}")
+            lines.append(f"  [{mark}] {c.name}: expected {expected}, got {c.verdict.answer}")
         entries.append({"name": entry.name, "ok": entry.ok, "checks": checks})
         n_ok += entry.ok
     lines.append(f"{n_ok}/{len(report.entries)} entries match")
@@ -334,7 +331,7 @@ def cmd_suite(args) -> int:
         "command": report.suite,
         "ok": report.ok,
         "entries": entries,
-        "failed_entry": failed_entry,
+        "failed_entry": next((e.name for e in report.entries if not e.ok), None),
         "elapsed_ms": elapsed,
     }
     text = "\n".join(lines) + "\n"

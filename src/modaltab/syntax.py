@@ -33,7 +33,6 @@ __all__ = [
     "parse",
     "print_formula",
     "desugar",
-    "dual_expand",
     "nnf",
     "substitute",
     "subformulas",
@@ -182,7 +181,9 @@ class FormulaSyntaxError(ValueError):
     """
 
     def __init__(self, text: str, pos: int, expected: tuple[str, ...], reason: str | None = None):
-        self.offset = len(text[:pos].encode("utf-8"))
+        # surrogatepass: text may hold lone surrogates, as argv does for
+        # bytes that are not UTF-8
+        self.offset = len(text[:pos].encode("utf-8", "surrogatepass"))
         self.expected = tuple(sorted(expected))
         found = text[pos : pos + 8] or "end of input"
         detail = reason or f"expected one of {', '.join(self.expected)}; found {found!r}"
@@ -190,17 +191,15 @@ class FormulaSyntaxError(ValueError):
 
 
 # Deepest formula ``parse`` accepts, and deepest parenthesis nesting.
-# Depth counts one per connective, two per ``<->`` and ``|>`` (which
-# desugaring and NNF expand by one extra level) and nothing for a negated
-# atom, so every formula that desugar and NNF derive from a parsed one,
-# and hence every formula a proof records, parses again.  Each nesting
-# level costs the parser six stack frames and the transforms, printer,
-# evaluator and compiler at most three, which keeps all of them well
-# under the default recursion limit of 1000.  One exception: ``desugar``
-# makes each ``|>`` four levels deep (``~<>(a & ~b)``) where the count
-# charges two, and ``dual_expand``, at two frames per level through
-# ``_rebuild``, then needs 3.5 per counted level: 351 frames for a ``|>``
-# chain at the bound, against 202 when each transform recursed into itself.
+# Depth counts one per connective, two per ``<->`` and ``|>`` (which NNF
+# expands by one extra level) and nothing for a negated atom, so the NNF
+# of a desugared parsed formula and of its negation, and hence every
+# formula a proof records, parses again.  The desugared formula itself
+# need not: ``desugar`` makes each ``|>`` four levels deep
+# (``~<>(a & ~b)``).  Each nesting level costs the parser six stack
+# frames and the transforms, printer, evaluator and compiler at most
+# three, which keeps all of them well under the default recursion limit
+# of 1000.
 MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
@@ -432,15 +431,6 @@ def desugar(f: Formula) -> Formula:
     if type(f) is StrictImplies:
         return Not(Diamond(And(desugar(f.left), Not(desugar(f.right)))))
     return _rebuild(f, desugar)
-
-
-def dual_expand(f: Formula) -> Formula:
-    """Replace every ``<>a`` by ``~[]~a``.  Input must be sugar-free."""
-    if type(f) is Diamond:
-        return Not(Box(Not(dual_expand(f.operand))))
-    if type(f) is StrictImplies:
-        raise TypeError(f"dual_expand requires sugar-free input: {f!r}")
-    return _rebuild(f, dual_expand)
 
 
 def nnf(f: Formula) -> Formula:

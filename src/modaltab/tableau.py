@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .enumeration import CountermodelWitness
 from .semantics import (
@@ -141,11 +141,13 @@ class ProofObject:
 @dataclass(frozen=True)
 class Valid:
     proof: ProofObject
+    answer: ClassVar[str] = "valid"
 
 
 @dataclass(frozen=True)
 class Invalid:
     witness: CountermodelWitness
+    answer: ClassVar[str] = "invalid"
 
 
 Verdict = Valid | Invalid

@@ -21,9 +21,9 @@ from modaltab.arguments import (
     axiom_correspondence_suite,
     builtin_corpus,
     corpus_entry,
+    derivation_suite,
     eder_ramharter_manual,
     jacquette_suite,
-    run_derivation,
     triviality_check,
 )
 from modaltab.enumeration import EnumerationBudget, find_countermodel, minimize_countermodel
@@ -106,14 +106,11 @@ def computed():
     for name, v in data["trivialities"].items():
         if isinstance(v, Valid):
             a = corpus_entry(name)
-            # reconstruct the schema query for replay bookkeeping
-            from modaltab.arguments import _triviality_atom, _triviality_schema
+            # the schema query, for replay bookkeeping
+            from modaltab.arguments import _triviality_query
 
-            atom = _triviality_atom(a)
-            fresh, p1, conclusion = _triviality_schema(a, atom)
-            data["valid_pool"].append(
-                (v.proof, [p1], Implies(Diamond(Atom(fresh)), conclusion), a.frame)
-            )
+            premises, conclusion = _triviality_query(a)
+            data["valid_pool"].append((v.proof, premises, conclusion, a.frame))
 
     data["axioms"] = axiom_correspondence_suite()
     for entry in data["axioms"].entries:
@@ -122,7 +119,7 @@ def computed():
                 data["valid_pool"].append((c.verdict.proof, [], parse_check(c), c.frame))
 
     script = eder_ramharter_manual()
-    data["steps"] = run_derivation(script)
+    data["steps"] = [c.verdict for e in derivation_suite(script).entries for c in e.checks]
     premises = [f for _, f in script.premises]
     for (name, step), v in zip(script.steps, data["steps"]):
         if isinstance(v, Valid):

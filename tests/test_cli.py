@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import modaltab
 
-from modaltab import arguments
+from modaltab import arguments, cli
+from modaltab.arguments import DerivationScript, eder_ramharter_manual
 from modaltab.cli import export_dot, load_argument_file, main
 from modaltab.enumeration import CountermodelWitness, EnumerationBudget, find_countermodel
 from modaltab.semantics import KripkeModel
 from modaltab.syntax import MAX_DEPTH, parse
+from modaltab.tableau import ProofObject
 
 
 def run(capsys, *argv):
@@ -77,6 +79,26 @@ class TestCheck:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(arguments, "decide", counting)
+        code, _, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (["check", "kane", "--json"], 1),  # the verdict's proof id; triviality is one word
+            (["countermodel", "kane", "--json"], 0),  # the verdict is Invalid
+        ],
+    )
+    def test_serialises_only_the_proof_it_reports(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        real = ProofObject.to_json
+
+        def counting(self):
+            seen.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ProofObject, "to_json", counting)
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1)
         assert len(seen) == calls
@@ -144,10 +166,18 @@ class TestCheck:
              "every formula must be a string"),
             (b"\xff\xfe\x00bad", "cannot read "),
             (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+            # JSON's \ud800 escape gives a lone surrogate, which no UTF-8 output can print
+            ({"name": "\ud800", "premises": [], "frame": [], "conclusion": "p"},
+             "name '\\ud800' is not valid UTF-8 text"),
+            ({"name": "x", "premises": [{"name": "\udc80", "formula": "p"}], "frame": [], "conclusion": "p"},
+             "name '\\udc80' is not valid UTF-8 text"),
+            ({"name": "x", "premises": [], "frame": [], "conclusion": "# \ud800\np &"},
+             "syntax error at byte 9: expected one of"),
         ],
         ids=["duplicate-premise-names", "frame-not-a-name", "frame-not-a-list", "name-not-a-string",
              "premise-name-number", "premise-name-null", "premise-name-list",
-             "conclusion-list", "premise-formula-list", "not-utf8", "nested-too-deep"],
+             "conclusion-list", "premise-formula-list", "not-utf8", "nested-too-deep",
+             "name-surrogate", "premise-name-surrogate", "surrogate-before-syntax-error"],
     )
     def test_rejected_argument_file(self, capsys, tmp_path, doc, message):
         path = tmp_path / "rejected.json"
@@ -177,9 +207,12 @@ VALID_ARGUMENT = {
     "conclusion": "g",
 }
 
+# Hypothesis text has no lone surrogates, which JSON's \ud800 escapes can make
+texts = st.lists(st.text(max_size=6) | st.sampled_from(["\ud800", "\udc80"]), max_size=4).map("".join)
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4),
     max_leaves=10,
 )
 
@@ -197,28 +230,31 @@ argument_files = st.builds(
     _replace_field,
     st.just(VALID_ARGUMENT),
     st.sampled_from(["name", "premises", "premise name", "premise formula", "frame", "conclusion"]),
-    json_values,
+    texts | json_values,  # a bare string first: every field but two wants one
 ) | st.binary(max_size=64)
 
 
 class TestArgumentFileFuzz:
     """Any argument file gives exit 0, 1 or 2, never an exception, and
-    exit 2 always comes with an ``error:`` line."""
+    exit 2 always comes with an ``error:`` line, in text and JSON mode."""
 
     @given(data=argument_files)
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_check_never_raises(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzz.json"
         path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", str(path), "--json"])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        else:
-            json.loads(out.getvalue())
+        for mode in ([], ["--json"]):
+            # strict UTF-8, as on a terminal: printing a lone surrogate raises
+            out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", str(path), *mode])
+            out.flush()
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert out.buffer.getvalue() == b""
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            elif mode:
+                json.loads(out.buffer.getvalue())
 
 
 class TestProve:
@@ -249,6 +285,13 @@ class TestProve:
         code, _, err = run(capsys, "prove", "p & ")
         assert code == 2
         assert "byte 4" in err
+
+    def test_syntax_error_after_undecodable_argv_bytes(self, capsys):
+        # argv bytes that are not UTF-8 arrive as lone surrogates
+        code, out, err = run(capsys, "prove", os.fsdecode(b"# \xff\np &"))
+        assert (code, out) == (2, "")
+        assert err == "error: syntax error at byte 9: expected one of " \
+                      "(, <>, [], identifier, ~; found 'end of input'\n"
 
     def test_nesting_at_the_bound(self, capsys):
         n = MAX_DEPTH
@@ -325,6 +368,33 @@ class TestSuites:
         names = {c["name"] for e in doc["entries"] for c in e["checks"]}
         assert "eder_ramharter_no_frame" in names
         assert "hartshorne_triviality" in names
+
+
+class TestFailingSuite:
+    # a derivation whose last step does not follow
+    BROKEN = DerivationScript(
+        name="broken",
+        premises=(("ER1", parse("g -> []g")), ("ER2", parse("<>g"))),
+        frame=eder_ramharter_manual().frame,
+        steps=(("step1", parse("[]g | []~[]g")), ("oops", parse("~g"))),
+    )
+    # sha256 of the `--json --stable` and `--stable` outputs
+    DIGESTS = {
+        "--json": "c24dca661638d1552b05f571125b86830420c58aefb83f8c40334cdd0cb86af8",
+        "text": "e7d7f308e713c22e275f90465fbafaa874cf3c83c144aea60958eed12c6dc075",
+    }
+
+    def test_exit_1_names_the_failing_entry(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._SUITES, "steps", lambda: arguments.derivation_suite(self.BROKEN))
+        code, out, _ = run(capsys, "steps", "--json", "--stable")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["failed_entry"] == "oops"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["--json"]
+        code, out, _ = run(capsys, "steps", "--stable")
+        assert code == 1
+        assert "  [FAIL] oops: expected valid, got invalid" in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["text"]
 
 
 class TestDeterminism:

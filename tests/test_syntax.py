@@ -21,7 +21,6 @@ from modaltab.syntax import (
     StrictImplies,
     atoms_of,
     desugar,
-    dual_expand,
     fresh_atom,
     nnf,
     parse,
@@ -97,6 +96,7 @@ NESTED = {
     "box": (lambda k: "[]" * k + "p", 1),
     "implication": (lambda k: "p" + " -> p" * k, 1),
     "strict": (lambda k: "p" + " |> p" * k, 2),
+    "strict-parenthesised": (lambda k: "(p |> " * k + "p" + ")" * k, 2),
     "biconditional": (lambda k: "p" + " <-> p" * k, 2),
 }
 
@@ -126,9 +126,6 @@ ONE_WORLD = KripkeModel(1, frozenset(), {"p": frozenset({0})})
 PER_LEVEL = {
     "desugar": (desugar, 2, False),
     "substitute": (lambda f: substitute(f, "p", Atom("q")), 2, False),
-    "dual_expand": (dual_expand, 2, True),
-    # desugar makes each |> four levels deep where MAX_DEPTH counts two
-    "dual_expand-desugared": (lambda f: dual_expand(desugar(f)), 3.5, False),
     "print_formula": (print_formula, 3, False),
     "print_formula-unicode": (lambda f: print_formula(f, unicode=True), 3, False),
     "subformulas": (subformulas, 0, False),  # walks an explicit stack
@@ -140,15 +137,14 @@ PER_LEVEL = {
 
 class TestFramesPerLevel:
     """``MAX_DEPTH`` promises at most three stack frames per nesting level
-    to the transforms, the printer and the evaluator, and 3.5 to
-    ``dual_expand`` of a desugared formula; the rebuilding transforms take
-    two and ``subformulas`` none."""
+    to the transforms, the printer and the evaluator; the rebuilding
+    transforms take two and ``subformulas`` none."""
 
     @pytest.mark.parametrize("shape,name", [
         (shape, name)
         for shape in sorted(set(NESTED) - {"biconditional"})  # its NNF is exponential
         for name, (_, _, sugar_free) in PER_LEVEL.items()
-        if not (sugar_free and shape == "strict")
+        if not (sugar_free and shape.startswith("strict"))
     ])
     def test_at_the_bound(self, shape, name):
         build, step = NESTED[shape]
@@ -332,31 +328,6 @@ class TestDesugar:
         assert f.right == Box(Not(Diamond(And(p, Not(q)))))
 
 
-class TestDualExpand:
-    def test_diamond(self):
-        assert dual_expand(Diamond(g)) == Not(Box(Not(g)))
-
-    def test_box_unchanged(self):
-        assert dual_expand(Box(g)) == Box(g)
-
-    def test_nested(self):
-        assert dual_expand(Diamond(Diamond(p))) == Not(Box(Not(Not(Box(Not(p))))))
-
-    def test_no_diamond_left(self):
-        f = desugar(parse("<>(p |> <>q) & <>p"))
-        assert not any(isinstance(s, Diamond) for s in subformulas(dual_expand(f)))
-
-    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32, sugar=False))
-    @settings(max_examples=150)
-    def test_diamond_free_input_is_returned_itself(self, f):
-        expanded = dual_expand(f)
-        assert dual_expand(expanded) is expanded
-
-    def test_rejects_strict_implication(self):
-        with pytest.raises(TypeError, match="sugar-free"):
-            dual_expand(Box(StrictImplies(p, q)))
-
-
 class TestNnf:
     def test_modal_duality(self):
         assert nnf(Not(Box(g))) == Diamond(Not(g))
@@ -483,18 +454,16 @@ class TestFreshAtom:
 
 
 class TestSemanticPreservation:
-    """desugar, dual_expand, and nnf leave truth untouched at every world."""
+    """desugar and nnf leave truth untouched at every world."""
 
     @given(f=formula_strategy(max_leaves=16))
     @settings(max_examples=60, deadline=None)
     def test_transforms_preserve_truth(self, small_models, f):
         plain = desugar(f)
-        variants = [plain, dual_expand(plain), nnf(plain)]
+        variant = nnf(plain)
         for model in small_models[:: 7]:  # thinned: exhaustive run lives below
             for w in range(model.world_count):
-                expected = evaluate(model, w, plain)
-                for variant in variants[1:]:
-                    assert evaluate(model, w, variant) == expected
+                assert evaluate(model, w, variant) == evaluate(model, w, plain)
 
     def test_exhaustive_on_fixed_battery(self, small_models):
         battery = [
@@ -506,9 +475,7 @@ class TestSemanticPreservation:
         ]
         for f in battery:
             plain = desugar(f)
-            variants = [dual_expand(plain), nnf(plain)]
+            variant = nnf(plain)
             for model in small_models:
                 for w in range(model.world_count):
-                    expected = evaluate(model, w, plain)
-                    for variant in variants:
-                        assert evaluate(model, w, variant) == expected
+                    assert evaluate(model, w, variant) == evaluate(model, w, plain)
