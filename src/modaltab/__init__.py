@@ -58,7 +58,6 @@ from .tableau import (
     Verdict,
     check_proof,
     decide,
-    extract_countermodel,
     prove_valid,
 )
 
@@ -81,5 +80,5 @@ __all__ = [
     "find_countermodel", "minimize_countermodel",
     # tableau
     "Valid", "Invalid", "Verdict", "ProofObject", "decide", "prove_valid",
-    "extract_countermodel", "check_proof", "ResourceLimit", "NotSaturated",
+    "check_proof", "ResourceLimit", "NotSaturated",
 ]

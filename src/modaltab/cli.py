@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -144,10 +145,19 @@ def _verdict_dict(verdict: Verdict, witness: CountermodelWitness | None) -> dict
 
 
 def _emit(report: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(text, end="")
+    """Write the report to stdout; a write that fails (a full disk, a
+    closed pipe) is an error with exit 2, not a traceback with exit 1."""
+    try:
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(text, end="")
+        sys.stdout.flush()
+    except OSError as e:
+        # what stays buffered goes to devnull, so the flush at interpreter
+        # exit cannot fail again and print "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write output: {e}") from None
 
 
 def _witness_text(witness: CountermodelWitness) -> str:

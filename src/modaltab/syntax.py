@@ -181,9 +181,12 @@ class FormulaSyntaxError(ValueError):
     """
 
     def __init__(self, text: str, pos: int, expected: tuple[str, ...], reason: str | None = None):
-        # surrogatepass: text may hold lone surrogates, as argv does for
-        # bytes that are not UTF-8
-        self.offset = len(text[:pos].encode("utf-8", "surrogatepass"))
+        # argv carries each byte that is not UTF-8 as one surrogate escape
+        # (U+DC80..U+DCFF), which counts as that one byte; any other lone
+        # surrogate (a JSON \ud800 escape) counts as its 3 surrogatepass bytes
+        prefix = text[:pos]
+        escapes = sum("\udc80" <= c <= "\udcff" for c in prefix)
+        self.offset = len(prefix.encode("utf-8", "surrogatepass")) - 2 * escapes
         self.expected = tuple(sorted(expected))
         found = text[pos : pos + 8] or "end of input"
         detail = reason or f"expected one of {', '.join(self.expected)}; found {found!r}"

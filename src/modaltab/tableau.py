@@ -62,13 +62,10 @@ __all__ = [
     "Invalid",
     "Verdict",
     "ProofObject",
-    "Label",
-    "Branch",
     "ResourceLimit",
     "NotSaturated",
     "decide",
     "prove_valid",
-    "extract_countermodel",
     "check_proof",
 ]
 
@@ -153,32 +150,9 @@ class Invalid:
 Verdict = Valid | Invalid
 
 
-@dataclass(frozen=True)
-class Label:
-    id: int
-    formulas: frozenset[Formula]
-    blocked_by: int | None
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Saturated open tableau branch, ready for countermodel extraction."""
-
-    labels: tuple[Label, ...]
-    edges: frozenset[tuple[int, int]]
-    frame: FrameClass
-    premises: tuple[Formula, ...]  # desugared, for witness re-verification
-    conclusion: Formula  # desugared
-    pending: int = 0
-
-
-# Rule priorities; lower fires first, ties broken by label id then arrival.
-_P_ALPHA = 0
-_P_MOVE = 1
-_P_EDGE = 2
-_P_BETA = 3
-_P_DIA = 4
-_P_SERIAL = 5
+# Rule priority per task kind; lower fires first, ties broken by the
+# task's target label (its second field), then by arrival.
+_PRIORITY = {"alpha": 0, "move": 1, "edge": 2, "beta": 3, "dia": 4, "serial": 5}
 
 
 def _is_modal(f: Formula) -> bool:
@@ -305,7 +279,6 @@ class _State(_Branch):
         "closed",
         "proof",
         "budget",
-        "equality_blocking",
         "version",
         "_blocking_cache",
     )
@@ -318,9 +291,6 @@ class _State(_Branch):
         self.closed: tuple[int, str] | None = None
         self.proof: dict[int, dict] = {}
         self.budget = budget
-        self.equality_blocking = bool(
-            frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN}
-        )
         self.version = 0
         self._blocking_cache: tuple[int, list[int | None]] | None = None
 
@@ -332,7 +302,6 @@ class _State(_Branch):
         other.closed = self.closed
         other.proof = self.proof  # shared: branches record in proof preorder
         other.budget = self.budget  # shared: the ceiling spans all branches
-        other.equality_blocking = self.equality_blocking
         other.version = self.version
         other._blocking_cache = None
         return other
@@ -347,11 +316,11 @@ class _State(_Branch):
 
     # -- queue ---------------------------------------------------------
 
-    def enqueue(self, priority: int, label: int, task: tuple) -> None:
+    def enqueue(self, task: tuple) -> None:
         if task in self.queued:
             return
         self.queued.add(task)
-        heapq.heappush(self.heap, (priority, label, self.seq, task))
+        heapq.heappush(self.heap, (_PRIORITY[task[0]], task[1], self.seq, task))
         self.seq += 1
 
     # -- structure growth ----------------------------------------------
@@ -373,41 +342,41 @@ class _State(_Branch):
                 if Atom(name) in self.label_sets[label] and self.closed is None:
                     self.closed = (label, name)
             case And():
-                self.enqueue(_P_ALPHA, label, ("alpha", label, f))
+                self.enqueue(("alpha", label, f))
             case Or():
-                self.enqueue(_P_BETA, label, ("beta", label, f))
+                self.enqueue(("beta", label, f))
             case Diamond():
-                self.enqueue(_P_DIA, label, ("dia", label, f))
+                self.enqueue(("dia", label, f))
         if _is_modal(f):
             for m in self.out_edges[label]:
                 self.enqueue_moves(label, f, m)
             if FrameCondition.EUCLIDEAN in self.frame:
                 # backward transfer is only ever licensed on Euclidean frames
                 for k in self.in_edges[label]:
-                    self.enqueue(_P_MOVE, k, ("move", label, f, k))
+                    self.enqueue(("move", k, label, f))
         return True
 
     def enqueue_moves(self, src: int, f: Formula, dst: int) -> None:
         # K-arrival of the operand plus possible transfer of f itself
         if isinstance(f, Box):
-            self.enqueue(_P_MOVE, dst, ("move", src, f.operand, dst))
-        self.enqueue(_P_MOVE, dst, ("move", src, f, dst))
+            self.enqueue(("move", dst, src, f.operand))
+        self.enqueue(("move", dst, src, f))
 
     def add_edge(self, a: int, b: int) -> bool:
         if not super().add_edge(a, b):
             return False
         # Horn closure products involving the new edge
         if FrameCondition.SYMMETRIC in self.frame:
-            self.enqueue(_P_EDGE, b, ("edge", b, a))
+            self.enqueue(("edge", b, a))
         if FrameCondition.TRANSITIVE in self.frame:
             for c in list(self.out_edges[b]):
-                self.enqueue(_P_EDGE, a, ("edge", a, c))
+                self.enqueue(("edge", a, c))
             for c in list(self.in_edges[a]):
-                self.enqueue(_P_EDGE, c, ("edge", c, b))
+                self.enqueue(("edge", c, b))
         if FrameCondition.EUCLIDEAN in self.frame:
             for c in list(self.out_edges[a]):
-                self.enqueue(_P_EDGE, b, ("edge", b, c))
-                self.enqueue(_P_EDGE, c, ("edge", c, b))
+                self.enqueue(("edge", b, c))
+                self.enqueue(("edge", c, b))
         # propagation across the new edge
         for f in list(self.label_sets[a]):
             if _is_modal(f):
@@ -415,7 +384,7 @@ class _State(_Branch):
         if FrameCondition.EUCLIDEAN in self.frame:
             for f in list(self.label_sets[b]):
                 if _is_modal(f):
-                    self.enqueue(_P_MOVE, a, ("move", b, f, a))
+                    self.enqueue(("move", a, b, f))
         # b gaining its first in-edge can enable Euclidean transfers on
         # b's existing out-edges
         if len(self.in_edges[b]) == 1 and FrameCondition.EUCLIDEAN in self.frame:
@@ -425,7 +394,7 @@ class _State(_Branch):
                         self.enqueue_moves(b, f, c)
                 for f in list(self.label_sets[c]):
                     if _is_modal(f):
-                        self.enqueue(_P_MOVE, b, ("move", c, f, b))
+                        self.enqueue(("move", b, c, f))
         return True
 
     # -- blocking --------------------------------------------------------
@@ -436,6 +405,7 @@ class _State(_Branch):
         has a symmetric or Euclidean condition)."""
         if self._blocking_cache is not None and self._blocking_cache[0] == self.version:
             return self._blocking_cache[1]
+        equality = bool(self.frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN})
         result: list[int | None] = []
         for lid, s in enumerate(self.label_sets):
             blocker = None
@@ -443,7 +413,7 @@ class _State(_Branch):
                 if result[m] is not None:
                     continue
                 other = self.label_sets[m]
-                if self.equality_blocking:
+                if equality:
                     if len(s) == len(other) and all(f in other for f in s):
                         blocker = m
                         break
@@ -465,7 +435,7 @@ def _spawn_successor(state: _State, parent: int, principal: Formula | None, rule
         state.add_formula(child, principal)
     state.add_edge(parent, child)
     if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(_P_EDGE, child, ("edge", child, child))
+        state.enqueue(("edge", child, child))
     for p in state.premises:
         if state.add_formula(child, p):
             state.record("global-premise", [child], print_formula(p))
@@ -484,7 +454,7 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
         state.add_formula(label, f.left)
         state.add_formula(label, f.right)
     elif kind == "move":
-        _, src, f, dst = task
+        _, dst, src, f = task
         if f in state.label_sets[dst]:
             return None
         if not state.move_licensed(src, f, dst):
@@ -531,10 +501,10 @@ def _audit(state: _State) -> bool:
             continue
         for f in list(s):
             if isinstance(f, Diamond) and not state.diamond_satisfied(lid, f):
-                state.enqueue(_P_DIA, lid, ("dia", lid, f))
+                state.enqueue(("dia", lid, f))
                 work = True
         if FrameCondition.SERIAL in state.frame and not state.out_edges[lid]:
-            state.enqueue(_P_SERIAL, lid, ("serial", lid))
+            state.enqueue(("serial", lid))
             work = True
     return work
 
@@ -587,99 +557,73 @@ def _run(state: _State) -> _State | None:
     return None
 
 
-def _state_to_branch(
-    state: _State, premises: tuple[Formula, ...], conclusion: Formula
-) -> Branch:
-    blocked = state.blocking()
-    labels = tuple(
-        Label(i, frozenset(s), blocked[i]) for i, s in enumerate(state.label_sets)
-    )
-    return Branch(
-        labels=labels,
-        edges=frozenset(state.edge_set),
-        frame=state.frame,
-        premises=premises,
-        conclusion=conclusion,
-        pending=len(state.heap),
-    )
-
-
-def _check_branch_saturated(branch: Branch) -> None:
-    if branch.pending:
-        raise NotSaturated(f"{branch.pending} rule applications still queued")
-    if [lab.id for lab in branch.labels] != list(range(len(branch.labels))):
-        raise ValueError("branch labels must be densely numbered in order")
-    by_id = {lab.id: lab for lab in branch.labels}
-    out: dict[int, list[int]] = {lab.id: [] for lab in branch.labels}
-    for a, b in branch.edges:
-        out[a].append(b)
-    for lab in branch.labels:
-        for f in lab.formulas:
+def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
+    """Raise NotSaturated if the branch is closed or a rule still applies;
+    ``blocked`` is its blocked_by per label."""
+    sets = branch.label_sets
+    for lid, s in enumerate(sets):
+        out = branch.out_edges[lid]
+        for f in s:
             match f:
                 case Atom(name):
-                    if Not(f) in lab.formulas:
-                        raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lab.id}")
+                    if Not(f) in s:
+                        raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
                 case And(left, right):
-                    if left not in lab.formulas or right not in lab.formulas:
-                        raise NotSaturated(f"alpha rule applicable at label {lab.id}")
+                    if left not in s or right not in s:
+                        raise NotSaturated(f"alpha rule applicable at label {lid}")
                 case Or(left, right):
-                    if left not in lab.formulas and right not in lab.formulas:
-                        raise NotSaturated(f"beta rule applicable at label {lab.id}")
+                    if left not in s and right not in s:
+                        raise NotSaturated(f"beta rule applicable at label {lid}")
                 case Box(operand):
-                    for m in out[lab.id]:
-                        if operand not in by_id[m].formulas:
-                            raise NotSaturated(f"box rule applicable at label {lab.id}")
+                    if any(operand not in sets[m] for m in out):
+                        raise NotSaturated(f"box rule applicable at label {lid}")
                 case Diamond(operand):
-                    if lab.blocked_by is None and not any(
-                        operand in by_id[m].formulas for m in out[lab.id]
-                    ):
-                        raise NotSaturated(f"diamond rule applicable at label {lab.id}")
-        if (
-            FrameCondition.SERIAL in branch.frame
-            and lab.blocked_by is None
-            and not out[lab.id]
-        ):
-            raise NotSaturated(f"serial rule applicable at label {lab.id}")
+                    if blocked[lid] is None and not any(operand in sets[m] for m in out):
+                        raise NotSaturated(f"diamond rule applicable at label {lid}")
+        if FrameCondition.SERIAL in branch.frame and blocked[lid] is None and not out:
+            raise NotSaturated(f"serial rule applicable at label {lid}")
 
 
-def extract_countermodel(branch: Branch) -> CountermodelWitness:
+def extract_countermodel(
+    branch: _Branch,
+    blocked: list[int | None],
+    premises: tuple[Formula, ...],
+    conclusion: Formula,
+) -> CountermodelWitness:
     """Loop-back model from a saturated open branch.
 
+    ``blocked`` is the branch's blocked_by per label; ``premises`` and
+    ``conclusion`` are the query's, desugared, for re-verification.
     Worlds are the unblocked labels; edges into blocked labels are
     redirected to their blockers, the result is re-closed under the frame
     class's Horn conditions, and an atom holds at a world exactly when the
     positive literal is in its label.  The witness is re-verified against
     the reference semantics before being returned.
     """
-    _check_branch_saturated(branch)
-    unblocked = [lab for lab in branch.labels if lab.blocked_by is None]
-    index = {lab.id: i for i, lab in enumerate(unblocked)}
-
-    def target(lid: int) -> int:
-        lab = branch.labels[lid]
-        return index[lab.id if lab.blocked_by is None else lab.blocked_by]
-
+    _check_branch_saturated(branch, blocked)
+    unblocked = [lid for lid, b in enumerate(blocked) if b is None]
+    index = {lid: i for i, lid in enumerate(unblocked)}
     base_edges = {
-        (index[a], target(b)) for a, b in branch.edges if branch.labels[a].blocked_by is None
+        (index[a], index[b if blocked[b] is None else blocked[b]])
+        for a, b in branch.edge_set
+        if blocked[a] is None
     }
-    horn = frozenset(branch.frame) - {FrameCondition.SERIAL}
+    horn = branch.frame - {FrameCondition.SERIAL}
     access = frame_closure(base_edges, horn, len(unblocked))
     valuation: dict[str, set[int]] = {}
-    for i, lab in enumerate(unblocked):
-        for f in lab.formulas:
+    for i, lid in enumerate(unblocked):
+        for f in branch.label_sets[lid]:
             if isinstance(f, Atom):
                 valuation.setdefault(f.name, set()).add(i)
-    model = KripkeModel(
-        len(unblocked), access, {a: frozenset(ws) for a, ws in valuation.items()}
-    )
+    model = KripkeModel(len(unblocked), access, valuation)
     witness = CountermodelWitness(model, 0)
     for cond in branch.frame:
         if not frame_satisfies(model, cond):
             raise AssertionError(f"extracted model violates {cond.value}")
-    for p in branch.premises:
+    for p in premises:
         if not holds_globally(model, p):
             raise AssertionError("extracted model violates a global premise")
-    if evaluate(model, witness.world, branch.conclusion):
+    if evaluate(model, witness.world, conclusion):
         raise AssertionError("extracted model fails to refute the conclusion")
     return witness
 
@@ -706,14 +650,17 @@ def decide(
     state = _State(frozenset(frame), tuple(nnf(p) for p in desugared_premises), _Budget(max_labels))
     _seed_root(state, desugared_conclusion)
     if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(_P_EDGE, 0, ("edge", 0, 0))
+        state.enqueue(("edge", 0, 0))
     if FrameCondition.SERIAL in state.frame:
-        state.enqueue(_P_SERIAL, 0, ("serial", 0))
+        state.enqueue(("serial", 0))
     open_branch = _run(state)
     if open_branch is None:
         return Valid(ProofObject(state.proof))
-    branch = _state_to_branch(open_branch, desugared_premises, desugared_conclusion)
-    return Invalid(extract_countermodel(branch))
+    # a module-global lookup, so that a tracer rebinding
+    # tableau.extract_countermodel sees this call
+    return Invalid(
+        extract_countermodel(open_branch, open_branch.blocking(), desugared_premises, desugared_conclusion)
+    )
 
 
 def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LABELS) -> Verdict:

@@ -28,6 +28,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(argv, **kwargs):
+    """The CLI in a fresh interpreter that imports this modaltab."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(modaltab.__file__))}
+    return subprocess.run([sys.executable, "-m", "modaltab.cli", *argv], env=env, text=True,
+                          timeout=60, **kwargs)
+
+
 class TestCheck:
     def test_valid_corpus_entry(self, capsys):
         code, out, _ = run(capsys, "check", "eder_ramharter")
@@ -290,7 +297,8 @@ class TestProve:
         # argv bytes that are not UTF-8 arrive as lone surrogates
         code, out, err = run(capsys, "prove", os.fsdecode(b"# \xff\np &"))
         assert (code, out) == (2, "")
-        assert err == "error: syntax error at byte 9: expected one of " \
+        # b"# \xff\np &" is 7 bytes: the escape of \xff counts as one
+        assert err == "error: syntax error at byte 7: expected one of " \
                       "(, <>, [], identifier, ~; found 'end of input'\n"
 
     def test_nesting_at_the_bound(self, capsys):
@@ -475,9 +483,7 @@ class TestParserReuse:
 
     @staticmethod
     def fresh(argv):
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(modaltab.__file__))}
-        done = subprocess.run([sys.executable, "-m", "modaltab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_fresh(argv, capture_output=True)
         return done.returncode, done.stdout, done.stderr
 
     def test_repeated_calls_match_fresh_interpreters(self, capsys):
@@ -494,6 +500,35 @@ class TestParserReuse:
         assert json.loads(results[0][1])["argument"] == "kane"
         text = results[1][1]
         assert text.startswith("kane:\n") and untimed(text) != text  # neither --json nor --stable
+
+
+class TestUnwritableOutput:
+    """A report that cannot be written is an error (exit 2), never a
+    traceback with exit 1, which means "invalid"."""
+
+    COMMANDS = [("corpus", "--json"), ("prove", "p", "--logic", "K")]
+
+    @staticmethod
+    def run_into(stdout, argv):
+        done = run_fresh(argv, stdout=stdout, stderr=subprocess.PIPE)
+        return done.returncode, done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            code, err = self.run_into(full, argv)
+        assert (code, err) == (2, "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_closed_pipe(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = self.run_into(write_end, argv)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, "error: cannot write output: [Errno 32] Broken pipe\n")
 
 
 class TestDot:

@@ -27,13 +27,12 @@ from modaltab.syntax import (
     print_formula,
 )
 from modaltab.tableau import (
-    Branch,
     Invalid,
-    Label,
     NotSaturated,
     ProofObject,
     ResourceLimit,
     Valid,
+    _Branch,
     check_proof,
     decide,
     extract_countermodel,
@@ -118,16 +117,22 @@ class TestProveValid:
         assert isinstance(prove_valid(parse("<>[]p -> []p"), K), Invalid)
 
 
+def hand_branch(frame, label_sets, edges):
+    """A branch with the given formula set per label and the given edges."""
+    branch = _Branch(frame, ())
+    for formulas in label_sets:
+        lid = branch.new_label()
+        for f in formulas:
+            branch.add_formula(lid, f)
+    for a, b in edges:
+        branch.add_edge(a, b)
+    return branch
+
+
 class TestExtractCountermodel:
     def test_single_label_extraction(self):
-        branch = Branch(
-            labels=(Label(0, frozenset({Box(Atom("p")), Not(Atom("p"))}), None),),
-            edges=frozenset(),
-            frame=K,
-            premises=(),
-            conclusion=parse("[]p -> p"),
-        )
-        witness = extract_countermodel(branch)
+        branch = hand_branch(K, [{Box(Atom("p")), Not(Atom("p"))}], [])
+        witness = extract_countermodel(branch, [None], (), parse("[]p -> p"))
         assert witness.model.world_count == 1
         assert witness.model.access == frozenset()
         assert not evaluate(witness.model, 0, Atom("p"))
@@ -135,57 +140,24 @@ class TestExtractCountermodel:
     def test_blocked_label_redirects(self):
         # w1's successor is subsumed by w1 itself, giving the loop-back edge
         p1 = Or(Not(Atom("g")), Box(Atom("g")))
-        content = frozenset({Atom("g"), Box(Atom("g")), p1, Diamond(Atom("g"))})
-        branch = Branch(
-            labels=(
-                Label(0, frozenset({Not(Atom("g")), p1, Diamond(Atom("g"))}), None),
-                Label(1, content, None),
-                Label(2, content, 1),
-            ),
-            edges=frozenset({(0, 1), (1, 2)}),
-            frame=K,
-            premises=tuple(ER_PREMISES),
-            conclusion=parse("g"),
-        )
-        witness = extract_countermodel(branch)
+        content = {Atom("g"), Box(Atom("g")), p1, Diamond(Atom("g"))}
+        root = {Not(Atom("g")), p1, Diamond(Atom("g"))}
+        branch = hand_branch(K, [root, content, content], [(0, 1), (1, 2)])
+        witness = extract_countermodel(branch, [None, None, 1], tuple(ER_PREMISES), parse("g"))
         assert (
             model_to_json(witness.model)
             == '{"access":[[0,1],[1,1]],"valuation":{"g":[1]},"worlds":2}'
         )
 
-    def test_not_saturated_when_pending(self):
-        branch = Branch(
-            labels=(Label(0, frozenset({Not(Atom("p"))}), None),),
-            edges=frozenset(),
-            frame=K,
-            premises=(),
-            conclusion=Atom("p"),
-            pending=3,
-        )
-        with pytest.raises(NotSaturated):
-            extract_countermodel(branch)
-
     def test_not_saturated_when_closed(self):
-        branch = Branch(
-            labels=(Label(0, frozenset({Atom("p"), Not(Atom("p"))}), None),),
-            edges=frozenset(),
-            frame=K,
-            premises=(),
-            conclusion=Atom("p"),
-        )
+        branch = hand_branch(K, [{Atom("p"), Not(Atom("p"))}], [])
         with pytest.raises(NotSaturated):
-            extract_countermodel(branch)
+            extract_countermodel(branch, [None], (), Atom("p"))
 
     def test_not_saturated_with_unexpanded_rule(self):
-        branch = Branch(
-            labels=(Label(0, frozenset({And(Atom("p"), Atom("q")), Not(Atom("r"))}), None),),
-            edges=frozenset(),
-            frame=K,
-            premises=(),
-            conclusion=Atom("r"),
-        )
+        branch = hand_branch(K, [{And(Atom("p"), Atom("q")), Not(Atom("r"))}], [])
         with pytest.raises(NotSaturated):
-            extract_countermodel(branch)
+            extract_countermodel(branch, [None], (), Atom("r"))
 
 
 class TestProofObjects:
@@ -544,3 +516,37 @@ class TestRuleLicences:
                 if isinstance(verdict, Valid) and find_countermodel([], f, frame, budget) is not None:
                     unsound.append((text, sorted(c.value for c in frame)))
         assert unsound == []
+
+
+def _outcome(decide_fn, *args, **kwargs):
+    """One line per query: the raw countermodel and its world when
+    Invalid, the proof when Valid, the exception's name if one is raised."""
+    try:
+        verdict = decide_fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__
+    if isinstance(verdict, Invalid):
+        return f"{model_to_json(verdict.witness.model)}@{verdict.witness.world}"
+    return verdict.proof.to_json()
+
+
+class TestGoldenOutcomes:
+    """The tableau's own outcomes, countermodels included: the golden
+    proofs and CLI digests see only Valid proofs and minimised witnesses,
+    so a refactor of extraction must leave this digest unchanged too."""
+
+    DIGEST = "a4924c6a5f11318688cd904a4fcc6e3029275f1e257e223b46a9d551cfdac56b"
+
+    def test_outcomes_unchanged(self):
+        lines = [
+            _outcome(prove_valid, parse(text), frame)
+            for text in LICENCE_FORMULAS
+            for frame in ALL_FRAMES
+        ]
+        rng = random.Random(4207)
+        for _ in range(2000):
+            frame = rng.choice(ALL_FRAMES)
+            premises = [random_formula(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+            conclusion = random_formula(rng, rng.randrange(1, 4))
+            lines.append(_outcome(decide, premises, conclusion, frame, max_labels=500))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
