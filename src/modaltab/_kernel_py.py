@@ -21,6 +21,7 @@ OP_AND = 2
 OP_OR = 3
 OP_BOX = 4
 OP_DIA = 5
+OP_IFF = 6
 
 FRAME_REFLEXIVE = 1
 FRAME_SYMMETRIC = 2
@@ -122,6 +123,9 @@ def evaluate(
         elif op == OP_OR:
             y = stack.pop()
             stack[-1] = [x | z for x, z in zip(stack[-1], y)]
+        elif op == OP_IFF:
+            y = stack.pop()
+            stack[-1] = [every ^ x ^ z for x, z in zip(stack[-1], y)]
         elif op == OP_BOX:
             x = stack[-1]
             out = []

@@ -78,8 +78,8 @@ def frame_mask(frame: FrameClass) -> int:
 
 
 def compile_formula(f: Formula, atom_index: dict[str, int]) -> tuple[int, ...]:
-    """Postfix bytecode over the kernel ops; implication connectives are
-    compiled away.  Input must be sugar-free."""
+    """Postfix bytecode over the kernel ops; ``->`` is compiled away and
+    ``<->`` is one op.  Input must be sugar-free."""
     code: list[int] = []
 
     def emit(g: Formula) -> None:
@@ -103,9 +103,9 @@ def compile_formula(f: Formula, atom_index: dict[str, int]) -> tuple[int, ...]:
                 emit(b)
                 code.append(_kernel_py.OP_OR)
             case Iff(a, b):
-                emit(Implies(a, b))
-                emit(Implies(b, a))
-                code.append(_kernel_py.OP_AND)
+                emit(a)
+                emit(b)
+                code.append(_kernel_py.OP_IFF)
             case Box(x):
                 emit(x)
                 code.append(_kernel_py.OP_BOX)

@@ -103,15 +103,6 @@ class ProofObject:
 
     nodes: dict[int, dict]
 
-    def to_json_dict(self) -> dict:
-        """A copy of the table; changing it leaves the proof as it was."""
-        return {
-            "nodes": [
-                _node(e["id"], e["rule"], list(e["labels"]), e["formula"], list(e["children"]))
-                for e in self.nodes.values()
-            ]
-        }
-
     def to_json(self) -> str:
         return json.dumps({"nodes": list(self.nodes.values())}, sort_keys=True, separators=(",", ":"))
 
@@ -153,6 +144,8 @@ Verdict = Valid | Invalid
 # Rule priority per task kind; lower fires first, ties broken by the
 # task's target label (its second field), then by arrival.
 _PRIORITY = {"alpha": 0, "move": 1, "edge": 2, "beta": 3, "dia": 4, "serial": 5}
+# The rule each successor-spawning task kind applies.
+_SPAWN_RULE = {"dia": "diamond", "serial": "serial"}
 
 
 def _is_modal(f: Formula) -> bool:
@@ -187,9 +180,9 @@ class _Budget:
 
 
 class _Branch:
-    """Labels, formula sets and edges of one tableau branch, plus the
-    licence checks that read them.  Shared by the search and by proof
-    replay, so it enqueues no work and detects no closure."""
+    """Labels, formula sets and edges of one tableau branch, plus each
+    unary rule's licence and effect (:meth:`apply`).  Shared by the search
+    and by proof replay, so it enqueues no work and detects no closure."""
 
     __slots__ = ("frame", "premises", "label_sets", "out_edges", "in_edges", "edge_set")
 
@@ -266,6 +259,70 @@ class _Branch:
             if any((c, b) in self.edge_set for c in self.in_edges[a]):
                 return True
         return False
+
+    def diamond_satisfied(self, label: int, f: Diamond) -> bool:
+        return any(f.operand in self.label_sets[m] for m in self.out_edges[label])
+
+    def apply(self, rule: str, labels: list[int], f: Formula | None) -> bool:
+        """Check one unary rule application's licence and, if licensed,
+        apply its effect; False if unlicensed.  ``labels`` name existing
+        labels, except a spawning rule's last, which is the next new id."""
+        if rule == "alpha":
+            (label,) = labels
+            if not isinstance(f, And) or f not in self.label_sets[label]:
+                return False
+            self.add_formula(label, f.left)
+            self.add_formula(label, f.right)
+            return True
+        if rule == "box":
+            src, dst = labels
+            if not self.move_licensed(src, f, dst):
+                return False
+            self.add_formula(dst, f)
+            return True
+        if rule == "frame-closure":
+            a, b = labels
+            if not self.edge_licensed(a, b):
+                return False
+            self.add_edge(a, b)
+            return True
+        if rule == "global-premise":
+            (label,) = labels
+            if f not in self.premises:
+                return False
+            self.add_formula(label, f)
+            return True
+        if rule == "diamond":
+            parent, child = labels
+            if not isinstance(f, Diamond) or f not in self.label_sets[parent]:
+                return False
+            self.new_label()
+            self.add_formula(child, f.operand)
+            self.add_edge(parent, child)
+            return True
+        if rule == "serial":
+            parent, child = labels
+            if FrameCondition.SERIAL not in self.frame or self.out_edges[parent]:
+                return False
+            self.new_label()
+            self.add_edge(parent, child)
+            return True
+        return False
+
+    def obligations(self, blocked: list[int | None]) -> list[tuple]:
+        """The diamond and serial tasks owed by unblocked labels, per label
+        in formula insertion order, serial last; ``blocked`` is the
+        branch's blocked_by per label."""
+        owed: list[tuple] = []
+        for lid, s in enumerate(self.label_sets):
+            if blocked[lid] is not None:
+                continue
+            for f in s:
+                if isinstance(f, Diamond) and not self.diamond_satisfied(lid, f):
+                    owed.append(("dia", lid, f))
+            if FrameCondition.SERIAL in self.frame and not self.out_edges[lid]:
+                owed.append(("serial", lid))
+        return owed
 
 
 class _State(_Branch):
@@ -424,89 +481,65 @@ class _State(_Branch):
         self._blocking_cache = (self.version, result)
         return result
 
-    def diamond_satisfied(self, label: int, f: Diamond) -> bool:
-        return any(f.operand in self.label_sets[m] for m in self.out_edges[label])
-
-
-def _spawn_successor(state: _State, parent: int, principal: Formula | None, rule: str, rule_formula: str | None) -> None:
-    child = state.new_label()
-    state.record(rule, [parent, child], rule_formula)
-    if principal is not None:
-        state.add_formula(child, principal)
-    state.add_edge(parent, child)
-    if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(("edge", child, child))
-    for p in state.premises:
-        if state.add_formula(child, p):
-            state.record("global-premise", [child], print_formula(p))
-
 
 def _dispatch(state: _State, task: tuple) -> tuple | None:
-    """Apply one queued rule; returns a beta task if a split is needed."""
+    """Apply one queued rule if it is still needed and licensed, and
+    record it; returns a beta task if a split is needed."""
     state.budget.count_step()
     kind = task[0]
+    f = None
     if kind == "alpha":
         _, label, f = task
         s = state.label_sets[label]
         if f.left in s and f.right in s:
             return None
-        state.record("alpha", [label], print_formula(f))
-        state.add_formula(label, f.left)
-        state.add_formula(label, f.right)
+        rule, labels = "alpha", [label]
     elif kind == "move":
         _, dst, src, f = task
         if f in state.label_sets[dst]:
             return None
-        if not state.move_licensed(src, f, dst):
-            return None
-        state.record("box", [src, dst], print_formula(f))
-        state.add_formula(dst, f)
+        rule, labels = "box", [src, dst]
     elif kind == "edge":
         _, a, b = task
         if (a, b) in state.edge_set:
             return None
-        if not state.edge_licensed(a, b):
-            return None
-        state.record("frame-closure", [a, b], None)
-        state.add_edge(a, b)
+        rule, labels = "frame-closure", [a, b]
     elif kind == "beta":
         _, label, f = task
         s = state.label_sets[label]
         if f.left in s or f.right in s:
             return None
         return task  # split handled by the driver
-    elif kind == "dia":
-        _, label, f = task
-        if state.diamond_satisfied(label, f):
+    else:  # "dia" or "serial": spawn a successor of an unblocked label
+        label = task[1]
+        if kind == "dia":
+            f = task[2]
+            if state.diamond_satisfied(label, f):
+                return None
+        elif state.out_edges[label]:
             return None
         if state.blocking()[label] is not None:
             return None
-        _spawn_successor(state, label, f.operand, "diamond", print_formula(f))
-    elif kind == "serial":
-        _, label = task
-        if FrameCondition.SERIAL not in state.frame or state.out_edges[label]:
-            return None
-        if state.blocking()[label] is not None:
-            return None
-        _spawn_successor(state, label, None, "serial", None)
+        rule, labels = _SPAWN_RULE[kind], [label, len(state.label_sets)]
+    if not state.apply(rule, labels, f):
+        return None
+    state.record(rule, labels, None if f is None else print_formula(f))
+    if kind in _SPAWN_RULE:
+        child = labels[1]
+        if FrameCondition.REFLEXIVE in state.frame:
+            state.enqueue(("edge", child, child))
+        for p in state.premises:
+            if p not in state.label_sets[child] and state.apply("global-premise", [child], p):
+                state.record("global-premise", [child], print_formula(p))
     return None
 
 
 def _audit(state: _State) -> bool:
     """Re-enqueue obligations of unblocked labels; True if any were found."""
-    blocked = state.blocking()
-    work = False
-    for lid, s in enumerate(state.label_sets):
-        if blocked[lid] is not None:
-            continue
-        for f in list(s):
-            if isinstance(f, Diamond) and not state.diamond_satisfied(lid, f):
-                state.enqueue(("dia", lid, f))
-                work = True
-        if FrameCondition.SERIAL in state.frame and not state.out_edges[lid]:
-            state.enqueue(("serial", lid))
-            work = True
-    return work
+    owed = state.obligations(state.blocking())
+    for task in owed:
+        state.enqueue(task)
+    return bool(owed)
 
 
 def _expand_segment(state: _State) -> tuple | None:
@@ -577,11 +610,8 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
                 case Box(operand):
                     if any(operand not in sets[m] for m in out):
                         raise NotSaturated(f"box rule applicable at label {lid}")
-                case Diamond(operand):
-                    if blocked[lid] is None and not any(operand in sets[m] for m in out):
-                        raise NotSaturated(f"diamond rule applicable at label {lid}")
-        if FrameCondition.SERIAL in branch.frame and blocked[lid] is None and not out:
-            raise NotSaturated(f"serial rule applicable at label {lid}")
+    for kind, lid, *_ in branch.obligations(blocked):
+        raise NotSaturated(f"{_SPAWN_RULE[kind]} rule applicable at label {lid}")
 
 
 def extract_countermodel(
@@ -684,10 +714,9 @@ def _node_formula(node: dict, texts: dict[str, Formula]) -> Formula | None:
 
 
 def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool:
-    """Check and apply one unary rule application."""
+    """Check one unary rule application's labels, then apply it."""
     rule = node["rule"]
     labels = node["labels"]
-    f = _node_formula(node, texts)
     # every label names an existing one, except a spawned child, which
     # must be the next new id
     count = len(branch.label_sets)
@@ -695,48 +724,7 @@ def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool
     existing = labels[:-1] if spawns else labels
     if not all(0 <= lab < count for lab in existing) or (spawns and labels[-1] != count):
         return False
-
-    if rule == "alpha":
-        (label,) = labels
-        if not isinstance(f, And) or f not in branch.label_sets[label]:
-            return False
-        branch.add_formula(label, f.left)
-        branch.add_formula(label, f.right)
-        return True
-    if rule == "box":
-        src, dst = labels
-        if not branch.move_licensed(src, f, dst):
-            return False
-        branch.add_formula(dst, f)
-        return True
-    if rule == "frame-closure":
-        a, b = labels
-        if not branch.edge_licensed(a, b):
-            return False
-        branch.add_edge(a, b)
-        return True
-    if rule == "global-premise":
-        (label,) = labels
-        if f not in branch.premises:
-            return False
-        branch.add_formula(label, f)
-        return True
-    if rule == "diamond":
-        parent, child = labels
-        if not isinstance(f, Diamond) or f not in branch.label_sets[parent]:
-            return False
-        branch.new_label()
-        branch.add_formula(child, f.operand)
-        branch.add_edge(parent, child)
-        return True
-    if rule == "serial":
-        parent, child = labels
-        if FrameCondition.SERIAL not in branch.frame or branch.out_edges[parent]:
-            return False
-        branch.new_label()
-        branch.add_edge(parent, child)
-        return True
-    return False
+    return branch.apply(rule, labels, _node_formula(node, texts))
 
 
 def _replay(branch: _Branch, nodes: dict[int, dict], texts: dict[str, Formula]) -> bool:

@@ -292,7 +292,7 @@ def test_criterion_09_proof_replay(computed):
     for proof, premises, conclusion, frame in pool:
         assert check_proof(proof, premises, conclusion, frame)
     proof, premises, conclusion, frame = pool[0]
-    doc = proof.to_json_dict()
+    doc = json.loads(proof.to_json())
     victim = min(e["id"] for e in doc["nodes"] if e["rule"] == "closure")
     pruned = {
         "nodes": [

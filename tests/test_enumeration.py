@@ -245,8 +245,17 @@ class TestKernels:
         text = "p" + " & (p" * 100 + ")" * 100
         assert _find_first([], text, K) == (1, 0, 0, 0)
 
+    @pytest.mark.parametrize("links", [1, 2, 18])
+    def test_iff_chain_compiles_linearly(self, links):
+        # one op per <->, so neither side is copied
+        chain = parse("p" + " <-> p" * links)
+        assert len(compile_formula(chain, {"p": 0})) == 2 * links + 1
+
     def test_mask_evaluation_matches_reference(self, small_models):
-        battery = [parse(s) for s in ("[]p -> p", "<>p & ~q", "[](p <-> q)", "<>[]p | []~q")]
+        battery = [parse(s) for s in (
+            "[]p -> p", "<>p & ~q", "[](p <-> q)", "<>[]p | []~q",
+            "(p <-> q) <-> ~p", "[](p <-> <>q) <-> (q <-> p)",
+        )]
         atoms = ("p", "q")
         index = {a: i for i, a in enumerate(atoms)}
         for f in battery:

@@ -159,6 +159,18 @@ class TestExtractCountermodel:
         with pytest.raises(NotSaturated):
             extract_countermodel(branch, [None], (), Atom("r"))
 
+    @pytest.mark.parametrize("rule,frame,label_sets,edges", [
+        ("beta", K, [{Or(Atom("p"), Atom("q"))}], []),
+        ("box", K, [{Box(Atom("p"))}, set()], [(0, 1)]),
+        ("diamond", K, [{Diamond(Atom("p"))}], []),
+        ("serial", SERIAL, [{Atom("p")}], []),
+    ])
+    def test_not_saturated_names_the_applicable_rule(self, rule, frame, label_sets, edges):
+        branch = hand_branch(frame, label_sets, edges)
+        blocked = [None] * len(label_sets)
+        with pytest.raises(NotSaturated, match=f"^{rule} rule applicable at label 0$"):
+            extract_countermodel(branch, blocked, (), Atom("r"))
+
 
 class TestProofObjects:
     def test_replay_accepts_own_proof(self):
@@ -176,7 +188,7 @@ class TestProofObjects:
 
     def test_mutated_proof_rejected(self):
         verdict = decide(ER_PREMISES, parse("g"), SYM)
-        doc = verdict.proof.to_json_dict()
+        doc = json.loads(verdict.proof.to_json())
         closure_ids = {e["id"] for e in doc["nodes"] if e["rule"] == "closure"}
         assert closure_ids
         victim = min(closure_ids)
@@ -199,7 +211,7 @@ class TestProofObjects:
 
     def test_rule_names_lowercase(self):
         verdict = decide(ER_PREMISES, parse("g"), SYM)
-        rules = {e["rule"] for e in verdict.proof.to_json_dict()["nodes"]}
+        rules = {e["rule"] for e in json.loads(verdict.proof.to_json())["nodes"]}
         allowed = {
             "alpha", "beta", "box", "diamond", "closure",
             "global-premise", "frame-closure", "serial",
@@ -211,7 +223,7 @@ class TestProofObjects:
     def test_serial_rule_in_proofs(self):
         verdict = decide([], parse("[]p -> <>p"), SERIAL)
         assert isinstance(verdict, Valid)
-        rules = {e["rule"] for e in verdict.proof.to_json_dict()["nodes"]}
+        rules = {e["rule"] for e in json.loads(verdict.proof.to_json())["nodes"]}
         assert "serial" in rules
         assert check_proof(verdict.proof, [], parse("[]p -> <>p"), SERIAL)
 
@@ -225,21 +237,9 @@ class TestProofObjects:
         loop = ProofObject({0: {"id": 0, "rule": "alpha", "labels": [0], "formula": "p & q", "children": [0]}})
         assert check_proof(loop, [], parse("~(p & q)"), K) is False
 
-    def test_json_dict_is_a_copy(self):
-        verdict = decide(ER_PREMISES, parse("g"), SYM)
-        before = verdict.proof.to_json()
-        doc = verdict.proof.to_json_dict()
-        for e in doc["nodes"]:
-            e["rule"] = "closure"
-            e["labels"].append(99)
-            e["children"].clear()
-        doc["nodes"].clear()
-        assert verdict.proof.to_json() == before
-        assert check_proof(verdict.proof, ER_PREMISES, parse("g"), SYM)
-
     def test_dangling_child_rejected(self):
         verdict = decide(ER_PREMISES, parse("g"), SYM)
-        doc = verdict.proof.to_json_dict()
+        doc = json.loads(verdict.proof.to_json())
         doc["nodes"][-1]["children"] = [len(doc["nodes"])]
         with pytest.raises(ValueError, match="missing node"):
             ProofObject.from_json_dict(doc)
@@ -249,7 +249,7 @@ class TestProofObjects:
         # with the last copy of an id kept, the table below replays False
         # with the copy after the real node 1 and True with it before
         f = parse("[](p -> q) -> ([]p -> []q)")
-        nodes = prove_valid(f, K).proof.to_json_dict()["nodes"]
+        nodes = json.loads(prove_valid(f, K).proof.to_json())["nodes"]
         copy = {**next(e for e in nodes if e["id"] == 1), "rule": "serial"}
         doc = {"nodes": [copy, *nodes] if copy_first else [*nodes, copy]}
         with pytest.raises(ValueError, match="repeats a node id"):
@@ -351,7 +351,7 @@ def linear_proof(steps, label, atom):
 def _proof_doc(name):
     verdict = decide(*GOLDEN_QUERIES[name])
     assert isinstance(verdict, Valid)
-    return verdict.proof.to_json_dict()
+    return json.loads(verdict.proof.to_json())
 
 
 class TestGoldenProofs:
@@ -421,6 +421,57 @@ class TestGoldenProofs:
             mutated = {"nodes": [{**e, "labels": labels} if e is node else e for e in doc["nodes"]]}
             assert not check_proof(ProofObject.from_json_dict(mutated), *GOLDEN_QUERIES[name]), (
                 position, value)
+
+
+TRANS = frozenset({FrameCondition.TRANSITIVE})
+# steps for []p -> [][]p that move []p itself from the root to its successor
+FOUR_TRANSFER = [
+    ("alpha", [0], "[]p & <><>~p"),
+    ("diamond", [0, 1], "<><>~p"),
+    ("box", [0, 1], "[]p"),
+    ("diamond", [1, 2], "<>~p"),
+    ("box", [1, 2], "p"),
+]
+
+
+class TestForgedProofs:
+    """Each proof has one step that the frame it is checked over does not
+    license, and the query is invalid there, so replay must refuse it.
+    Replay over a frame that does license the step shows that the proof
+    is otherwise well formed."""
+
+    FORGERIES = {
+        # the reflexive edge (0, 0), which a symmetric frame does not give
+        "symmetric edge": ("[]p -> p", prove_valid(parse("[]p -> p"), REFL).proof, SYM, REFL),
+        # (0, 0) from the single edge (0, 1): transitivity needs (1, 0) too
+        "transitive edge": ("(<>q & []p) -> p", linear_proof([
+            ("alpha", [0], "<>q & []p & ~p"),
+            ("alpha", [0], "<>q & []p"),
+            ("diamond", [0, 1], "<>q"),
+            ("frame-closure", [0, 0], None),
+            ("box", [0, 0], "p"),
+        ], 0, "p"), TRANS, REFL),
+        # (1, 0) from the single edge (0, 1): Euclideanness needs (0, 0) too
+        "Euclidean edge": ("p -> []<>p", linear_proof([
+            ("alpha", [0], "p & <>[]~p"),
+            ("diamond", [0, 1], "<>[]~p"),
+            ("frame-closure", [1, 0], None),
+            ("box", [1, 0], "~p"),
+        ], 0, "p"), EUCL, SYM),
+        "4-transfer without transitivity": ("[]p -> [][]p", linear_proof(FOUR_TRANSFER, 2, "p"), K, TRANS),
+        # Euclidean frames carry a box forward only from a label with a predecessor
+        "Euclidean box transfer from the root": (
+            "[]p -> [][]p", linear_proof(FOUR_TRANSFER, 2, "p"), EUCL, TRANS),
+        "serial successor": ("[]p -> <>p", prove_valid(parse("[]p -> <>p"), SERIAL).proof, K, SERIAL),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_unlicensed_step_rejected(self, name):
+        text, proof, refusing, licensing = self.FORGERIES[name]
+        conclusion = parse(text)
+        assert isinstance(prove_valid(conclusion, refusing), Invalid)
+        assert not check_proof(proof, [], conclusion, refusing)
+        assert check_proof(proof, [], conclusion, licensing)
 
 
 class TestResourceLimit:
