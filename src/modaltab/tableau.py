@@ -82,7 +82,7 @@ class NotSaturated(ValueError):
     still has applicable rules."""
 
 
-def _node(nid: int, rule: str, labels: list[int], formula: str | None, children: list[int]) -> dict:
+def _node(nid: int, rule: str, labels: list[int], formula: Formula | None, children: list[int]) -> dict:
     return {"id": nid, "rule": rule, "labels": labels, "formula": formula, "children": children}
 
 
@@ -92,8 +92,10 @@ class ProofObject:
 
     ``nodes`` maps each node id to a dict with keys ``id``, ``rule``,
     ``labels``, ``formula`` and ``children`` (child ids); node 0 is the
-    root and leaves are closure pairs.  The search records nodes in
-    depth-first preorder, so a step's child is the next id.  Replaying
+    root and leaves are closure pairs.  ``formula`` is a :class:`Formula`
+    (a closure's clashing ``Atom``; None for ``frame-closure`` and
+    ``serial``); only the JSON holds its text.  The search records nodes
+    in depth-first preorder, so a step's child is the next id.  Replaying
     the applications from the seeded root (see :func:`check_proof`)
     reconstructs the closed tableau without rerunning any search.  The
     table is also the wire format: proof chains can be thousands of
@@ -104,17 +106,28 @@ class ProofObject:
     nodes: dict[int, dict]
 
     def to_json(self) -> str:
-        return json.dumps({"nodes": list(self.nodes.values())}, sort_keys=True, separators=(",", ":"))
+        table = {"nodes": list(self.nodes.values())}
+        return json.dumps(table, sort_keys=True, separators=(",", ":"), default=print_formula)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
-        """The table of ``data``, checked to be a tree rooted at node 0;
-        ids may be any distinct ints in any order."""
-        nodes = {
-            e["id"]: _node(e["id"], e["rule"], list(e["labels"]), e.get("formula"), list(e["children"]))
-            for e in data["nodes"]
-        }
-        if len(nodes) != len(data["nodes"]):
+        """The table of ``data``, checked to be a tree rooted at node 0,
+        each distinct formula text parsed once; ids may be any distinct
+        ints in any order.  Raises ValueError on any malformed table."""
+        entries = data.get("nodes") if type(data) is dict else None
+        if type(entries) is not list or not all(type(e) is dict for e in entries):
+            raise ValueError("proof table is not an object with a list of node objects")
+        parsed: dict[str | None, Formula | None] = {None: None}
+        nodes = {}
+        for e in entries:
+            nid, rule, labels, text, children = map(e.get, ("id", "rule", "labels", "formula", "children"))
+            ints = all(type(v) is list and all(type(i) is int for i in v) for v in (labels, children))
+            if not (ints and type(nid) is int and type(rule) is str and type(text) in (str, type(None))):
+                raise ValueError(f"proof node {nid!r} is malformed")
+            if text not in parsed:
+                parsed[text] = parse(text)
+            nodes[nid] = _node(nid, rule, list(labels), parsed[text], list(children))
+        if len(nodes) != len(entries):
             raise ValueError("proof table repeats a node id")
         if 0 not in nodes:
             raise ValueError("proof table has no root node 0")
@@ -345,7 +358,7 @@ class _State(_Branch):
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.queued: set[tuple] = set()
-        self.closed: tuple[int, str] | None = None
+        self.closed: tuple[int, Atom] | None = None
         self.proof: dict[int, dict] = {}
         self.budget = budget
         self.version = 0
@@ -363,7 +376,7 @@ class _State(_Branch):
         other._blocking_cache = None
         return other
 
-    def record(self, rule: str, labels: list[int], formula: str | None, leaf: bool = False) -> dict:
+    def record(self, rule: str, labels: list[int], formula: Formula | None, leaf: bool = False) -> dict:
         """Append one rule application to the proof table.  The search
         runs depth first, left branch first, so it fires rules in proof
         preorder: the next node recorded is this one's (first) child."""
@@ -392,12 +405,12 @@ class _State(_Branch):
             return False
         self.version += 1
         match f:
-            case Atom(name):
+            case Atom():
                 if Not(f) in self.label_sets[label] and self.closed is None:
-                    self.closed = (label, name)
-            case Not(Atom(name)):
-                if Atom(name) in self.label_sets[label] and self.closed is None:
-                    self.closed = (label, name)
+                    self.closed = (label, f)
+            case Not(operand=Atom() as atom):
+                if atom in self.label_sets[label] and self.closed is None:
+                    self.closed = (label, atom)
             case And():
                 self.enqueue(("alpha", label, f))
             case Or():
@@ -523,14 +536,14 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
         rule, labels = _SPAWN_RULE[kind], [label, len(state.label_sets)]
     if not state.apply(rule, labels, f):
         return None
-    state.record(rule, labels, None if f is None else print_formula(f))
+    state.record(rule, labels, f)
     if kind in _SPAWN_RULE:
         child = labels[1]
         if FrameCondition.REFLEXIVE in state.frame:
             state.enqueue(("edge", child, child))
         for p in state.premises:
             if p not in state.label_sets[child] and state.apply("global-premise", [child], p):
-                state.record("global-premise", [child], print_formula(p))
+                state.record("global-premise", [child], p)
     return None
 
 
@@ -554,8 +567,8 @@ def _expand_segment(state: _State) -> tuple | None:
             if split is not None:
                 return split
         if state.closed is not None:
-            label, name = state.closed
-            state.record("closure", [label], name, leaf=True)
+            label, atom = state.closed
+            state.record("closure", [label], atom, leaf=True)
             return None
         if not _audit(state):
             return None
@@ -581,7 +594,7 @@ def _run(state: _State) -> _State | None:
                 return st
             continue
         _, label, f = split
-        beta = st.record("beta", [label], print_formula(f))
+        beta = st.record("beta", [label], f)
         right = st.clone()
         right.add_formula(label, f.right)
         st.add_formula(label, f.left)
@@ -702,21 +715,8 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 # proof replay
 
 
-def _node_formula(node: dict, texts: dict[str, Formula]) -> Formula | None:
-    """The node's formula, parsed once per distinct text of one replay."""
-    text = node.get("formula")
-    if text is None:
-        return None
-    f = texts.get(text)
-    if f is None:
-        f = texts[text] = parse(text)
-    return f
-
-
-def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool:
+def _replay_step(branch: _Branch, rule: str, labels: list[int], f: Formula | None) -> bool:
     """Check one unary rule application's labels, then apply it."""
-    rule = node["rule"]
-    labels = node["labels"]
     # every label names an existing one, except a spawned child, which
     # must be the next new id
     count = len(branch.label_sets)
@@ -724,12 +724,11 @@ def _replay_step(branch: _Branch, node: dict, texts: dict[str, Formula]) -> bool
     existing = labels[:-1] if spawns else labels
     if not all(0 <= lab < count for lab in existing) or (spawns and labels[-1] != count):
         return False
-    return branch.apply(rule, labels, _node_formula(node, texts))
+    return branch.apply(rule, labels, f)
 
 
-def _replay(branch: _Branch, nodes: dict[int, dict], texts: dict[str, Formula]) -> bool:
-    """Iteratively replay a proof table from node 0; every leaf must be a
-    closure.  ``texts`` maps each formula text seen so far to its parse."""
+def _replay(branch: _Branch, nodes: dict[int, dict]) -> bool:
+    """Iteratively replay a proof table from node 0; every leaf must be a closure."""
     stack: list[tuple[_Branch, int]] = [(branch, 0)]
     visits = 0  # a tree visits each node once; more means a cycle
     while stack:
@@ -739,22 +738,17 @@ def _replay(branch: _Branch, nodes: dict[int, dict], texts: dict[str, Formula]) 
             if visits > len(nodes):
                 return False
             node = nodes[nid]
-            rule = node["rule"]
-            children = node["children"]
+            rule, labels, f, children = node["rule"], node["labels"], node["formula"], node["children"]
             if rule == "closure":
-                if children:
+                (label,) = labels
+                if children or not 0 <= label < len(state.label_sets):
                     return False
-                (label,) = node["labels"]
-                if not 0 <= label < len(state.label_sets):
-                    return False
-                f = _node_formula(node, texts)
                 s = state.label_sets[label]
                 if not (isinstance(f, Atom) and f in s and Not(f) in s):
                     return False
                 break  # this branch verified closed
             if rule == "beta":
-                (label,) = node["labels"]
-                f = _node_formula(node, texts)
+                (label,) = labels
                 if len(children) != 2 or not isinstance(f, Or):
                     return False
                 if not 0 <= label < len(state.label_sets) or f not in state.label_sets[label]:
@@ -766,7 +760,7 @@ def _replay(branch: _Branch, nodes: dict[int, dict], texts: dict[str, Formula]) 
                 break
             if len(children) != 1:
                 return False
-            if not _replay_step(state, node, texts):
+            if not _replay_step(state, rule, labels, f):
                 return False
             nid = children[0]
     return True
@@ -784,6 +778,6 @@ def check_proof(
     try:
         branch = _Branch(frozenset(frame), tuple(nnf(desugar(p)) for p in premises))
         _seed_root(branch, desugar(conclusion))
-        return _replay(branch, proof.nodes, {})
+        return _replay(branch, proof.nodes)
     except Exception:
         return False

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from modaltab import tableau
 from modaltab.arguments import builtin_corpus, eder_ramharter_manual
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import (
@@ -172,6 +173,37 @@ class TestExtractCountermodel:
             extract_countermodel(branch, blocked, (), Atom("r"))
 
 
+K_AXIOM = "[](p -> q) -> ([]p -> []q)"
+
+
+def _edit_node(doc, nid, **fields):
+    """``doc`` with node ``nid``'s fields replaced; a field set to
+    ``...`` is dropped."""
+    edited = [
+        {k: v for k, v in {**e, **fields}.items() if v is not ...} if e["id"] == nid else e
+        for e in doc["nodes"]
+    ]
+    return {"nodes": edited}
+
+
+# each table is refused where it is read, before any replay: without the
+# type checks the ``true`` id would alias node 1 and load a proof that
+# replays, and the number formula would load a proof that replays False
+MALFORMED_TABLES = {
+    "empty object": lambda doc: {},
+    "top-level list": lambda doc: doc["nodes"],
+    "nodes not a list": lambda doc: {"nodes": 5},
+    "node not an object": lambda doc: {"nodes": [5]},
+    "node without rule": lambda doc: _edit_node(doc, 1, rule=...),
+    "labels not a list": lambda doc: _edit_node(doc, 1, labels=5),
+    "list id": lambda doc: _edit_node(doc, 1, id=[1]),
+    "list child": lambda doc: _edit_node(doc, 0, children=[[1]]),
+    "true as id": lambda doc: _edit_node(doc, 1, id=True),
+    "number formula": lambda doc: _edit_node(doc, 1, formula=7),
+    "unparsable formula": lambda doc: _edit_node(doc, 1, formula="p &"),
+}
+
+
 class TestProofObjects:
     def test_replay_accepts_own_proof(self):
         verdict = decide(ER_PREMISES, parse("g"), SYM)
@@ -228,13 +260,15 @@ class TestProofObjects:
         assert check_proof(verdict.proof, [], parse("[]p -> <>p"), SERIAL)
 
     def test_garbage_rejected_without_raising(self):
-        junk = ProofObject({0: {"id": 0, "rule": "closure", "labels": [5], "formula": "p", "children": []}})
+        junk = ProofObject({0: {"id": 0, "rule": "closure", "labels": [5], "formula": parse("p"),
+                                "children": []}})
         assert check_proof(junk, [], parse("p"), K) is False
 
     def test_cyclic_table_rejected(self):
         # a licensed alpha step that names itself as its child would
         # replay forever
-        loop = ProofObject({0: {"id": 0, "rule": "alpha", "labels": [0], "formula": "p & q", "children": [0]}})
+        loop = ProofObject({0: {"id": 0, "rule": "alpha", "labels": [0], "formula": parse("p & q"),
+                                "children": [0]}})
         assert check_proof(loop, [], parse("~(p & q)"), K) is False
 
     def test_dangling_child_rejected(self):
@@ -254,6 +288,13 @@ class TestProofObjects:
         doc = {"nodes": [copy, *nodes] if copy_first else [*nodes, copy]}
         with pytest.raises(ValueError, match="repeats a node id"):
             ProofObject.from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+    def test_malformed_table_raises_value_error(self, name):
+        doc = json.loads(prove_valid(parse(K_AXIOM), K).proof.to_json())
+        assert check_proof(ProofObject.from_json_dict(doc), [], parse(K_AXIOM), K)
+        with pytest.raises(ValueError):
+            ProofObject.from_json_dict(MALFORMED_TABLES[name](doc))
 
     @pytest.mark.parametrize("name", ["corpus/eder_ramharter", "axiom/5", "step/step3"])
     def test_reordered_and_padded_tables_replay(self, name):
@@ -339,19 +380,44 @@ UNARY_RULES = ("alpha", "box", "frame-closure", "global-premise", "diamond", "se
 
 def linear_proof(steps, label, atom):
     """Unary (rule, labels, formula text) steps ending in one closure of
-    ``atom`` at ``label``, as a table with ids in preorder."""
+    ``atom`` at ``label``, read as a table with ids in preorder."""
     rows = [*steps, ("closure", [label], atom)]
-    return ProofObject({
-        nid: {"id": nid, "rule": rule, "labels": labels, "formula": formula,
-              "children": [nid + 1] if nid + 1 < len(rows) else []}
+    return ProofObject.from_json_dict({"nodes": [
+        {"id": nid, "rule": rule, "labels": labels, "formula": formula,
+         "children": [nid + 1] if nid + 1 < len(rows) else []}
         for nid, (rule, labels, formula) in enumerate(rows)
-    })
+    ]})
 
 
 def _proof_doc(name):
     verdict = decide(*GOLDEN_QUERIES[name])
     assert isinstance(verdict, Valid)
     return json.loads(verdict.proof.to_json())
+
+
+class TestTextAtTheBoundary:
+    """Proof nodes hold formulas; only the JSON encoding prints them."""
+
+    def test_decide_prints_nothing(self, monkeypatch):
+        printed = []
+        real = tableau.print_formula
+
+        def counting(f, *args, **kwargs):
+            printed.append(f)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(tableau, "print_formula", counting)
+        valid = decide(ER_PREMISES, parse("g"), SYM)
+        invalid = decide(ER_PREMISES, parse("g"), K)
+        assert isinstance(valid, Valid) and isinstance(invalid, Invalid)
+        assert printed == []
+        valid.proof.to_json()
+        assert printed
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_json_round_trip_is_lossless(self, name):
+        proof = decide(*GOLDEN_QUERIES[name]).proof
+        assert ProofObject.from_json_dict(json.loads(proof.to_json())) == proof
 
 
 class TestGoldenProofs:
