@@ -51,11 +51,22 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
+# Largest argument file read, in bytes.  A corpus argument written as a
+# file is a few hundred bytes; an endless file such as /dev/zero must be
+# refused, not read until memory runs out.
+_MAX_ARGUMENT_FILE_BYTES = 1 << 20
+
+
 def load_argument_file(path: str | Path) -> Argument:
-    """Parse an argument file: UTF-8 JSON with name, named premise formulas,
-    a frame list (condition names or logic aliases), and a conclusion."""
+    """Parse an argument file: at most _MAX_ARGUMENT_FILE_BYTES of UTF-8
+    JSON with name, named premise formulas, a frame list (condition names
+    or logic aliases), and a conclusion."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            blob = fh.read(_MAX_ARGUMENT_FILE_BYTES + 1)
+        if len(blob) > _MAX_ARGUMENT_FILE_BYTES:
+            raise CliError(f"{path}: larger than {_MAX_ARGUMENT_FILE_BYTES} bytes")
+        raw = blob.decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
     try:

@@ -154,11 +154,12 @@ class Invalid:
 Verdict = Valid | Invalid
 
 
-# Rule priority per task kind; lower fires first, ties broken by the
-# task's target label (its second field), then by arrival.
-_PRIORITY = {"alpha": 0, "move": 1, "edge": 2, "beta": 3, "dia": 4, "serial": 5}
-# The rule each successor-spawning task kind applies.
-_SPAWN_RULE = {"dia": "diamond", "serial": "serial"}
+# Rule priority per queued step; lower fires first, ties broken by the
+# step's target label (a box step's destination, any other step's first
+# label), then by arrival.
+_PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
+# Rules that spawn a successor; a queued step leaves out its child label.
+_SPAWNING = frozenset({"diamond", "serial"})
 
 
 def _is_modal(f: Formula) -> bool:
@@ -194,8 +195,9 @@ class _Budget:
 
 class _Branch:
     """Labels, formula sets and edges of one tableau branch, plus each
-    unary rule's licence and effect (:meth:`apply`).  Shared by the search
-    and by proof replay, so it enqueues no work and detects no closure."""
+    rule's licence and effect (:meth:`apply`, :meth:`split`).  Shared by
+    the search and by proof replay, so it enqueues no work and detects no
+    closure."""
 
     __slots__ = ("frame", "premises", "label_sets", "out_edges", "in_edges", "edge_set")
 
@@ -276,38 +278,37 @@ class _Branch:
     def diamond_satisfied(self, label: int, f: Diamond) -> bool:
         return any(f.operand in self.label_sets[m] for m in self.out_edges[label])
 
-    def apply(self, rule: str, labels: list[int], f: Formula | None) -> bool:
-        """Check one unary rule application's licence and, if licensed,
-        apply its effect; False if unlicensed.  ``labels`` name existing
-        labels, except a spawning rule's last, which is the next new id."""
+    def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
+        """Apply one unary rule step if it is licensed and changes the
+        branch; False, changing nothing, otherwise.  ``labels`` name
+        existing labels, except a spawning rule's last, the next new id."""
         if rule == "alpha":
             (label,) = labels
-            if not isinstance(f, And) or f not in self.label_sets[label]:
+            s = self.label_sets[label]
+            if not isinstance(f, And) or f not in s or (f.left in s and f.right in s):
                 return False
             self.add_formula(label, f.left)
             self.add_formula(label, f.right)
             return True
         if rule == "box":
             src, dst = labels
-            if not self.move_licensed(src, f, dst):
+            if f in self.label_sets[dst] or not self.move_licensed(src, f, dst):
                 return False
             self.add_formula(dst, f)
             return True
         if rule == "frame-closure":
             a, b = labels
-            if not self.edge_licensed(a, b):
+            if (a, b) in self.edge_set or not self.edge_licensed(a, b):
                 return False
             self.add_edge(a, b)
             return True
         if rule == "global-premise":
             (label,) = labels
-            if f not in self.premises:
-                return False
-            self.add_formula(label, f)
-            return True
+            return f in self.premises and self.add_formula(label, f)
         if rule == "diamond":
             parent, child = labels
-            if not isinstance(f, Diamond) or f not in self.label_sets[parent]:
+            s = self.label_sets[parent]
+            if not isinstance(f, Diamond) or f not in s or self.diamond_satisfied(parent, f):
                 return False
             self.new_label()
             self.add_formula(child, f.operand)
@@ -322,24 +323,36 @@ class _Branch:
             return True
         return False
 
+    def split(self, label: int, f: Formula | None) -> "_Branch | None":
+        """The beta rule: if the disjunction ``f`` is at ``label`` and
+        neither disjunct is, add its left disjunct here and return a copy
+        of the branch with its right one instead; else None."""
+        s = self.label_sets[label]
+        if not isinstance(f, Or) or f not in s or f.left in s or f.right in s:
+            return None
+        right = self.clone()
+        right.add_formula(label, f.right)
+        self.add_formula(label, f.left)
+        return right
+
     def obligations(self, blocked: list[int | None]) -> list[tuple]:
-        """The diamond and serial tasks owed by unblocked labels, per label
-        in formula insertion order, serial last; ``blocked`` is the
-        branch's blocked_by per label."""
+        """The diamond and serial steps owed by unblocked labels, per label
+        in formula insertion order, serial last, each without its child
+        label; ``blocked`` is the branch's blocked_by per label."""
         owed: list[tuple] = []
         for lid, s in enumerate(self.label_sets):
             if blocked[lid] is not None:
                 continue
             for f in s:
                 if isinstance(f, Diamond) and not self.diamond_satisfied(lid, f):
-                    owed.append(("dia", lid, f))
+                    owed.append(("diamond", (lid,), f))
             if FrameCondition.SERIAL in self.frame and not self.out_edges[lid]:
-                owed.append(("serial", lid))
+                owed.append(("serial", (lid,), None))
         return owed
 
 
 class _State(_Branch):
-    """One tableau branch under search: the rule queue, closure detection,
+    """One tableau branch under search: the step queue, closure detection,
     blocking, and the budget and proof table shared by every branch."""
 
     __slots__ = (
@@ -349,8 +362,7 @@ class _State(_Branch):
         "closed",
         "proof",
         "budget",
-        "version",
-        "_blocking_cache",
+        "_blocked",
     )
 
     def __init__(self, frame: FrameClass, premises: tuple[Formula, ...], budget: _Budget):
@@ -361,8 +373,7 @@ class _State(_Branch):
         self.closed: tuple[int, Atom] | None = None
         self.proof: dict[int, dict] = {}
         self.budget = budget
-        self.version = 0
-        self._blocking_cache: tuple[int, list[int | None]] | None = None
+        self._blocked: list[int | None] | None = None  # blocking(), until a formula set changes
 
     def clone(self) -> "_State":
         other = super().clone()
@@ -372,8 +383,7 @@ class _State(_Branch):
         other.closed = self.closed
         other.proof = self.proof  # shared: branches record in proof preorder
         other.budget = self.budget  # shared: the ceiling spans all branches
-        other.version = self.version
-        other._blocking_cache = None
+        other._blocked = None
         return other
 
     def record(self, rule: str, labels: list[int], formula: Formula | None, leaf: bool = False) -> dict:
@@ -386,24 +396,28 @@ class _State(_Branch):
 
     # -- queue ---------------------------------------------------------
 
-    def enqueue(self, task: tuple) -> None:
-        if task in self.queued:
+    def enqueue(self, step: tuple) -> None:
+        """Queue a proof step ``(rule, labels, formula)`` unless it is queued."""
+        before = len(self.queued)
+        self.queued.add(step)  # one hash of the nested tuple, not two
+        if len(self.queued) == before:
             return
-        self.queued.add(task)
-        heapq.heappush(self.heap, (_PRIORITY[task[0]], task[1], self.seq, task))
+        rule, labels, _ = step
+        target = labels[1] if rule == "box" else labels[0]
+        heapq.heappush(self.heap, (_PRIORITY[rule], target, self.seq, step))
         self.seq += 1
 
     # -- structure growth ----------------------------------------------
 
     def new_label(self) -> int:
         self.budget.count_label()
-        self.version += 1
+        self._blocked = None
         return super().new_label()
 
     def add_formula(self, label: int, f: Formula) -> bool:
         if not super().add_formula(label, f):
             return False
-        self.version += 1
+        self._blocked = None
         match f:
             case Atom():
                 if Not(f) in self.label_sets[label] and self.closed is None:
@@ -412,41 +426,41 @@ class _State(_Branch):
                 if atom in self.label_sets[label] and self.closed is None:
                     self.closed = (label, atom)
             case And():
-                self.enqueue(("alpha", label, f))
+                self.enqueue(("alpha", (label,), f))
             case Or():
-                self.enqueue(("beta", label, f))
+                self.enqueue(("beta", (label,), f))
             case Diamond():
-                self.enqueue(("dia", label, f))
+                self.enqueue(("diamond", (label,), f))
         if _is_modal(f):
             for m in self.out_edges[label]:
                 self.enqueue_moves(label, f, m)
             if FrameCondition.EUCLIDEAN in self.frame:
                 # backward transfer is only ever licensed on Euclidean frames
                 for k in self.in_edges[label]:
-                    self.enqueue(("move", k, label, f))
+                    self.enqueue(("box", (label, k), f))
         return True
 
     def enqueue_moves(self, src: int, f: Formula, dst: int) -> None:
         # K-arrival of the operand plus possible transfer of f itself
         if isinstance(f, Box):
-            self.enqueue(("move", dst, src, f.operand))
-        self.enqueue(("move", dst, src, f))
+            self.enqueue(("box", (src, dst), f.operand))
+        self.enqueue(("box", (src, dst), f))
 
     def add_edge(self, a: int, b: int) -> bool:
         if not super().add_edge(a, b):
             return False
         # Horn closure products involving the new edge
         if FrameCondition.SYMMETRIC in self.frame:
-            self.enqueue(("edge", b, a))
+            self.enqueue(("frame-closure", (b, a), None))
         if FrameCondition.TRANSITIVE in self.frame:
             for c in list(self.out_edges[b]):
-                self.enqueue(("edge", a, c))
+                self.enqueue(("frame-closure", (a, c), None))
             for c in list(self.in_edges[a]):
-                self.enqueue(("edge", c, b))
+                self.enqueue(("frame-closure", (c, b), None))
         if FrameCondition.EUCLIDEAN in self.frame:
             for c in list(self.out_edges[a]):
-                self.enqueue(("edge", b, c))
-                self.enqueue(("edge", c, b))
+                self.enqueue(("frame-closure", (b, c), None))
+                self.enqueue(("frame-closure", (c, b), None))
         # propagation across the new edge
         for f in list(self.label_sets[a]):
             if _is_modal(f):
@@ -454,7 +468,7 @@ class _State(_Branch):
         if FrameCondition.EUCLIDEAN in self.frame:
             for f in list(self.label_sets[b]):
                 if _is_modal(f):
-                    self.enqueue(("move", a, b, f))
+                    self.enqueue(("box", (b, a), f))
         # b gaining its first in-edge can enable Euclidean transfers on
         # b's existing out-edges
         if len(self.in_edges[b]) == 1 and FrameCondition.EUCLIDEAN in self.frame:
@@ -464,7 +478,7 @@ class _State(_Branch):
                         self.enqueue_moves(b, f, c)
                 for f in list(self.label_sets[c]):
                     if _is_modal(f):
-                        self.enqueue(("move", b, c, f))
+                        self.enqueue(("box", (c, b), f))
         return True
 
     # -- blocking --------------------------------------------------------
@@ -473,8 +487,8 @@ class _State(_Branch):
         """blocked_by per label: the earliest unblocked earlier label whose
         formula set subsumes this one (subset, or equality when the frame
         has a symmetric or Euclidean condition)."""
-        if self._blocking_cache is not None and self._blocking_cache[0] == self.version:
-            return self._blocking_cache[1]
+        if self._blocked is not None:
+            return self._blocked
         equality = bool(self.frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN})
         result: list[int | None] = []
         for lid, s in enumerate(self.label_sets):
@@ -491,58 +505,35 @@ class _State(_Branch):
                     blocker = m
                     break
             result.append(blocker)
-        self._blocking_cache = (self.version, result)
+        self._blocked = result
         return result
 
 
-def _dispatch(state: _State, task: tuple) -> tuple | None:
-    """Apply one queued rule if it is still needed and licensed, and
-    record it; returns a beta task if a split is needed."""
+def _dispatch(state: _State, step: tuple) -> tuple[_State, dict] | None:
+    """Apply one queued step unless its label is blocked or the branch
+    refuses it, and record it; a beta step returns the right branch of its
+    split and its proof node."""
     state.budget.count_step()
-    kind = task[0]
-    f = None
-    if kind == "alpha":
-        _, label, f = task
-        s = state.label_sets[label]
-        if f.left in s and f.right in s:
+    rule, labels, f = step
+    if rule == "beta":
+        right = state.split(labels[0], f)
+        if right is None:
             return None
-        rule, labels = "alpha", [label]
-    elif kind == "move":
-        _, dst, src, f = task
-        if f in state.label_sets[dst]:
+        return right, state.record(rule, list(labels), f)
+    spawns = rule in _SPAWNING
+    if spawns:
+        if state.blocking()[labels[0]] is not None:
             return None
-        rule, labels = "box", [src, dst]
-    elif kind == "edge":
-        _, a, b = task
-        if (a, b) in state.edge_set:
-            return None
-        rule, labels = "frame-closure", [a, b]
-    elif kind == "beta":
-        _, label, f = task
-        s = state.label_sets[label]
-        if f.left in s or f.right in s:
-            return None
-        return task  # split handled by the driver
-    else:  # "dia" or "serial": spawn a successor of an unblocked label
-        label = task[1]
-        if kind == "dia":
-            f = task[2]
-            if state.diamond_satisfied(label, f):
-                return None
-        elif state.out_edges[label]:
-            return None
-        if state.blocking()[label] is not None:
-            return None
-        rule, labels = _SPAWN_RULE[kind], [label, len(state.label_sets)]
+        labels = (labels[0], len(state.label_sets))
     if not state.apply(rule, labels, f):
         return None
-    state.record(rule, labels, f)
-    if kind in _SPAWN_RULE:
+    state.record(rule, list(labels), f)
+    if spawns:
         child = labels[1]
         if FrameCondition.REFLEXIVE in state.frame:
-            state.enqueue(("edge", child, child))
+            state.enqueue(("frame-closure", (child, child), None))
         for p in state.premises:
-            if p not in state.label_sets[child] and state.apply("global-premise", [child], p):
+            if state.apply("global-premise", [child], p):
                 state.record("global-premise", [child], p)
     return None
 
@@ -550,20 +541,20 @@ def _dispatch(state: _State, task: tuple) -> tuple | None:
 def _audit(state: _State) -> bool:
     """Re-enqueue obligations of unblocked labels; True if any were found."""
     owed = state.obligations(state.blocking())
-    for task in owed:
-        state.enqueue(task)
+    for step in owed:
+        state.enqueue(step)
     return bool(owed)
 
 
-def _expand_segment(state: _State) -> tuple | None:
-    """Run queued rules until the branch closes, splits, or saturates.
-    Returns the beta task of a split; None once the branch is closed
-    (its closure recorded) or open."""
+def _expand_segment(state: _State) -> tuple[_State, dict] | None:
+    """Run queued steps until the branch closes, splits, or saturates.
+    Returns a split's right branch and beta node; None once the branch is
+    closed (its closure recorded) or open."""
     while True:
         while state.heap and state.closed is None:
-            _, _, _, task = heapq.heappop(state.heap)
-            state.queued.discard(task)
-            split = _dispatch(state, task)
+            _, _, _, step = heapq.heappop(state.heap)
+            state.queued.discard(step)
+            split = _dispatch(state, step)
             if split is not None:
                 return split
         if state.closed is not None:
@@ -593,12 +584,7 @@ def _run(state: _State) -> _State | None:
             if st.closed is None:
                 return st
             continue
-        _, label, f = split
-        beta = st.record("beta", [label], f)
-        right = st.clone()
-        right.add_formula(label, f.right)
-        st.add_formula(label, f.left)
-        stack.append((right, beta))
+        stack.append(split)
         stack.append((st, None))  # popped first: left before right
     return None
 
@@ -623,8 +609,8 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
                 case Box(operand):
                     if any(operand not in sets[m] for m in out):
                         raise NotSaturated(f"box rule applicable at label {lid}")
-    for kind, lid, *_ in branch.obligations(blocked):
-        raise NotSaturated(f"{_SPAWN_RULE[kind]} rule applicable at label {lid}")
+    for rule, (lid,), _ in branch.obligations(blocked):
+        raise NotSaturated(f"{rule} rule applicable at label {lid}")
 
 
 def extract_countermodel(
@@ -693,9 +679,9 @@ def decide(
     state = _State(frozenset(frame), tuple(nnf(p) for p in desugared_premises), _Budget(max_labels))
     _seed_root(state, desugared_conclusion)
     if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(("edge", 0, 0))
+        state.enqueue(("frame-closure", (0, 0), None))
     if FrameCondition.SERIAL in state.frame:
-        state.enqueue(("serial", 0))
+        state.enqueue(("serial", (0,), None))
     open_branch = _run(state)
     if open_branch is None:
         return Valid(ProofObject(state.proof))
@@ -715,16 +701,13 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 # proof replay
 
 
-def _replay_step(branch: _Branch, rule: str, labels: list[int], f: Formula | None) -> bool:
-    """Check one unary rule application's labels, then apply it."""
-    # every label names an existing one, except a spawned child, which
-    # must be the next new id
+def _labels_exist(branch: _Branch, rule: str, labels: list[int]) -> bool:
+    """Does every label name an existing one, except a spawned child,
+    which must be the next new id?"""
     count = len(branch.label_sets)
-    spawns = rule in ("diamond", "serial")
-    existing = labels[:-1] if spawns else labels
-    if not all(0 <= lab < count for lab in existing) or (spawns and labels[-1] != count):
-        return False
-    return branch.apply(rule, labels, f)
+    if rule in _SPAWNING:
+        return labels[-1] == count and all(0 <= lab < count for lab in labels[:-1])
+    return all(0 <= lab < count for lab in labels)
 
 
 def _replay(branch: _Branch, nodes: dict[int, dict]) -> bool:
@@ -739,28 +722,20 @@ def _replay(branch: _Branch, nodes: dict[int, dict]) -> bool:
                 return False
             node = nodes[nid]
             rule, labels, f, children = node["rule"], node["labels"], node["formula"], node["children"]
+            if not _labels_exist(state, rule, labels):
+                return False
             if rule == "closure":
                 (label,) = labels
-                if children or not 0 <= label < len(state.label_sets):
-                    return False
                 s = state.label_sets[label]
-                if not (isinstance(f, Atom) and f in s and Not(f) in s):
+                if children or not (isinstance(f, Atom) and f in s and Not(f) in s):
                     return False
                 break  # this branch verified closed
             if rule == "beta":
                 (label,) = labels
-                if len(children) != 2 or not isinstance(f, Or):
+                if len(children) != 2 or (right := state.split(label, f)) is None:
                     return False
-                if not 0 <= label < len(state.label_sets) or f not in state.label_sets[label]:
-                    return False
-                for operand, child in zip((f.left, f.right), children):
-                    sub = state.clone()
-                    sub.add_formula(label, operand)
-                    stack.append((sub, child))
-                break
-            if len(children) != 1:
-                return False
-            if not _replay_step(state, rule, labels, f):
+                stack.append((right, children[1]))
+            elif len(children) != 1 or not state.apply(rule, labels, f):
                 return False
             nid = children[0]
     return True

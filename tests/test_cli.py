@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -17,9 +18,11 @@ from modaltab import arguments, cli
 from modaltab.arguments import DerivationScript, eder_ramharter_manual
 from modaltab.cli import export_dot, load_argument_file, main
 from modaltab.enumeration import CountermodelWitness, EnumerationBudget, find_countermodel
-from modaltab.semantics import KripkeModel
-from modaltab.syntax import MAX_DEPTH, parse
+from modaltab.semantics import LOGICS, FrameCondition, KripkeModel
+from modaltab.syntax import MAX_DEPTH, parse, print_formula
 from modaltab.tableau import ProofObject
+
+from conftest import formula_strategy
 
 
 def run(capsys, *argv):
@@ -262,6 +265,66 @@ class TestArgumentFileFuzz:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
             elif mode:
                 json.loads(out.buffer.getvalue())
+
+
+def _parser_words():
+    """The CLI parser's top-level option strings, and by subcommand name
+    its own option strings, each with whether it takes a value."""
+    top, commands = [], {}
+    for action in cli.build_parser()._actions:
+        top += action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                commands[name] = [(o, a.nargs != 0) for a in sub._actions for o in a.option_strings]
+    return top, commands
+
+
+TOP_OPTIONS, COMMAND_OPTIONS = _parser_words()
+argv_values = (
+    st.sampled_from([a.name for a in arguments.builtin_corpus()] + sorted(LOGICS)
+                    + [c.value for c in FrameCondition] + ["1", "2", "3"])
+    # few leaves: a nest of <-> doubles its NNF per level, so this bound
+    # keeps the test fast, not the CLI safe
+    | formula_strategy(max_leaves=6).map(print_formula)
+    # no NUL, which argv cannot hold, and no "/", so that --dot writes
+    # only inside the temporary working directory
+    | st.text(st.characters(exclude_characters="\x00/"), max_size=8)
+)
+
+
+def _command_line(name):
+    """Subcommand ``name``, at most one positional value, then up to four
+    of its options, each with a value if it takes one; for None, top-level
+    options and stray words."""
+    if name is None:
+        return st.lists(st.sampled_from(TOP_OPTIONS) | argv_values, max_size=3)
+    option = st.sampled_from(COMMAND_OPTIONS[name]).flatmap(
+        lambda o: st.tuples(st.just(o[0]), argv_values) if o[1] else st.tuples(st.just(o[0])))
+    return st.tuples(st.lists(argv_values, max_size=1), st.lists(option, max_size=4)).map(
+        lambda t: [name, *t[0], *(word for o in t[1] for word in o)])
+
+
+class TestArgvFuzz:
+    """Any command line gives exit 0, 1 or 2 and never an exception, and
+    exit 2 comes with exactly one ``error:`` line."""
+
+    @given(argv=st.sampled_from([*sorted(COMMAND_OPTIONS), None]).flatmap(_command_line))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_main_never_raises(self, tmp_path_factory, argv):
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp_path_factory.getbasetemp())
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse: usage errors, --help, --version
+                    code = e.code
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert sum("error: " in line for line in err.getvalue().splitlines()) == 1
 
 
 class TestProve:
@@ -597,3 +660,22 @@ class TestArgumentFileLoader:
         assert a.name == "custom"
         assert a.premises[0][1] == parse("g -> []g")
         assert len(a.frame) == 2
+
+    @staticmethod
+    def padded(tmp_path, size):
+        """A file of ``size`` bytes: a valid argument and trailing spaces."""
+        text = json.dumps(VALID_ARGUMENT).encode()
+        path = tmp_path / "padded.json"
+        path.write_bytes(text + b" " * (size - len(text)))
+        assert path.stat().st_size == size
+        return path
+
+    def test_file_at_the_size_cap_loads(self, tmp_path):
+        path = self.padded(tmp_path, cli._MAX_ARGUMENT_FILE_BYTES)
+        assert load_argument_file(path).name == "fuzz"
+
+    def test_file_past_the_size_cap_is_an_input_error(self, capsys, tmp_path):
+        path = self.padded(tmp_path, cli._MAX_ARGUMENT_FILE_BYTES + 1)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: larger than {cli._MAX_ARGUMENT_FILE_BYTES} bytes\n"

@@ -540,6 +540,72 @@ class TestForgedProofs:
         assert check_proof(proof, [], conclusion, licensing)
 
 
+class TestNoOpSteps:
+    """Replay refuses a step that changes nothing, which the search never
+    records.  Each proof closes without its one no-op step and is refused
+    with it."""
+
+    # name: (premises, conclusion, frame, steps, index of the no-op step,
+    # closure label, clashing atom)
+    FORGERIES = {
+        "repeated alpha": ([], "p -> p", K, [
+            ("alpha", [0], "p & ~p"),
+            ("alpha", [0], "p & ~p"),
+        ], 1, 0, "p"),
+        "box onto a present formula": ([], "[]p -> []p", K, [
+            ("alpha", [0], "[]p & <>~p"),
+            ("diamond", [0, 1], "<>~p"),
+            ("box", [0, 1], "p"),
+            ("box", [0, 1], "p"),
+        ], 3, 1, "p"),
+        "repeated frame-closure edge": ([], "[]p -> p", REFL, [
+            ("alpha", [0], "[]p & ~p"),
+            ("frame-closure", [0, 0], None),
+            ("frame-closure", [0, 0], None),
+            ("box", [0, 0], "p"),
+        ], 2, 0, "p"),
+        "premise already present": (["p"], "p", K, [
+            ("global-premise", [0], "p"),
+        ], 0, 0, "p"),
+        "second diamond for a satisfied diamond": ([], "[]p -> []p", K, [
+            ("alpha", [0], "[]p & <>~p"),
+            ("diamond", [0, 1], "<>~p"),
+            ("diamond", [0, 2], "<>~p"),
+            ("box", [0, 1], "p"),
+        ], 2, 1, "p"),
+        # the serial licence itself asks for a label without successors
+        "serial on a label with a successor": ([], "[]p -> <>p", SERIAL, [
+            ("alpha", [0], "[]p & []~p"),
+            ("serial", [0, 1], None),
+            ("serial", [0, 2], None),
+            ("box", [0, 1], "p"),
+            ("box", [0, 1], "~p"),
+        ], 2, 1, "p"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORGERIES))
+    def test_unary_no_op_rejected(self, name):
+        premises, text, frame, steps, noop, label, atom = self.FORGERIES[name]
+        query = ([parse(p) for p in premises], parse(text), frame)
+        without = [step for i, step in enumerate(steps) if i != noop]
+        assert check_proof(linear_proof(without, label, atom), *query)
+        assert not check_proof(linear_proof(steps, label, atom), *query)
+
+    def test_beta_with_a_present_disjunct_rejected(self):
+        # p | q splits although p is already at the root; both branches
+        # close on the root's p and ~p
+        steps = [("alpha", [0], "(p | q) & p & ~p"), ("alpha", [0], "(p | q) & p")]
+        conclusion = parse("(p | q) & p -> p")
+        assert check_proof(linear_proof(steps, 0, "p"), [], conclusion, K)
+        nodes = json.loads(linear_proof(steps, 0, "p").to_json())["nodes"][:-1]
+        nodes += [
+            {"id": 2, "rule": "beta", "labels": [0], "formula": "p | q", "children": [3, 4]},
+            {"id": 3, "rule": "closure", "labels": [0], "formula": "p", "children": []},
+            {"id": 4, "rule": "closure", "labels": [0], "formula": "p", "children": []},
+        ]
+        assert not check_proof(ProofObject.from_json_dict({"nodes": nodes}), [], conclusion, K)
+
+
 class TestResourceLimit:
     def test_tiny_ceiling_trips(self):
         with pytest.raises(ResourceLimit):
