@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -52,17 +53,23 @@ class CliError(Exception):
 
 
 # Largest argument file read, in bytes.  A corpus argument written as a
-# file is a few hundred bytes; an endless file such as /dev/zero must be
-# refused, not read until memory runs out.
+# file is a few hundred bytes; an endless file must be refused, not read
+# until memory runs out.  Only regular files are read at all: a device
+# such as /dev/zero never ends, and a FIFO without a writer would block.
 _MAX_ARGUMENT_FILE_BYTES = 1 << 20
+_NONBLOCK = getattr(os, "O_NONBLOCK", 0)  # POSIX only; no FIFO to open elsewhere
 
 
 def load_argument_file(path: str | Path) -> Argument:
-    """Parse an argument file: at most _MAX_ARGUMENT_FILE_BYTES of UTF-8
-    JSON with name, named premise formulas, a frame list (condition names
-    or logic aliases), and a conclusion."""
+    """Parse an argument file: a regular file of at most
+    _MAX_ARGUMENT_FILE_BYTES of UTF-8 JSON with name, named premise
+    formulas, a frame list (condition names or logic aliases), and a
+    conclusion."""
     try:
-        with open(path, "rb") as fh:
+        # non-blocking, so that opening a FIFO returns before its refusal
+        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | _NONBLOCK)) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise CliError(f"{path}: not a regular file")
             blob = fh.read(_MAX_ARGUMENT_FILE_BYTES + 1)
         if len(blob) > _MAX_ARGUMENT_FILE_BYTES:
             raise CliError(f"{path}: larger than {_MAX_ARGUMENT_FILE_BYTES} bytes")

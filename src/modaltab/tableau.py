@@ -82,61 +82,51 @@ class NotSaturated(ValueError):
     still has applicable rules."""
 
 
-def _node(nid: int, rule: str, labels: list[int], formula: Formula | None, children: list[int]) -> dict:
-    return {"id": nid, "rule": rule, "labels": labels, "formula": formula, "children": children}
+_STEP_KEYS = frozenset({"rule", "labels", "formula"})  # of one step's JSON object
 
 
 @dataclass(frozen=True)
 class ProofObject:
-    """Rule applications witnessing a closed tableau, as a flat table.
+    """Rule applications witnessing a closed tableau: the steps the search
+    fired, in firing order.
 
-    ``nodes`` maps each node id to a dict with keys ``id``, ``rule``,
-    ``labels``, ``formula`` and ``children`` (child ids); node 0 is the
-    root and leaves are closure pairs.  ``formula`` is a :class:`Formula`
-    (a closure's clashing ``Atom``; None for ``frame-closure`` and
-    ``serial``); only the JSON holds its text.  The search records nodes
-    in depth-first preorder, so a step's child is the next id.  Replaying
-    the applications from the seeded root (see :func:`check_proof`)
-    reconstructs the closed tableau without rerunning any search.  The
-    table is also the wire format: proof chains can be thousands of
-    applications long, and a nested encoding would overflow recursive
-    encoders.
+    Each step is ``(rule, labels, formula)``; ``formula`` is a
+    :class:`Formula` (a closure's clashing ``Atom``; None for
+    ``frame-closure`` and ``serial``), and only the JSON holds its text.
+    A spawning step (``diamond``, ``serial``) names only its parent label:
+    its child is the next new label.  The order gives the tree: a ``beta``
+    step's left branch follows it, and each ``closure`` ends a branch, after
+    which the most recent open beta's right branch starts.  Replaying the
+    steps from the seeded root (see :func:`check_proof`) reconstructs the
+    closed tableau without rerunning any search.  The list is also the wire
+    format: proofs can be thousands of steps long, and a nested encoding
+    would overflow recursive encoders.
     """
 
-    nodes: dict[int, dict]
+    nodes: tuple[tuple[str, tuple[int, ...], Formula | None], ...]
 
     def to_json(self) -> str:
-        table = {"nodes": list(self.nodes.values())}
+        table = {"nodes": [{"rule": r, "labels": l, "formula": f} for r, l, f in self.nodes]}
         return json.dumps(table, sort_keys=True, separators=(",", ":"), default=print_formula)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
-        """The table of ``data``, checked to be a tree rooted at node 0,
-        each distinct formula text parsed once; ids may be any distinct
-        ints in any order.  Raises ValueError on any malformed table."""
+        """The steps of ``data``, each distinct formula text parsed once.
+        Raises ValueError on any malformed table."""
         entries = data.get("nodes") if type(data) is dict else None
         if type(entries) is not list or not all(type(e) is dict for e in entries):
             raise ValueError("proof table is not an object with a list of node objects")
         parsed: dict[str | None, Formula | None] = {None: None}
-        nodes = {}
-        for e in entries:
-            nid, rule, labels, text, children = map(e.get, ("id", "rule", "labels", "formula", "children"))
-            ints = all(type(v) is list and all(type(i) is int for i in v) for v in (labels, children))
-            if not (ints and type(nid) is int and type(rule) is str and type(text) in (str, type(None))):
-                raise ValueError(f"proof node {nid!r} is malformed")
+        steps = []
+        for i, e in enumerate(entries):
+            rule, labels, text = map(e.get, ("rule", "labels", "formula"))
+            typed = type(rule) is str and type(labels) is list and type(text) in (str, type(None))
+            if e.keys() != _STEP_KEYS or not (typed and all(type(lab) is int for lab in labels)):
+                raise ValueError(f"proof node {i} is malformed")
             if text not in parsed:
                 parsed[text] = parse(text)
-            nodes[nid] = _node(nid, rule, list(labels), parsed[text], list(children))
-        if len(nodes) != len(entries):
-            raise ValueError("proof table repeats a node id")
-        if 0 not in nodes:
-            raise ValueError("proof table has no root node 0")
-        referenced: list[int] = [c for e in nodes.values() for c in e["children"]]
-        if 0 in referenced or len(referenced) != len(set(referenced)):
-            raise ValueError("proof table is not a tree")
-        if not all(c in nodes for c in referenced):
-            raise ValueError("proof table references a missing node")
-        return cls(nodes)
+            steps.append((rule, tuple(labels), parsed[text]))
+        return cls(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,7 @@ Verdict = Valid | Invalid
 # step's target label (a box step's destination, any other step's first
 # label), then by arrival.
 _PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
-# Rules that spawn a successor; a queued step leaves out its child label.
+# Rules that spawn a successor; a step names only the parent label.
 _SPAWNING = frozenset({"diamond", "serial"})
 
 
@@ -280,8 +270,9 @@ class _Branch:
 
     def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
         """Apply one unary rule step if it is licensed and changes the
-        branch; False, changing nothing, otherwise.  ``labels`` name
-        existing labels, except a spawning rule's last, the next new id."""
+        branch; False, changing nothing, otherwise.  A spawning step adds a
+        new label, then the diamond's operand there, then the edge from its
+        parent, then the premises."""
         if rule == "alpha":
             (label,) = labels
             s = self.label_sets[label]
@@ -302,26 +293,22 @@ class _Branch:
                 return False
             self.add_edge(a, b)
             return True
-        if rule == "global-premise":
-            (label,) = labels
-            return f in self.premises and self.add_formula(label, f)
+        if rule not in _SPAWNING:
+            return False
+        (parent,) = labels
         if rule == "diamond":
-            parent, child = labels
             s = self.label_sets[parent]
             if not isinstance(f, Diamond) or f not in s or self.diamond_satisfied(parent, f):
                 return False
-            self.new_label()
+        elif FrameCondition.SERIAL not in self.frame or self.out_edges[parent]:
+            return False
+        child = self.new_label()
+        if rule == "diamond":
             self.add_formula(child, f.operand)
-            self.add_edge(parent, child)
-            return True
-        if rule == "serial":
-            parent, child = labels
-            if FrameCondition.SERIAL not in self.frame or self.out_edges[parent]:
-                return False
-            self.new_label()
-            self.add_edge(parent, child)
-            return True
-        return False
+        self.add_edge(parent, child)
+        for p in self.premises:
+            self.add_formula(child, p)
+        return True
 
     def split(self, label: int, f: Formula | None) -> "_Branch | None":
         """The beta rule: if the disjunction ``f`` is at ``label`` and
@@ -337,8 +324,8 @@ class _Branch:
 
     def obligations(self, blocked: list[int | None]) -> list[tuple]:
         """The diamond and serial steps owed by unblocked labels, per label
-        in formula insertion order, serial last, each without its child
-        label; ``blocked`` is the branch's blocked_by per label."""
+        in formula insertion order, serial last; ``blocked`` is the branch's
+        blocked_by per label."""
         owed: list[tuple] = []
         for lid, s in enumerate(self.label_sets):
             if blocked[lid] is not None:
@@ -353,7 +340,7 @@ class _Branch:
 
 class _State(_Branch):
     """One tableau branch under search: the step queue, closure detection,
-    blocking, and the budget and proof table shared by every branch."""
+    blocking, and the budget and proof steps shared by every branch."""
 
     __slots__ = (
         "heap",
@@ -371,7 +358,7 @@ class _State(_Branch):
         self.seq = 0
         self.queued: set[tuple] = set()
         self.closed: tuple[int, Atom] | None = None
-        self.proof: dict[int, dict] = {}
+        self.proof: list[tuple] = []
         self.budget = budget
         self._blocked: list[int | None] | None = None  # blocking(), until a formula set changes
 
@@ -381,18 +368,10 @@ class _State(_Branch):
         other.seq = self.seq
         other.queued = set(self.queued)
         other.closed = self.closed
-        other.proof = self.proof  # shared: branches record in proof preorder
+        other.proof = self.proof  # shared: branches run, and record, one at a time
         other.budget = self.budget  # shared: the ceiling spans all branches
         other._blocked = None
         return other
-
-    def record(self, rule: str, labels: list[int], formula: Formula | None, leaf: bool = False) -> dict:
-        """Append one rule application to the proof table.  The search
-        runs depth first, left branch first, so it fires rules in proof
-        preorder: the next node recorded is this one's (first) child."""
-        nid = len(self.proof)
-        node = self.proof[nid] = _node(nid, rule, labels, formula, [] if leaf else [nid + 1])
-        return node
 
     # -- queue ---------------------------------------------------------
 
@@ -509,32 +488,26 @@ class _State(_Branch):
         return result
 
 
-def _dispatch(state: _State, step: tuple) -> tuple[_State, dict] | None:
+def _dispatch(state: _State, step: tuple) -> _State | None:
     """Apply one queued step unless its label is blocked or the branch
     refuses it, and record it; a beta step returns the right branch of its
-    split and its proof node."""
+    split."""
     state.budget.count_step()
     rule, labels, f = step
     if rule == "beta":
         right = state.split(labels[0], f)
-        if right is None:
-            return None
-        return right, state.record(rule, list(labels), f)
+        if right is not None:
+            state.proof.append(step)
+        return right
     spawns = rule in _SPAWNING
-    if spawns:
-        if state.blocking()[labels[0]] is not None:
-            return None
-        labels = (labels[0], len(state.label_sets))
+    if spawns and state.blocking()[labels[0]] is not None:
+        return None
     if not state.apply(rule, labels, f):
         return None
-    state.record(rule, list(labels), f)
-    if spawns:
-        child = labels[1]
-        if FrameCondition.REFLEXIVE in state.frame:
-            state.enqueue(("frame-closure", (child, child), None))
-        for p in state.premises:
-            if state.apply("global-premise", [child], p):
-                state.record("global-premise", [child], p)
+    state.proof.append(step)
+    if spawns and FrameCondition.REFLEXIVE in state.frame:
+        child = len(state.label_sets) - 1
+        state.enqueue(("frame-closure", (child, child), None))
     return None
 
 
@@ -546,10 +519,10 @@ def _audit(state: _State) -> bool:
     return bool(owed)
 
 
-def _expand_segment(state: _State) -> tuple[_State, dict] | None:
+def _expand_segment(state: _State) -> _State | None:
     """Run queued steps until the branch closes, splits, or saturates.
-    Returns a split's right branch and beta node; None once the branch is
-    closed (its closure recorded) or open."""
+    Returns a split's right branch; None once the branch is closed (its
+    closure recorded) or open."""
     while True:
         while state.heap and state.closed is None:
             _, _, _, step = heapq.heappop(state.heap)
@@ -559,7 +532,7 @@ def _expand_segment(state: _State) -> tuple[_State, dict] | None:
                 return split
         if state.closed is not None:
             label, atom = state.closed
-            state.record("closure", [label], atom, leaf=True)
+            state.proof.append(("closure", (label,), atom))
             return None
         if not _audit(state):
             return None
@@ -574,18 +547,16 @@ def _run(state: _State) -> _State | None:
     are deterministic.  Iterative so that proof depth is unbounded by the
     interpreter's recursion limit.
     """
-    stack: list[tuple[_State, dict | None]] = [(state, None)]
+    stack = [state]
     while stack:
-        st, beta = stack.pop()
-        if beta is not None:
-            beta["children"].append(len(st.proof))  # the right branch starts here
-        split = _expand_segment(st)
-        if split is None:
+        st = stack.pop()
+        right = _expand_segment(st)
+        if right is None:
             if st.closed is None:
                 return st
             continue
-        stack.append(split)
-        stack.append((st, None))  # popped first: left before right
+        stack.append(right)
+        stack.append(st)  # popped first: left before right
     return None
 
 
@@ -684,7 +655,7 @@ def decide(
         state.enqueue(("serial", (0,), None))
     open_branch = _run(state)
     if open_branch is None:
-        return Valid(ProofObject(state.proof))
+        return Valid(ProofObject(tuple(state.proof)))
     # a module-global lookup, so that a tracer rebinding
     # tableau.extract_countermodel sees this call
     return Invalid(
@@ -701,44 +672,29 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 # proof replay
 
 
-def _labels_exist(branch: _Branch, rule: str, labels: list[int]) -> bool:
-    """Does every label name an existing one, except a spawned child,
-    which must be the next new id?"""
-    count = len(branch.label_sets)
-    if rule in _SPAWNING:
-        return labels[-1] == count and all(0 <= lab < count for lab in labels[:-1])
-    return all(0 <= lab < count for lab in labels)
-
-
-def _replay(branch: _Branch, nodes: dict[int, dict]) -> bool:
-    """Iteratively replay a proof table from node 0; every leaf must be a closure."""
-    stack: list[tuple[_Branch, int]] = [(branch, 0)]
-    visits = 0  # a tree visits each node once; more means a cycle
-    while stack:
-        state, nid = stack.pop()
-        while True:
-            visits += 1
-            if visits > len(nodes):
+def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
+    """Replay proof steps in order from the seeded root: a beta step's right
+    branch waits on a stack until a closure ends the branch before it, and
+    the last step must close the last branch."""
+    pending: list[_Branch] = []
+    current: _Branch | None = branch
+    for rule, labels, f in steps:
+        if current is None or not all(0 <= lab < len(current.label_sets) for lab in labels):
+            return False  # a step after every branch closed, or a label that does not exist
+        if rule == "closure":
+            (label,) = labels
+            s = current.label_sets[label]
+            if not (isinstance(f, Atom) and f in s and Not(f) in s):
                 return False
-            node = nodes[nid]
-            rule, labels, f, children = node["rule"], node["labels"], node["formula"], node["children"]
-            if not _labels_exist(state, rule, labels):
+            current = pending.pop() if pending else None
+        elif rule == "beta":
+            (label,) = labels
+            if (right := current.split(label, f)) is None:
                 return False
-            if rule == "closure":
-                (label,) = labels
-                s = state.label_sets[label]
-                if children or not (isinstance(f, Atom) and f in s and Not(f) in s):
-                    return False
-                break  # this branch verified closed
-            if rule == "beta":
-                (label,) = labels
-                if len(children) != 2 or (right := state.split(label, f)) is None:
-                    return False
-                stack.append((right, children[1]))
-            elif len(children) != 1 or not state.apply(rule, labels, f):
-                return False
-            nid = children[0]
-    return True
+            pending.append(right)
+        elif not current.apply(rule, labels, f):
+            return False
+    return current is None
 
 
 def check_proof(
@@ -748,7 +704,7 @@ def check_proof(
     frame: FrameClass,
 ) -> bool:
     """Replay a proof against a query: every recorded rule application
-    must be licensed and every leaf must be a present closure pair.
+    must be licensed and every branch must end in a present closure pair.
     Returns False on any mismatch; never raises."""
     try:
         branch = _Branch(frozenset(frame), tuple(nnf(desugar(p)) for p in premises))

@@ -31,11 +31,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(argv, **kwargs):
+def run_fresh(argv, timeout=60, **kwargs):
     """The CLI in a fresh interpreter that imports this modaltab."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(modaltab.__file__))}
     return subprocess.run([sys.executable, "-m", "modaltab.cli", *argv], env=env, text=True,
-                          timeout=60, **kwargs)
+                          timeout=timeout, **kwargs)
 
 
 class TestCheck:
@@ -491,14 +491,14 @@ GOLDEN_OUTPUT_DIGESTS = {
     "corpus": "27395b1b2727e910d83190aac05047d6c68151d94c46550f4dcc209e01933767",
     "jacquette": "dd6020e922997335f3197b8be0b5b001105e10bad0f8e55e44777e2a69aa56fb",
     "steps": "ee1a905c157f606a4f2f6de4a782d3c2a9d6f631171f0cefc905f981de996563",
-    "check adams": "7d53f2f2db5c8bccb9bfce82fbff1079a3d6836e073b5913734451a112c67462",
-    "check adams_alt": "1056ba32d7918e084d273d25955d3338507c1f0194b9b627500fd5fe3c5fc574",
-    "check eder_ramharter": "326221446069e758ab84ec8057d4e31a4c014549a99cf1efec7893aaddb9d8b8",
-    "check hartshorne": "cf723d37eaf10f431d63d667392be9eaf9c969d1c9a949e224408daafc9ac56f",
-    "check hartshorne_alt": "1d0c6d9707db58664c286280577eb9320a9c3b439b7e41d3cc1b0759dfaa8250",
-    "check kane": "0900555adbebf70a171abecde69827c14bf20689690880127beb6bdfb4ac20aa",
-    "check malcolm": "0c69e81fac31d01d8977dda32360437f4e1cb027bcab007ed2e0fa50bc5b5c08",
-    "check malcolm_alt": "fbbd3cdc235012492be39561df7cb32efd8a7850f715a0169e90715c6de00e42",
+    "check adams": "2b609cf5fd1e538f2e95719da22c43b5c41ce7f016874b151f025cbab531bb02",
+    "check adams_alt": "276720c670b04facc0d726a5a3ab9f8fddc0f827805bbe9f056d09bdba46eabe",
+    "check eder_ramharter": "744c8e69d81c5d5f4599fc8e0e09d671ffdbb0c9726868a0f0e67f112a9e7491",
+    "check hartshorne": "de112c80ea71a850e29ae1acb3b91a67df004cbe627cc2544e6f4205e7e7c54b",
+    "check hartshorne_alt": "c3f628de06ae91c3fa15eae0e23f83bbb167fcd95265c21a4049d6d1720a0f62",
+    "check kane": "20ed23692ba1417c3fed057db6de49b97e61ea7ed5e4b467619964b6add67cbe",
+    "check malcolm": "d0c18d7673c4fc0a7f6ecfeb1cf999f5beedd189a8b23c683e2dfee0184ffd2d",
+    "check malcolm_alt": "0ce63a74f4a74b911332f6f070de8bf565a40ee766335162c445b613a8935bc3",
     "countermodel adams": "b8f3e138bce33201db3d6516cc75991c50c092b96cf86555f63f48122130f6a7",
     "countermodel adams_alt": "261315cc246a561e0325d0a8bdc029e4f00f21209e7c3d2284f8ce12b8fef252",
     "countermodel eder_ramharter": "c1c57ec17106efbc0d9b840268008d5c998d818db4aca975f261d4792c29dad9",
@@ -507,14 +507,14 @@ GOLDEN_OUTPUT_DIGESTS = {
     "countermodel kane": "441af34ac6ab1bb479ba7e7a290a137f0542e4d2a759f942f9dbc0f135cf8640",
     "countermodel malcolm": "6d773cbcbc4b050f6a2e9baaacfc5cedf87f7c9f49df88e31d4df3d02305617c",
     "countermodel malcolm_alt": "a3d057e1b0d465114a25e258a8b928c93ecad040e32b6fca762cf26cb6f6ed22",
-    "check adams --minimal-frames": "7090fc42f687546ddf831bd9289d8160c9cee10f7e5e48306b8a8d1ea2c2f2c8",
-    "check adams_alt --minimal-frames": "d7913508187271ab06fe5d080878e24956288ba5e4859daa20fbd3eb9c7d80fb",
-    "check eder_ramharter --minimal-frames": "2c7b649a3273637babd804f299e3f81d3f005d83a372a48b425dd3e119dd48aa",
-    "check hartshorne --minimal-frames": "dea8cb014f20af3ac062147f74007d11c433352be5b28123cfc9c5bb68317575",
-    "check hartshorne_alt --minimal-frames": "38fcd1ac91d8d816e9d84c61f0b665e42b8c7c229cf15aab58db06ba73118167",
-    "check kane --minimal-frames": "b12c67d3d24c5740de65c0a243485298fde677f5745ab7120bf66d5527ef0f9e",
-    "check malcolm --minimal-frames": "a440aa4df046e124db399cb98eaae7cb0c30ee80a6cdf07a9df76d6c0ab8c871",
-    "check malcolm_alt --minimal-frames": "60ab463d0be86731813e1ee81d29044bd4c590ec39fae63436dd08ec7aa53768",
+    "check adams --minimal-frames": "de09b48266bbf7654dac2c1b2db1084adfe0a385a96eae8a46605ae01889cf06",
+    "check adams_alt --minimal-frames": "2870afa64da37f1e42914f335dfd68b193509aa48a00e6afe4992047a04e6b70",
+    "check eder_ramharter --minimal-frames": "eac6bb8d63197678938790cc225238f200fbdd24bcc195a872fac15d2813aa3d",
+    "check hartshorne --minimal-frames": "5fd0a771e2a361231849703e9ad196419f6244ea2b09d0d46861134e5732e7a4",
+    "check hartshorne_alt --minimal-frames": "65f19e7a83375ef6bd54d540e843674ca72f50ed96606b584b1d6afdc7a49d56",
+    "check kane --minimal-frames": "200e91e4b15f498de85acc59c33e64d39876eee09c5c7e5d65a22242628f259b",
+    "check malcolm --minimal-frames": "4b2decd03523d6f16966937210733fbdaad6d2945b7a581ffa0ce19ba3fc2289",
+    "check malcolm_alt --minimal-frames": "9aeae369160d607dc50e403f2f9570134c80dc56d0b01f273a25367d67046c63",
 }
 
 
@@ -679,3 +679,13 @@ class TestArgumentFileLoader:
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: larger than {cli._MAX_ARGUMENT_FILE_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_without_a_writer_is_an_input_error(self, tmp_path):
+        # in a fresh interpreter with a timeout, so that a loader which
+        # waits in open() for a writer fails this test instead of hanging
+        path = tmp_path / "fifo.json"
+        os.mkfifo(path)
+        done = run_fresh(["check", str(path)], timeout=20, capture_output=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {path}: not a regular file\n"
