@@ -21,6 +21,11 @@ and equalizes box/diamond formulas across edges between non-root labels
 under Euclideanness; each extra propagation is truth-preserving in every
 model of its frame condition.
 
+Each rule's triggers (the steps a new label, formula or edge may
+license) and its licence are written once, in ``_Branch``: the search
+fires the licensed steps its triggers queue, replay fires only licensed
+steps, and extraction refuses a branch where a trigger yields one.
+
 Valid verdicts carry a replayable proof object, invalid verdicts a
 countermodel extracted from the first open saturated branch; both are
 re-checkable without trusting the search.
@@ -150,10 +155,8 @@ Verdict = Valid | Invalid
 _PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
 # Rules that spawn a successor; a step names only the parent label.
 _SPAWNING = frozenset({"diamond", "serial"})
-
-
-def _is_modal(f: Formula) -> bool:
-    return isinstance(f, (Box, Diamond))
+# Formulas that box steps move along edges.
+_MODAL = (Box, Diamond)
 
 
 class _Budget:
@@ -185,9 +188,10 @@ class _Budget:
 
 class _Branch:
     """Labels, formula sets and edges of one tableau branch, plus each
-    rule's licence and effect (:meth:`apply`, :meth:`split`).  Shared by
-    the search and by proof replay, so it enqueues no work and detects no
-    closure."""
+    rule's triggers (``*_steps``: each step a new label, formula or edge
+    may license, handed to ``emit``), licence (:meth:`licensed`) and effect
+    (:meth:`apply`, :meth:`split`).  Shared by the search, proof replay and
+    the saturation check, so it enqueues no work and detects no closure."""
 
     __slots__ = ("frame", "premises", "label_sets", "out_edges", "in_edges", "edge_set")
 
@@ -230,92 +234,143 @@ class _Branch:
         self.in_edges[b].append(a)
         return True
 
-    def move_licensed(self, src: int, f: Formula | None, dst: int) -> bool:
-        """May ``f`` be written to dst, justified by the contents of src?"""
-        if f is None:
-            return False
-        if (src, dst) in self.edge_set:
-            if Box(f) in self.label_sets[src]:
-                return True  # K: operand across an edge
-            if f in self.label_sets[src]:
-                if isinstance(f, Box) and FrameCondition.TRANSITIVE in self.frame:
-                    return True  # 4: boxes persist forward
-                if FrameCondition.EUCLIDEAN in self.frame:
-                    if isinstance(f, Diamond):
-                        return True  # co-successors of src see f's witness too
-                    if isinstance(f, Box) and self.in_edges[src]:
-                        return True  # successors of a non-root world see no more
-        if (dst, src) in self.edge_set and FrameCondition.EUCLIDEAN in self.frame:
-            # backward within range: dst's successors include src's
-            if _is_modal(f) and f in self.label_sets[src] and self.in_edges[dst]:
-                return True
-        return False
+    def label_steps(self, label: int, emit) -> None:
+        if FrameCondition.REFLEXIVE in self.frame:
+            emit(("frame-closure", (label, label), None))
 
-    def edge_licensed(self, a: int, b: int) -> bool:
-        """Is edge (a, b) derivable by one Horn closure step?"""
-        if a == b and FrameCondition.REFLEXIVE in self.frame:
-            return True
-        if FrameCondition.SYMMETRIC in self.frame and (b, a) in self.edge_set:
-            return True
-        if FrameCondition.TRANSITIVE in self.frame:
-            if any((c, b) in self.edge_set for c in self.out_edges[a]):
-                return True
+    def formula_steps(self, label: int, f: Formula, emit) -> None:
+        if isinstance(f, And):
+            emit(("alpha", (label,), f))
+        elif isinstance(f, Or):
+            emit(("beta", (label,), f))
+        elif isinstance(f, _MODAL):
+            if isinstance(f, Diamond):
+                emit(("diamond", (label,), f))
+            for m in self.out_edges[label]:
+                # K-arrival of the operand plus possible transfer of f itself
+                if isinstance(f, Box):
+                    emit(("box", (label, m), f.operand))
+                emit(("box", (label, m), f))
+            if FrameCondition.EUCLIDEAN in self.frame:
+                # backward transfer is only ever licensed on Euclidean frames
+                for k in self.in_edges[label]:
+                    emit(("box", (label, k), f))
+
+    def edge_steps(self, a: int, b: int, emit) -> None:
+        self.closure_steps(a, b, emit)
+        self.transfer_steps(a, b, emit)
+        # b gaining its first in-edge can enable Euclidean transfers on
+        # b's existing out-edges
+        if len(self.in_edges[b]) == 1 and FrameCondition.EUCLIDEAN in self.frame:
+            for c in self.out_edges[b]:
+                self.transfer_steps(b, c, emit)
+
+    def transfer_steps(self, a: int, b: int, emit) -> None:
+        """Box steps across edge (a, b): forward, and backward on Euclidean frames."""
+        for f in self.label_sets[a]:
+            if isinstance(f, Box):
+                emit(("box", (a, b), f.operand))
+            if isinstance(f, _MODAL):
+                emit(("box", (a, b), f))
         if FrameCondition.EUCLIDEAN in self.frame:
-            if any((c, b) in self.edge_set for c in self.in_edges[a]):
-                return True
-        return False
+            for f in self.label_sets[b]:
+                if isinstance(f, _MODAL):
+                    emit(("box", (b, a), f))
 
-    def diamond_satisfied(self, label: int, f: Diamond) -> bool:
-        return any(f.operand in self.label_sets[m] for m in self.out_edges[label])
+    def closure_steps(self, a: int, b: int, emit) -> None:
+        """The Horn closure products of edge (a, b) with the edges present."""
+        if FrameCondition.SYMMETRIC in self.frame:
+            emit(("frame-closure", (b, a), None))
+        if FrameCondition.TRANSITIVE in self.frame:
+            for c in self.out_edges[b]:
+                emit(("frame-closure", (a, c), None))
+            for c in self.in_edges[a]:
+                emit(("frame-closure", (c, b), None))
+        if FrameCondition.EUCLIDEAN in self.frame:
+            for c in self.out_edges[a]:
+                emit(("frame-closure", (b, c), None))
+                emit(("frame-closure", (c, b), None))
 
-    def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
-        """Apply one unary rule step if it is licensed and changes the
-        branch; False, changing nothing, otherwise.  A spawning step adds a
-        new label, then the diamond's operand there, then the edge from its
-        parent, then the premises."""
-        if rule == "alpha":
-            (label,) = labels
-            s = self.label_sets[label]
-            if not isinstance(f, And) or f not in s or (f.left in s and f.right in s):
-                return False
-            self.add_formula(label, f.left)
-            self.add_formula(label, f.right)
-            return True
+    def licensed(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
+        """Whether the step applies to this branch and would change it.  A
+        spawning step names only its parent label, and a ``frame-closure``
+        or ``serial`` step carries no formula."""
         if rule == "box":
             src, dst = labels
-            if f in self.label_sets[dst] or not self.move_licensed(src, f, dst):
+            if f is None or f in self.label_sets[dst]:
                 return False
-            self.add_formula(dst, f)
-            return True
+            if (src, dst) in self.edge_set:
+                if Box(f) in self.label_sets[src]:
+                    return True  # K: operand across an edge
+                if f in self.label_sets[src]:
+                    if isinstance(f, Box) and FrameCondition.TRANSITIVE in self.frame:
+                        return True  # 4: boxes persist forward
+                    if FrameCondition.EUCLIDEAN in self.frame:
+                        if isinstance(f, Diamond):
+                            return True  # co-successors of src see f's witness too
+                        if isinstance(f, Box) and self.in_edges[src]:
+                            return True  # successors of a non-root world see no more
+            if (dst, src) in self.edge_set and FrameCondition.EUCLIDEAN in self.frame:
+                # backward within range: dst's successors include src's
+                if isinstance(f, _MODAL) and f in self.label_sets[src] and self.in_edges[dst]:
+                    return True
+            return False
         if rule == "frame-closure":
             a, b = labels
-            if (a, b) in self.edge_set or not self.edge_licensed(a, b):
+            if f is not None or (a, b) in self.edge_set:
                 return False
-            self.add_edge(a, b)
-            return True
-        if rule not in _SPAWNING:
-            return False
-        (parent,) = labels
+            # one Horn closure step derives (a, b)
+            frame, edges = self.frame, self.edge_set
+            return (
+                a == b and FrameCondition.REFLEXIVE in frame
+                or FrameCondition.SYMMETRIC in frame and (b, a) in edges
+                or FrameCondition.TRANSITIVE in frame and any((c, b) in edges for c in self.out_edges[a])
+                or FrameCondition.EUCLIDEAN in frame and any((c, b) in edges for c in self.in_edges[a])
+            )
+        (label,) = labels
+        s = self.label_sets[label]
+        if rule == "alpha":
+            return isinstance(f, And) and f in s and not (f.left in s and f.right in s)
+        if rule == "beta":
+            return isinstance(f, Or) and f in s and f.left not in s and f.right not in s
         if rule == "diamond":
-            s = self.label_sets[parent]
-            if not isinstance(f, Diamond) or f not in s or self.diamond_satisfied(parent, f):
-                return False
-        elif FrameCondition.SERIAL not in self.frame or self.out_edges[parent]:
+            return (
+                isinstance(f, Diamond)
+                and f in s
+                and not any(f.operand in self.label_sets[m] for m in self.out_edges[label])
+            )
+        if rule == "serial":
+            return f is None and FrameCondition.SERIAL in self.frame and not self.out_edges[label]
+        return rule == "closure" and isinstance(f, Atom) and f in s and Not(f) in s
+
+    def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
+        """Apply one unary rule step if it is licensed; False, changing
+        nothing, otherwise.  A spawning step adds a new label, then the
+        diamond's operand there, then the edge from its parent, then the
+        premises."""
+        if rule in ("beta", "closure") or not self.licensed(rule, labels, f):
             return False
-        child = self.new_label()
-        if rule == "diamond":
-            self.add_formula(child, f.operand)
-        self.add_edge(parent, child)
-        for p in self.premises:
-            self.add_formula(child, p)
+        if rule == "box":
+            self.add_formula(labels[1], f)
+        elif rule == "alpha":
+            self.add_formula(labels[0], f.left)
+            self.add_formula(labels[0], f.right)
+        elif rule == "frame-closure":
+            self.add_edge(*labels)
+        else:
+            child = self.new_label()
+            if rule == "diamond":
+                self.add_formula(child, f.operand)
+            self.add_edge(labels[0], child)
+            for p in self.premises:
+                self.add_formula(child, p)
         return True
 
     def split(self, label: int, f: Formula | None) -> "_Branch | None":
-        """The beta rule: if the disjunction ``f`` is at ``label`` and
-        neither disjunct is, add its left disjunct here and return a copy
-        of the branch with its right one instead; else None."""
-        s = self.label_sets[label]
-        if not isinstance(f, Or) or f not in s or f.left in s or f.right in s:
+        """The beta rule: if it is licensed for the disjunction ``f`` at
+        ``label``, add its left disjunct here and return a copy of the
+        branch with its right one instead; else None."""
+        if not self.licensed("beta", (label,), f):
             return None
         right = self.clone()
         right.add_formula(label, f.right)
@@ -331,9 +386,9 @@ class _Branch:
             if blocked[lid] is not None:
                 continue
             for f in s:
-                if isinstance(f, Diamond) and not self.diamond_satisfied(lid, f):
+                if isinstance(f, Diamond) and self.licensed("diamond", (lid,), f):
                     owed.append(("diamond", (lid,), f))
-            if FrameCondition.SERIAL in self.frame and not self.out_edges[lid]:
+            if self.licensed("serial", (lid,), None):
                 owed.append(("serial", (lid,), None))
         return owed
 
@@ -376,12 +431,18 @@ class _State(_Branch):
     # -- queue ---------------------------------------------------------
 
     def enqueue(self, step: tuple) -> None:
-        """Queue a proof step ``(rule, labels, formula)`` unless it is queued."""
+        """Queue a proof step ``(rule, labels, formula)`` unless it is queued
+        or would add a formula or edge already present: it could never fire."""
+        rule, labels, f = step
+        if rule == "box":
+            if f in self.label_sets[labels[1]]:
+                return
+        elif rule == "frame-closure" and labels in self.edge_set:
+            return
         before = len(self.queued)
         self.queued.add(step)  # one hash of the nested tuple, not two
         if len(self.queued) == before:
             return
-        rule, labels, _ = step
         target = labels[1] if rule == "box" else labels[0]
         heapq.heappush(self.heap, (_PRIORITY[rule], target, self.seq, step))
         self.seq += 1
@@ -404,60 +465,13 @@ class _State(_Branch):
             case Not(operand=Atom() as atom):
                 if atom in self.label_sets[label] and self.closed is None:
                     self.closed = (label, atom)
-            case And():
-                self.enqueue(("alpha", (label,), f))
-            case Or():
-                self.enqueue(("beta", (label,), f))
-            case Diamond():
-                self.enqueue(("diamond", (label,), f))
-        if _is_modal(f):
-            for m in self.out_edges[label]:
-                self.enqueue_moves(label, f, m)
-            if FrameCondition.EUCLIDEAN in self.frame:
-                # backward transfer is only ever licensed on Euclidean frames
-                for k in self.in_edges[label]:
-                    self.enqueue(("box", (label, k), f))
+        self.formula_steps(label, f, self.enqueue)
         return True
-
-    def enqueue_moves(self, src: int, f: Formula, dst: int) -> None:
-        # K-arrival of the operand plus possible transfer of f itself
-        if isinstance(f, Box):
-            self.enqueue(("box", (src, dst), f.operand))
-        self.enqueue(("box", (src, dst), f))
 
     def add_edge(self, a: int, b: int) -> bool:
         if not super().add_edge(a, b):
             return False
-        # Horn closure products involving the new edge
-        if FrameCondition.SYMMETRIC in self.frame:
-            self.enqueue(("frame-closure", (b, a), None))
-        if FrameCondition.TRANSITIVE in self.frame:
-            for c in list(self.out_edges[b]):
-                self.enqueue(("frame-closure", (a, c), None))
-            for c in list(self.in_edges[a]):
-                self.enqueue(("frame-closure", (c, b), None))
-        if FrameCondition.EUCLIDEAN in self.frame:
-            for c in list(self.out_edges[a]):
-                self.enqueue(("frame-closure", (b, c), None))
-                self.enqueue(("frame-closure", (c, b), None))
-        # propagation across the new edge
-        for f in list(self.label_sets[a]):
-            if _is_modal(f):
-                self.enqueue_moves(a, f, b)
-        if FrameCondition.EUCLIDEAN in self.frame:
-            for f in list(self.label_sets[b]):
-                if _is_modal(f):
-                    self.enqueue(("box", (b, a), f))
-        # b gaining its first in-edge can enable Euclidean transfers on
-        # b's existing out-edges
-        if len(self.in_edges[b]) == 1 and FrameCondition.EUCLIDEAN in self.frame:
-            for c in list(self.out_edges[b]):
-                for f in list(self.label_sets[b]):
-                    if _is_modal(f):
-                        self.enqueue_moves(b, f, c)
-                for f in list(self.label_sets[c]):
-                    if _is_modal(f):
-                        self.enqueue(("box", (c, b), f))
+        self.edge_steps(a, b, self.enqueue)
         return True
 
     # -- blocking --------------------------------------------------------
@@ -505,9 +519,8 @@ def _dispatch(state: _State, step: tuple) -> _State | None:
     if not state.apply(rule, labels, f):
         return None
     state.proof.append(step)
-    if spawns and FrameCondition.REFLEXIVE in state.frame:
-        child = len(state.label_sets) - 1
-        state.enqueue(("frame-closure", (child, child), None))
+    if spawns:
+        state.label_steps(len(state.label_sets) - 1, state.enqueue)
     return None
 
 
@@ -561,25 +574,26 @@ def _run(state: _State) -> _State | None:
 
 
 def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
-    """Raise NotSaturated if the branch is closed or a rule still applies;
-    ``blocked`` is its blocked_by per label."""
+    """Raise NotSaturated if the branch is closed or a rule still applies: a
+    licensed non-spawning step that a label, formula or edge triggers, or a
+    spawning step owed by an unblocked label (``blocked``: blocked_by per label)."""
     sets = branch.label_sets
     for lid, s in enumerate(sets):
-        out = branch.out_edges[lid]
         for f in s:
-            match f:
-                case Atom(name):
-                    if Not(f) in s:
-                        raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
-                case And(left, right):
-                    if left not in s or right not in s:
-                        raise NotSaturated(f"alpha rule applicable at label {lid}")
-                case Or(left, right):
-                    if left not in s and right not in s:
-                        raise NotSaturated(f"beta rule applicable at label {lid}")
-                case Box(operand):
-                    if any(operand not in sets[m] for m in out):
-                        raise NotSaturated(f"box rule applicable at label {lid}")
+            if isinstance(f, Atom) and Not(f) in s:
+                raise NotSaturated(f"branch is closed: {f.name} and ~{f.name} at label {lid}")
+
+    def emit(step: tuple) -> None:
+        rule, labels, f = step
+        if rule not in _SPAWNING and branch.licensed(rule, labels, f):
+            raise NotSaturated(f"{rule} rule applicable at label {labels[0]}")
+
+    for lid, s in enumerate(sets):
+        branch.label_steps(lid, emit)
+        for f in s:
+            branch.formula_steps(lid, f, emit)
+        for b in branch.out_edges[lid]:
+            branch.closure_steps(lid, b, emit)
     for rule, (lid,), _ in branch.obligations(blocked):
         raise NotSaturated(f"{rule} rule applicable at label {lid}")
 
@@ -649,10 +663,7 @@ def decide(
     desugared_conclusion = desugar(conclusion)
     state = _State(frozenset(frame), tuple(nnf(p) for p in desugared_premises), _Budget(max_labels))
     _seed_root(state, desugared_conclusion)
-    if FrameCondition.REFLEXIVE in state.frame:
-        state.enqueue(("frame-closure", (0, 0), None))
-    if FrameCondition.SERIAL in state.frame:
-        state.enqueue(("serial", (0,), None))
+    state.label_steps(0, state.enqueue)  # serial steps, the root's too, come from _audit
     open_branch = _run(state)
     if open_branch is None:
         return Valid(ProofObject(tuple(state.proof)))
@@ -682,9 +693,7 @@ def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
         if current is None or not all(0 <= lab < len(current.label_sets) for lab in labels):
             return False  # a step after every branch closed, or a label that does not exist
         if rule == "closure":
-            (label,) = labels
-            s = current.label_sets[label]
-            if not (isinstance(f, Atom) and f in s and Not(f) in s):
+            if not current.licensed(rule, labels, f):
                 return False
             current = pending.pop() if pending else None
         elif rule == "beta":

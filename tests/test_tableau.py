@@ -44,6 +44,7 @@ from modaltab.tableau import (
 K = frozenset()
 REFL = frozenset({FrameCondition.REFLEXIVE})
 SYM = frozenset({FrameCondition.SYMMETRIC})
+TRANS = frozenset({FrameCondition.TRANSITIVE})
 EUCL = frozenset({FrameCondition.EUCLIDEAN})
 SERIAL = frozenset({FrameCondition.SERIAL})
 S5 = frozenset({FrameCondition.REFLEXIVE, FrameCondition.EUCLIDEAN})
@@ -161,16 +162,24 @@ class TestExtractCountermodel:
         with pytest.raises(NotSaturated):
             extract_countermodel(branch, [None], (), Atom("r"))
 
-    @pytest.mark.parametrize("rule,frame,label_sets,edges", [
-        ("beta", K, [{Or(Atom("p"), Atom("q"))}], []),
-        ("box", K, [{Box(Atom("p"))}, set()], [(0, 1)]),
-        ("diamond", K, [{Diamond(Atom("p"))}], []),
-        ("serial", SERIAL, [{Atom("p")}], []),
+    @pytest.mark.parametrize("rule,frame,label_sets,edges,label", [
+        ("beta", K, [{Or(Atom("p"), Atom("q"))}], [], 0),
+        ("box", K, [{Box(Atom("p"))}, set()], [(0, 1)], 0),
+        ("diamond", K, [{Diamond(Atom("p"))}], [], 0),
+        ("serial", SERIAL, [{Atom("p")}], [], 0),
+        # one Horn closure step short: (0, 0); (1, 0); (0, 2); and (1, 2),
+        # the only pair missing from the Euclidean closure of these edges
+        ("frame-closure", REFL, [{Atom("p")}], [], 0),
+        ("frame-closure", SYM, [set(), set()], [(0, 1)], 1),
+        ("frame-closure", TRANS, [set(), set(), set()], [(0, 1), (1, 2)], 0),
+        ("frame-closure", EUCL, [set(), set(), set()], [(0, 1), (0, 2), (1, 1), (2, 1), (2, 2)], 1),
+        # []p has not moved to the successor, where transitivity carries it
+        ("box", TRANS, [{Box(Atom("p"))}, {Atom("p")}], [(0, 1)], 0),
     ])
-    def test_not_saturated_names_the_applicable_rule(self, rule, frame, label_sets, edges):
+    def test_not_saturated_names_the_applicable_rule(self, rule, frame, label_sets, edges, label):
         branch = hand_branch(frame, label_sets, edges)
         blocked = [None] * len(label_sets)
-        with pytest.raises(NotSaturated, match=f"^{rule} rule applicable at label 0$"):
+        with pytest.raises(NotSaturated, match=f"^{rule} rule applicable at label {label}$"):
             extract_countermodel(branch, blocked, (), Atom("r"))
 
 
@@ -497,7 +506,6 @@ class TestGoldenProofs:
                 position, value)
 
 
-TRANS = frozenset({FrameCondition.TRANSITIVE})
 # steps for []p -> [][]p that move []p itself from the root to its successor
 FOUR_TRANSFER = [
     ("alpha", [0], "[]p & <><>~p"),
@@ -546,6 +554,20 @@ class TestForgedProofs:
         assert isinstance(prove_valid(conclusion, refusing), Invalid)
         assert not check_proof(proof, [], conclusion, refusing)
         assert check_proof(proof, [], conclusion, licensing)
+
+    @pytest.mark.parametrize("rule,text,frame", [
+        ("frame-closure", "[]p -> p", REFL),
+        ("serial", "[]p -> <>p", SERIAL),
+    ])
+    def test_formula_on_a_formula_free_step_rejected(self, rule, text, frame):
+        # these steps carry no formula, so a proof has one text: the same
+        # steps with a formula written on one of them do not replay
+        conclusion = parse(text)
+        doc = json.loads(prove_valid(conclusion, frame).proof.to_json())
+        index = next(i for i, e in enumerate(doc["nodes"]) if e["rule"] == rule)
+        forged = _edit_node(doc, index, formula="q & ~q")
+        assert check_proof(ProofObject.from_json_dict(doc), [], conclusion, frame)
+        assert not check_proof(ProofObject.from_json_dict(forged), [], conclusion, frame)
 
 
 class TestNoOpSteps:
@@ -717,23 +739,36 @@ def _outcome(decide_fn, *args, **kwargs):
 @functools.cache
 def _golden_outcomes():
     """The lines of 2,384 queries: every licence formula over every frame
-    subset, then 2,000 seeded random queries."""
-    outcomes = [
-        _outcome(prove_valid, parse(text), frame)
-        for text in LICENCE_FORMULAS
-        for frame in ALL_FRAMES
-    ]
-    rng = random.Random(4207)
-    for _ in range(2000):
-        frame = rng.choice(ALL_FRAMES)
-        premises = [random_formula(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
-        conclusion = random_formula(rng, rng.randrange(1, 4))
-        outcomes.append(_outcome(decide, premises, conclusion, frame, max_labels=500))
-    return outcomes
+    subset, then 2,000 seeded random queries; and the number of steps the
+    search popped for them, counted through ``_Budget.count_step``."""
+    popped = 0
+    count_step = tableau._Budget.count_step
+
+    def counting(budget):
+        nonlocal popped
+        popped += 1
+        count_step(budget)
+
+    tableau._Budget.count_step = counting
+    try:
+        outcomes = [
+            _outcome(prove_valid, parse(text), frame)
+            for text in LICENCE_FORMULAS
+            for frame in ALL_FRAMES
+        ]
+        rng = random.Random(4207)
+        for _ in range(2000):
+            frame = rng.choice(ALL_FRAMES)
+            premises = [random_formula(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+            conclusion = random_formula(rng, rng.randrange(1, 4))
+            outcomes.append(_outcome(decide, premises, conclusion, frame, max_labels=500))
+    finally:
+        tableau._Budget.count_step = count_step
+    return outcomes, popped
 
 
 def _digest(is_proof):
-    lines = [line for line, proof in _golden_outcomes() if proof == is_proof]
+    lines = [line for line, proof in _golden_outcomes()[0] if proof == is_proof]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -748,9 +783,16 @@ class TestGoldenOutcomes:
     DIGEST = "00ee463e332ed45716ebefe9ba319f29c717f469217b57753d564e7614ad7df0"
     # the 810 Valid lines
     PROOFS_DIGEST = "c2f692ad21337aef1bfcf602367ca1d37661a0d723327329283eb06753db3e59"
+    # steps popped over all 2,384 queries
+    POPPED_STEPS = 16_323
 
     def test_outcomes_unchanged(self):
         assert _digest(False) == self.DIGEST
 
     def test_proofs_unchanged(self):
         assert _digest(True) == self.PROOFS_DIGEST
+
+    def test_search_work_unchanged(self):
+        # every step popped from a queue, fired or not: the work the
+        # search did, and what its max_steps ceiling counts
+        assert _golden_outcomes()[1] == self.POPPED_STEPS
