@@ -9,6 +9,7 @@ from modaltab import tableau
 from modaltab.arguments import builtin_corpus, eder_ramharter_manual
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import (
+    LOGICS,
     FrameCondition,
     evaluate,
     frame_satisfies,
@@ -767,8 +768,38 @@ def _golden_outcomes():
     return outcomes, popped
 
 
-def _digest(is_proof):
-    lines = [line for line, proof in _golden_outcomes()[0] if proof == is_proof]
+def full_formula(rng, depth, atoms):
+    """A random formula over ``atoms`` in which every branch reaches ``depth``."""
+    if depth == 0:
+        return Atom(rng.choice(atoms))
+    pick = rng.randrange(6)
+    if pick < 3:
+        return (Not, Box, Diamond)[pick](full_formula(rng, depth - 1, atoms))
+    left = full_formula(rng, depth - 1, atoms)
+    return (And, Or, Implies)[pick - 3](left, full_formula(rng, depth - 1, atoms))
+
+
+@functools.cache
+def _deep_outcomes():
+    """The lines of 1,000 seeded deep queries: a depth-5 conclusion and
+    zero or one depth-4 premise over p, q and r, every branch built to full
+    depth, over K, T, D, B, S4 and S5 in turn.  Deep premises make long
+    proofs with many beta splits, where a reordering of the steps that
+    fire shows up more often than in the shallow golden queries."""
+    rng = random.Random(1609)
+    logics = list(LOGICS.values())
+    outcomes = []
+    for i in range(1000):
+        premises = [full_formula(rng, 4, ["p", "q", "r"]) for _ in range(rng.randrange(2))]
+        conclusion = full_formula(rng, 5, ["p", "q", "r"])
+        outcomes.append(_outcome(decide, premises, conclusion, logics[i % len(logics)], max_labels=500))
+    return outcomes
+
+
+def _digest(is_proof, outcomes=None):
+    if outcomes is None:
+        outcomes = _golden_outcomes()[0]
+    lines = [line for line, proof in outcomes if proof == is_proof]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -785,6 +816,10 @@ class TestGoldenOutcomes:
     PROOFS_DIGEST = "c2f692ad21337aef1bfcf602367ca1d37661a0d723327329283eb06753db3e59"
     # steps popped over all 2,384 queries
     POPPED_STEPS = 16_323
+    # the 795 deep queries' Invalid and ResourceLimit lines (5 raise)
+    DEEP_DIGEST = "e1824c48e27966b6361430d9aa6387b6fb21b6e3c1906ad20e3000ab64588064"
+    # the 205 deep queries' Valid lines
+    DEEP_PROOFS_DIGEST = "20a068ac8bf1095f1fd72fd25b711b315125cbe9b61237529f6b80d9f09075f0"
 
     def test_outcomes_unchanged(self):
         assert _digest(False) == self.DIGEST
@@ -796,3 +831,9 @@ class TestGoldenOutcomes:
         # every step popped from a queue, fired or not: the work the
         # search did, and what its max_steps ceiling counts
         assert _golden_outcomes()[1] == self.POPPED_STEPS
+
+    def test_deep_outcomes_unchanged(self):
+        assert _digest(False, _deep_outcomes()) == self.DEEP_DIGEST
+
+    def test_deep_proofs_unchanged(self):
+        assert _digest(True, _deep_outcomes()) == self.DEEP_PROOFS_DIGEST
