@@ -46,7 +46,6 @@ from .syntax import (
     nnf,
     parse,
     print_formula,
-    subformulas,
     substitute,
 )
 from .tableau import (
@@ -70,7 +69,7 @@ __all__ = [
     "Atom", "Not", "And", "Or", "Implies", "Iff", "Box", "Diamond",
     "StrictImplies", "Formula", "FormulaSyntaxError", "parse",
     "print_formula", "desugar", "nnf", "substitute",
-    "subformulas", "atoms_of", "fresh_atom",
+    "atoms_of", "fresh_atom",
     # semantics
     "FrameCondition", "LOGICS", "frame_class", "KripkeModel",
     "InvalidWorld", "SerialNotClosable", "evaluate", "holds_globally",

@@ -35,10 +35,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .enumeration import CountermodelWitness
+from ._kernel_py import FRAME_EUCLIDEAN, FRAME_REFLEXIVE, FRAME_SERIAL, FRAME_SYMMETRIC, FRAME_TRANSITIVE
+from .enumeration import CountermodelWitness, frame_mask
 from .semantics import (
     FrameClass,
     FrameCondition,
@@ -191,32 +193,37 @@ class _Branch:
     rule's triggers (``*_steps``: each step a new label, formula or edge
     may license, handed to ``emit``), licence (:meth:`licensed`) and effect
     (:meth:`apply`, :meth:`split`).  Shared by the search, proof replay and
-    the saturation check, so it enqueues no work and detects no closure."""
+    the saturation check, so it enqueues no work and detects no closure.
 
-    __slots__ = ("frame", "premises", "label_sets", "out_edges", "in_edges", "edge_set")
+    Each edge (a, b) is stored once per end, as ``out_edges[a][b]`` and
+    ``in_edges[b][a]``: per-label dicts in arrival order, so triggers emit
+    steps in edge order.  Rules test ``mask``, the frame compiled once into
+    the enumeration kernel's ``FRAME_*`` bits."""
+
+    __slots__ = ("frame", "mask", "premises", "label_sets", "out_edges", "in_edges")
 
     def __init__(self, frame: FrameClass, premises: tuple[Formula, ...]):
         self.frame = frame
+        self.mask = frame_mask(frame)
         self.premises = premises
         self.label_sets: list[dict[Formula, None]] = []
-        self.out_edges: list[list[int]] = []
-        self.in_edges: list[list[int]] = []
-        self.edge_set: set[tuple[int, int]] = set()
+        self.out_edges: list[dict[int, None]] = []
+        self.in_edges: list[dict[int, None]] = []
 
     def clone(self):
         other = object.__new__(type(self))
         other.frame = self.frame
+        other.mask = self.mask
         other.premises = self.premises
         other.label_sets = [dict(d) for d in self.label_sets]
-        other.out_edges = [list(l) for l in self.out_edges]
-        other.in_edges = [list(l) for l in self.in_edges]
-        other.edge_set = set(self.edge_set)
+        other.out_edges = [dict(d) for d in self.out_edges]
+        other.in_edges = [dict(d) for d in self.in_edges]
         return other
 
     def new_label(self) -> int:
         self.label_sets.append({})
-        self.out_edges.append([])
-        self.in_edges.append([])
+        self.out_edges.append({})
+        self.in_edges.append({})
         return len(self.label_sets) - 1
 
     def add_formula(self, label: int, f: Formula) -> bool:
@@ -227,15 +234,14 @@ class _Branch:
         return True
 
     def add_edge(self, a: int, b: int) -> bool:
-        if (a, b) in self.edge_set:
+        if b in self.out_edges[a]:
             return False
-        self.edge_set.add((a, b))
-        self.out_edges[a].append(b)
-        self.in_edges[b].append(a)
+        self.out_edges[a][b] = None
+        self.in_edges[b][a] = None
         return True
 
     def label_steps(self, label: int, emit) -> None:
-        if FrameCondition.REFLEXIVE in self.frame:
+        if self.mask & FRAME_REFLEXIVE:
             emit(("frame-closure", (label, label), None))
 
     def formula_steps(self, label: int, f: Formula, emit) -> None:
@@ -251,7 +257,7 @@ class _Branch:
                 if isinstance(f, Box):
                     emit(("box", (label, m), f.operand))
                 emit(("box", (label, m), f))
-            if FrameCondition.EUCLIDEAN in self.frame:
+            if self.mask & FRAME_EUCLIDEAN:
                 # backward transfer is only ever licensed on Euclidean frames
                 for k in self.in_edges[label]:
                     emit(("box", (label, k), f))
@@ -261,7 +267,7 @@ class _Branch:
         self.transfer_steps(a, b, emit)
         # b gaining its first in-edge can enable Euclidean transfers on
         # b's existing out-edges
-        if len(self.in_edges[b]) == 1 and FrameCondition.EUCLIDEAN in self.frame:
+        if len(self.in_edges[b]) == 1 and self.mask & FRAME_EUCLIDEAN:
             for c in self.out_edges[b]:
                 self.transfer_steps(b, c, emit)
 
@@ -272,21 +278,21 @@ class _Branch:
                 emit(("box", (a, b), f.operand))
             if isinstance(f, _MODAL):
                 emit(("box", (a, b), f))
-        if FrameCondition.EUCLIDEAN in self.frame:
+        if self.mask & FRAME_EUCLIDEAN:
             for f in self.label_sets[b]:
                 if isinstance(f, _MODAL):
                     emit(("box", (b, a), f))
 
     def closure_steps(self, a: int, b: int, emit) -> None:
         """The Horn closure products of edge (a, b) with the edges present."""
-        if FrameCondition.SYMMETRIC in self.frame:
+        if self.mask & FRAME_SYMMETRIC:
             emit(("frame-closure", (b, a), None))
-        if FrameCondition.TRANSITIVE in self.frame:
+        if self.mask & FRAME_TRANSITIVE:
             for c in self.out_edges[b]:
                 emit(("frame-closure", (a, c), None))
             for c in self.in_edges[a]:
                 emit(("frame-closure", (c, b), None))
-        if FrameCondition.EUCLIDEAN in self.frame:
+        if self.mask & FRAME_EUCLIDEAN:
             for c in self.out_edges[a]:
                 emit(("frame-closure", (b, c), None))
                 emit(("frame-closure", (c, b), None))
@@ -299,33 +305,33 @@ class _Branch:
             src, dst = labels
             if f is None or f in self.label_sets[dst]:
                 return False
-            if (src, dst) in self.edge_set:
+            if dst in self.out_edges[src]:
                 if Box(f) in self.label_sets[src]:
                     return True  # K: operand across an edge
                 if f in self.label_sets[src]:
-                    if isinstance(f, Box) and FrameCondition.TRANSITIVE in self.frame:
+                    if isinstance(f, Box) and self.mask & FRAME_TRANSITIVE:
                         return True  # 4: boxes persist forward
-                    if FrameCondition.EUCLIDEAN in self.frame:
+                    if self.mask & FRAME_EUCLIDEAN:
                         if isinstance(f, Diamond):
                             return True  # co-successors of src see f's witness too
                         if isinstance(f, Box) and self.in_edges[src]:
                             return True  # successors of a non-root world see no more
-            if (dst, src) in self.edge_set and FrameCondition.EUCLIDEAN in self.frame:
+            if src in self.out_edges[dst] and self.mask & FRAME_EUCLIDEAN:
                 # backward within range: dst's successors include src's
                 if isinstance(f, _MODAL) and f in self.label_sets[src] and self.in_edges[dst]:
                     return True
             return False
         if rule == "frame-closure":
             a, b = labels
-            if f is not None or (a, b) in self.edge_set:
+            if f is not None or b in self.out_edges[a]:
                 return False
-            # one Horn closure step derives (a, b)
-            frame, edges = self.frame, self.edge_set
+            # one Horn closure step derives (a, b): from b->a, a->c->b, or c->a and c->b
+            mask, into_b = self.mask, self.in_edges[b].keys()
             return (
-                a == b and FrameCondition.REFLEXIVE in frame
-                or FrameCondition.SYMMETRIC in frame and (b, a) in edges
-                or FrameCondition.TRANSITIVE in frame and any((c, b) in edges for c in self.out_edges[a])
-                or FrameCondition.EUCLIDEAN in frame and any((c, b) in edges for c in self.in_edges[a])
+                a == b and mask & FRAME_REFLEXIVE
+                or mask & FRAME_SYMMETRIC and a in self.out_edges[b]
+                or mask & FRAME_TRANSITIVE and not into_b.isdisjoint(self.out_edges[a])
+                or mask & FRAME_EUCLIDEAN and not into_b.isdisjoint(self.in_edges[a])
             )
         (label,) = labels
         s = self.label_sets[label]
@@ -340,7 +346,7 @@ class _Branch:
                 and not any(f.operand in self.label_sets[m] for m in self.out_edges[label])
             )
         if rule == "serial":
-            return f is None and FrameCondition.SERIAL in self.frame and not self.out_edges[label]
+            return f is None and self.mask & FRAME_SERIAL and not self.out_edges[label]
         return rule == "closure" and isinstance(f, Atom) and f in s and Not(f) in s
 
     def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
@@ -437,7 +443,7 @@ class _State(_Branch):
         if rule == "box":
             if f in self.label_sets[labels[1]]:
                 return
-        elif rule == "frame-closure" and labels in self.edge_set:
+        elif rule == "frame-closure" and labels[1] in self.out_edges[labels[0]]:
             return
         before = len(self.queued)
         self.queued.add(step)  # one hash of the nested tuple, not two
@@ -482,22 +488,12 @@ class _State(_Branch):
         has a symmetric or Euclidean condition)."""
         if self._blocked is not None:
             return self._blocked
-        equality = bool(self.frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN})
+        subsumed = operator.eq if self.mask & (FRAME_SYMMETRIC | FRAME_EUCLIDEAN) else operator.le
+        sets = self.label_sets
         result: list[int | None] = []
-        for lid, s in enumerate(self.label_sets):
-            blocker = None
-            for m in range(lid):
-                if result[m] is not None:
-                    continue
-                other = self.label_sets[m]
-                if equality:
-                    if len(s) == len(other) and all(f in other for f in s):
-                        blocker = m
-                        break
-                elif len(s) <= len(other) and all(f in other for f in s):
-                    blocker = m
-                    break
-            result.append(blocker)
+        for lid, s in enumerate(sets):
+            blockers = (m for m in range(lid) if result[m] is None and subsumed(s.keys(), sets[m].keys()))
+            result.append(next(blockers, None))
         self._blocked = result
         return result
 
@@ -580,7 +576,7 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
     sets = branch.label_sets
     for lid, s in enumerate(sets):
         for f in s:
-            if isinstance(f, Atom) and Not(f) in s:
+            if branch.licensed("closure", (lid,), f):
                 raise NotSaturated(f"branch is closed: {f.name} and ~{f.name} at label {lid}")
 
     def emit(step: tuple) -> None:
@@ -619,8 +615,9 @@ def extract_countermodel(
     index = {lid: i for i, lid in enumerate(unblocked)}
     base_edges = {
         (index[a], index[b if blocked[b] is None else blocked[b]])
-        for a, b in branch.edge_set
+        for a, out in enumerate(branch.out_edges)
         if blocked[a] is None
+        for b in out
     }
     horn = branch.frame - {FrameCondition.SERIAL}
     access = frame_closure(base_edges, horn, len(unblocked))
