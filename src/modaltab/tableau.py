@@ -26,6 +26,14 @@ license) and its licence are written once, in ``_Branch``: the search
 fires the licensed steps its triggers queue, replay fires only licensed
 steps, and extraction refuses a branch where a trigger yields one.
 
+The search backjumps (Horrocks & Patel-Schneider, "Optimizing
+description logic subsumption", JLC 1999): every label, formula and edge
+carries the set of open beta splits it depends on, and a split that the
+closures below it do not depend on is not explored twice (see ``_run``).
+Global premises add their disjunctions again at every new label, so
+without this a search splits each one again at each label, although the
+clash does not depend on the split.  No open branch is ever skipped.
+
 Valid verdicts carry a replayable proof object, invalid verdicts a
 countermodel extracted from the first open saturated branch; both are
 re-checkable without trusting the search.
@@ -95,7 +103,8 @@ _STEP_KEYS = frozenset({"rule", "labels", "formula"})  # of one step's JSON obje
 @dataclass(frozen=True)
 class ProofObject:
     """Rule applications witnessing a closed tableau: the steps the search
-    fired, in firing order.
+    fired, in firing order, less those that backjumping found no closure
+    needs (see ``_run``).
 
     Each step is ``(rule, labels, formula)``; ``formula`` is a
     :class:`Formula` (a closure's clashing ``Atom``; None for
@@ -192,23 +201,27 @@ class _Branch:
     """Labels, formula sets and edges of one tableau branch, plus each
     rule's triggers (``*_steps``: each step a new label, formula or edge
     may license, handed to ``emit``), licence (:meth:`licensed`) and effect
-    (:meth:`apply`, :meth:`split`).  Shared by the search, proof replay and
-    the saturation check, so it enqueues no work and detects no closure.
+    (:meth:`fire`).  Shared by the search, proof replay and the saturation
+    check, so it enqueues no work and detects no closure.
 
     Each edge (a, b) is stored once per end, as ``out_edges[a][b]`` and
     ``in_edges[b][a]``: per-label dicts in arrival order, so triggers emit
     steps in edge order.  Rules test ``mask``, the frame compiled once into
-    the enumeration kernel's ``FRAME_*`` bits."""
+    the enumeration kernel's ``FRAME_*`` bits.  Every label, formula and
+    edge holds its dependency mask, the set of beta splits it depends on
+    as bits (``label_deps``, and the values of ``label_sets``,
+    ``out_edges`` and ``in_edges``); replay leaves every mask 0."""
 
-    __slots__ = ("frame", "mask", "premises", "label_sets", "out_edges", "in_edges")
+    __slots__ = ("frame", "mask", "premises", "label_sets", "out_edges", "in_edges", "label_deps")
 
     def __init__(self, frame: FrameClass, premises: tuple[Formula, ...]):
         self.frame = frame
         self.mask = frame_mask(frame)
         self.premises = premises
-        self.label_sets: list[dict[Formula, None]] = []
-        self.out_edges: list[dict[int, None]] = []
-        self.in_edges: list[dict[int, None]] = []
+        self.label_sets: list[dict[Formula, int]] = []
+        self.out_edges: list[dict[int, int]] = []
+        self.in_edges: list[dict[int, int]] = []
+        self.label_deps: list[int] = []
 
     def clone(self):
         other = object.__new__(type(self))
@@ -218,26 +231,28 @@ class _Branch:
         other.label_sets = [dict(d) for d in self.label_sets]
         other.out_edges = [dict(d) for d in self.out_edges]
         other.in_edges = [dict(d) for d in self.in_edges]
+        other.label_deps = list(self.label_deps)
         return other
 
-    def new_label(self) -> int:
+    def new_label(self, deps: int = 0) -> int:
         self.label_sets.append({})
         self.out_edges.append({})
         self.in_edges.append({})
+        self.label_deps.append(deps)
         return len(self.label_sets) - 1
 
-    def add_formula(self, label: int, f: Formula) -> bool:
+    def add_formula(self, label: int, f: Formula, deps: int = 0) -> bool:
         s = self.label_sets[label]
         if f in s:
             return False
-        s[f] = None
+        s[f] = deps
         return True
 
-    def add_edge(self, a: int, b: int) -> bool:
+    def add_edge(self, a: int, b: int, deps: int = 0) -> bool:
         if b in self.out_edges[a]:
             return False
-        self.out_edges[a][b] = None
-        self.in_edges[b][a] = None
+        self.out_edges[a][b] = deps
+        self.in_edges[b][a] = deps
         return True
 
     def label_steps(self, label: int, emit) -> None:
@@ -265,11 +280,6 @@ class _Branch:
     def edge_steps(self, a: int, b: int, emit) -> None:
         self.closure_steps(a, b, emit)
         self.transfer_steps(a, b, emit)
-        # b gaining its first in-edge can enable Euclidean transfers on
-        # b's existing out-edges
-        if len(self.in_edges[b]) == 1 and self.mask & FRAME_EUCLIDEAN:
-            for c in self.out_edges[b]:
-                self.transfer_steps(b, c, emit)
 
     def transfer_steps(self, a: int, b: int, emit) -> None:
         """Box steps across edge (a, b): forward, and backward on Euclidean frames."""
@@ -349,39 +359,32 @@ class _Branch:
             return f is None and self.mask & FRAME_SERIAL and not self.out_edges[label]
         return rule == "closure" and isinstance(f, Atom) and f in s and Not(f) in s
 
-    def apply(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
-        """Apply one unary rule step if it is licensed; False, changing
-        nothing, otherwise.  A spawning step adds a new label, then the
+    def fire(self, rule: str, labels: Sequence[int], f: Formula | None, deps: int = 0) -> "_Branch | None":
+        """The effect of a licensed step; every fact it adds gets the
+        dependency mask ``deps``.  A spawning step adds a new label, then the
         diamond's operand there, then the edge from its parent, then the
-        premises."""
-        if rule in ("beta", "closure") or not self.licensed(rule, labels, f):
-            return False
+        premises.  A beta step adds the left disjunct here and returns a
+        copy of the branch with the right one instead."""
         if rule == "box":
-            self.add_formula(labels[1], f)
+            self.add_formula(labels[1], f, deps)
         elif rule == "alpha":
-            self.add_formula(labels[0], f.left)
-            self.add_formula(labels[0], f.right)
+            self.add_formula(labels[0], f.left, deps)
+            self.add_formula(labels[0], f.right, deps)
         elif rule == "frame-closure":
-            self.add_edge(*labels)
+            self.add_edge(*labels, deps)
+        elif rule == "beta":
+            right = self.clone()
+            right.add_formula(labels[0], f.right, deps)
+            self.add_formula(labels[0], f.left, deps)
+            return right
         else:
-            child = self.new_label()
+            child = self.new_label(deps)
             if rule == "diamond":
-                self.add_formula(child, f.operand)
-            self.add_edge(labels[0], child)
+                self.add_formula(child, f.operand, deps)
+            self.add_edge(labels[0], child, deps)
             for p in self.premises:
-                self.add_formula(child, p)
-        return True
-
-    def split(self, label: int, f: Formula | None) -> "_Branch | None":
-        """The beta rule: if it is licensed for the disjunction ``f`` at
-        ``label``, add its left disjunct here and return a copy of the
-        branch with its right one instead; else None."""
-        if not self.licensed("beta", (label,), f):
-            return None
-        right = self.clone()
-        right.add_formula(label, f.right)
-        self.add_formula(label, f.left)
-        return right
+                self.add_formula(child, p, deps)
+        return None
 
     def obligations(self, blocked: list[int | None]) -> list[tuple]:
         """The diamond and serial steps owed by unblocked labels, per label
@@ -401,7 +404,8 @@ class _Branch:
 
 class _State(_Branch):
     """One tableau branch under search: the step queue, closure detection,
-    blocking, and the budget and proof steps shared by every branch."""
+    blocking, the number of beta splits open above it (``depth``), and the
+    budget and proof record shared by every branch."""
 
     __slots__ = (
         "heap",
@@ -410,6 +414,7 @@ class _State(_Branch):
         "closed",
         "proof",
         "budget",
+        "depth",
         "_blocked",
     )
 
@@ -419,8 +424,11 @@ class _State(_Branch):
         self.seq = 0
         self.queued: set[tuple] = set()
         self.closed: tuple[int, Atom] | None = None
+        # (step, dependency mask, search id of a spawn's new label or None)
+        # per fired step, in firing order; see _run
         self.proof: list[tuple] = []
         self.budget = budget
+        self.depth = 0
         self._blocked: list[int | None] | None = None  # blocking(), until a formula set changes
 
     def clone(self) -> "_State":
@@ -431,6 +439,7 @@ class _State(_Branch):
         other.closed = self.closed
         other.proof = self.proof  # shared: branches run, and record, one at a time
         other.budget = self.budget  # shared: the ceiling spans all branches
+        other.depth = self.depth
         other._blocked = None
         return other
 
@@ -453,15 +462,59 @@ class _State(_Branch):
         heapq.heappush(self.heap, (_PRIORITY[rule], target, self.seq, step))
         self.seq += 1
 
+    # -- dependencies --------------------------------------------------
+
+    def support(self, rule: str, labels: Sequence[int], f: Formula | None) -> int:
+        """The dependency mask of a licensed step: the union of the masks of
+        the facts its licence reads, in the order :meth:`licensed` tests
+        them; where it asks for any edge, the first that qualifies.  Its
+        tests for absent facts read nothing."""
+        if rule == "box":
+            src, dst = labels
+            s, out = self.label_sets[src], self.out_edges[src]
+            if dst in out:
+                if (box := Box(f)) in s:
+                    return out[dst] | s[box]
+                if f in s:
+                    if isinstance(f, Box) and self.mask & FRAME_TRANSITIVE:
+                        return out[dst] | s[f]
+                    if self.mask & FRAME_EUCLIDEAN:
+                        if isinstance(f, Diamond):
+                            return out[dst] | s[f]
+                        if isinstance(f, Box) and self.in_edges[src]:
+                            return out[dst] | s[f] | next(iter(self.in_edges[src].values()))
+            # backward: the edge (dst, src), f at src and an edge into dst
+            return self.out_edges[dst][src] | s[f] | next(iter(self.in_edges[dst].values()))
+        if rule == "frame-closure":
+            a, b = labels
+            mask, into_b = self.mask, self.in_edges[b]
+            if a == b and mask & FRAME_REFLEXIVE:
+                return self.label_deps[a]
+            if mask & FRAME_SYMMETRIC and a in self.out_edges[b]:
+                return self.out_edges[b][a]
+            if mask & FRAME_TRANSITIVE:
+                for c, deps in self.out_edges[a].items():
+                    if c in into_b:
+                        return deps | into_b[c]
+            # Euclidean: c->a and c->b
+            return next(deps | into_b[c] for c, deps in self.in_edges[a].items() if c in into_b)
+        (label,) = labels
+        if rule == "serial":
+            return self.label_deps[label]
+        s = self.label_sets[label]
+        if rule == "closure":
+            return s[f] | s[Not(f)]
+        return s[f]  # alpha, beta, diamond: the formula it expands
+
     # -- structure growth ----------------------------------------------
 
-    def new_label(self) -> int:
+    def new_label(self, deps: int = 0) -> int:
         self.budget.count_label()
         self._blocked = None
-        return super().new_label()
+        return super().new_label(deps)
 
-    def add_formula(self, label: int, f: Formula) -> bool:
-        if not super().add_formula(label, f):
+    def add_formula(self, label: int, f: Formula, deps: int = 0) -> bool:
+        if not super().add_formula(label, f, deps):
             return False
         self._blocked = None
         match f:
@@ -474,8 +527,8 @@ class _State(_Branch):
         self.formula_steps(label, f, self.enqueue)
         return True
 
-    def add_edge(self, a: int, b: int) -> bool:
-        if not super().add_edge(a, b):
+    def add_edge(self, a: int, b: int, deps: int = 0) -> bool:
+        if not super().add_edge(a, b, deps):
             return False
         self.edge_steps(a, b, self.enqueue)
         return True
@@ -499,25 +552,28 @@ class _State(_Branch):
 
 
 def _dispatch(state: _State, step: tuple) -> _State | None:
-    """Apply one queued step unless its label is blocked or the branch
-    refuses it, and record it; a beta step returns the right branch of its
-    split."""
+    """Fire one queued step if the branch licenses it and, for a spawn, its
+    label is unblocked, and record it; a beta step returns the right branch
+    of its split.  A beta step's disjuncts depend on its split, bit
+    ``1 << depth``."""
     state.budget.count_step()
     rule, labels, f = step
-    if rule == "beta":
-        right = state.split(labels[0], f)
-        if right is not None:
-            state.proof.append(step)
-        return right
+    if not state.licensed(rule, labels, f):
+        return None
     spawns = rule in _SPAWNING
     if spawns and state.blocking()[labels[0]] is not None:
         return None
-    if not state.apply(rule, labels, f):
-        return None
-    state.proof.append(step)
+    # masks hold only the bits of open splits, so with none open they are 0
+    deps = state.support(rule, labels, f) if state.depth else 0
+    if rule == "beta":
+        deps |= 1 << state.depth
+        state.depth += 1
+    child = len(state.label_sets) if spawns else None
+    state.proof.append((step, deps, child))
+    right = state.fire(rule, labels, f, deps)
     if spawns:
-        state.label_steps(len(state.label_sets) - 1, state.enqueue)
-    return None
+        state.label_steps(child, state.enqueue)
+    return right
 
 
 def _audit(state: _State) -> bool:
@@ -541,7 +597,8 @@ def _expand_segment(state: _State) -> _State | None:
                 return split
         if state.closed is not None:
             label, atom = state.closed
-            state.proof.append(("closure", (label,), atom))
+            step = ("closure", (label,), atom)
+            state.proof.append((step, state.support(*step), None))
             return None
         if not _audit(state):
             return None
@@ -555,18 +612,72 @@ def _run(state: _State) -> _State | None:
     and the first open branch wins, so verdicts, witnesses, and proofs
     are deterministic.  Iterative so that proof depth is unbounded by the
     interpreter's recursion limit.
+
+    Backjumping: the split at depth d (the number of splits open above
+    it) has bit ``1 << d``, and a closed subtree's mask is the union of
+    its closures' masks.  When the left subtree of a split closes without
+    the split's bit, its closures do not need the left disjunct, so the
+    right branch is skipped: it would close too.  When the right subtree
+    closes without the bit, the left one is not needed.  Either way the
+    subtree kept, less the split's beta step and every step that depends
+    on the split, is a closed derivation from the branch before the split:
+    a licence's tests for absent facts (no such formula, edge or successor
+    yet) only get easier with fewer facts.  Otherwise the mask is the
+    union of both subtrees', less the split's bit.  No open branch is
+    skipped, so the first open branch is the one a search without
+    backjumping finds.
     """
-    stack = [state]
-    while stack:
-        st = stack.pop()
-        right = _expand_segment(st)
-        if right is None:
-            if st.closed is None:
-                return st
+    proof = state.proof
+    # per open split, outermost first (the split with bit 1 << i at index
+    # i): its right branch, the proof index of its beta step, and once the
+    # left subtree has closed, that subtree's mask and where the right
+    # subtree's steps start
+    splits: list[tuple] = []
+    while True:
+        right = _expand_segment(state)
+        if right is not None:
+            splits.append((right, len(proof) - 1, None, None))
             continue
-        stack.append(right)
-        stack.append(st)  # popped first: left before right
-    return None
+        if state.closed is None:
+            return state
+        deps = proof[-1][1]
+        while splits:
+            right, start, left, right_start = splits[-1]
+            bit = 1 << (len(splits) - 1)
+            if left is None and deps & bit:
+                splits[-1] = (right, start, deps, len(proof))
+                state = right
+                break
+            splits.pop()
+            if left is None:
+                proof[start:] = [e for e in proof[start:] if not e[1] & bit]
+            elif not deps & bit:
+                proof[start:] = [e for e in proof[right_start:] if not e[1] & bit]
+            else:
+                deps = (deps | left) & ~bit
+        else:
+            return None
+
+
+def _renumber(entries: list[tuple]) -> tuple[tuple, ...]:
+    """The proof steps of the search's ``(step, deps, child)`` entries.
+    Backjumping drops spawns, so each label is renamed to its place among
+    the labels that the kept spawns of its branch create, as replay
+    numbers them."""
+    new = {0: 0}  # search id -> replay id, on the current branch
+    count, pending, steps = 1, [], []
+    for step, _, child in entries:
+        rule, labels, f = step
+        renamed = tuple([new[lab] for lab in labels])
+        steps.append(step if renamed == labels else (rule, renamed, f))
+        if child is not None:
+            new[child] = count
+            count += 1
+        elif rule == "beta":
+            pending.append(count)
+        elif rule == "closure" and pending:
+            count = pending.pop()
+    return tuple(steps)
 
 
 def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
@@ -663,7 +774,7 @@ def decide(
     state.label_steps(0, state.enqueue)  # serial steps, the root's too, come from _audit
     open_branch = _run(state)
     if open_branch is None:
-        return Valid(ProofObject(tuple(state.proof)))
+        return Valid(ProofObject(_renumber(state.proof)))
     # a module-global lookup, so that a tracer rebinding
     # tableau.extract_countermodel sees this call
     return Invalid(
@@ -689,17 +800,12 @@ def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
     for rule, labels, f in steps:
         if current is None or not all(0 <= lab < len(current.label_sets) for lab in labels):
             return False  # a step after every branch closed, or a label that does not exist
-        if rule == "closure":
-            if not current.licensed(rule, labels, f):
-                return False
-            current = pending.pop() if pending else None
-        elif rule == "beta":
-            (label,) = labels
-            if (right := current.split(label, f)) is None:
-                return False
-            pending.append(right)
-        elif not current.apply(rule, labels, f):
+        if not current.licensed(rule, labels, f):
             return False
+        if rule == "closure":
+            current = pending.pop() if pending else None
+        elif (right := current.fire(rule, labels, f)) is not None:
+            pending.append(right)
     return current is None
 
 

@@ -227,6 +227,18 @@ class TestFrameRequirementSearch:
             compared += 1
         assert compared >= 200
 
+    def test_sweep_with_a_biconditional_premise_settles(self):
+        # a global premise whose disjunctions split again at every new
+        # label: without backjumping, 12 of the 32 subsets raised
+        # ResourceLimit
+        a = Argument(
+            name="iff",
+            premises=(("P1", parse("<>(q -> a) <-> <>(q <-> p)")), ("P2", parse("<>a"))),
+            frame=K,
+            conclusion=parse("[]~<>q"),
+        )
+        assert exhaustive_frame_search(a) == frame_requirement_search(a) == []
+
     def test_minimal_sets_of_three_conditions(self):
         # without reflexivity, T needs a serial equivalence-like frame
         a = Argument(name="t", premises=(), frame=K, conclusion=parse("[]p -> p"))
@@ -283,27 +295,24 @@ _SCHEMAS = (
 
 def _random_conclusion(rng):
     if rng.randrange(2):
-        return _random_formula(rng, rng.randrange(1, 4), (And, Or, Implies, Iff))
+        return _random_formula(rng, rng.randrange(1, 4))
     return rng.choice(_SCHEMAS)(_random_formula(rng, 0))
 
 
-def _random_formula(rng, depth, binary=(And, Or, Implies)):
-    """A formula over atoms a, p, q, nested at most ``depth`` levels.
-    Premises leave out ``<->``: a global premise such as
-    ``a <-> a <-> q -> a <-> ([]a <-> a -> p)`` takes the tableau
-    seconds over the empty frame class."""
+def _random_formula(rng, depth):
+    """A formula over atoms a, p, q, nested at most ``depth`` levels."""
     if depth == 0:
         return Atom(rng.choice("apq"))
-    pick = rng.randrange(4 + len(binary))
+    pick = rng.randrange(8)
     if pick == 0:
         return Atom(rng.choice("apq"))
     if pick == 1:
-        return Not(_random_formula(rng, depth - 1, binary))
+        return Not(_random_formula(rng, depth - 1))
     if pick == 2:
-        return Box(_random_formula(rng, depth - 1, binary))
+        return Box(_random_formula(rng, depth - 1))
     if pick == 3:
-        return Diamond(_random_formula(rng, depth - 1, binary))
-    return binary[pick - 4](_random_formula(rng, depth - 1, binary), _random_formula(rng, depth - 1, binary))
+        return Diamond(_random_formula(rng, depth - 1))
+    return (And, Or, Implies, Iff)[pick - 4](_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
 
 
 class TestAxiomSuite:

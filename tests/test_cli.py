@@ -497,7 +497,7 @@ GOLDEN_OUTPUT_DIGESTS = {
     "check hartshorne": "de112c80ea71a850e29ae1acb3b91a67df004cbe627cc2544e6f4205e7e7c54b",
     "check hartshorne_alt": "c3f628de06ae91c3fa15eae0e23f83bbb167fcd95265c21a4049d6d1720a0f62",
     "check kane": "20ed23692ba1417c3fed057db6de49b97e61ea7ed5e4b467619964b6add67cbe",
-    "check malcolm": "d0c18d7673c4fc0a7f6ecfeb1cf999f5beedd189a8b23c683e2dfee0184ffd2d",
+    "check malcolm": "b7585886bdeef6b9c612280dfe96d2e8fce8bb6536fba5987cb1b85338b23b42",
     "check malcolm_alt": "0ce63a74f4a74b911332f6f070de8bf565a40ee766335162c445b613a8935bc3",
     "countermodel adams": "b8f3e138bce33201db3d6516cc75991c50c092b96cf86555f63f48122130f6a7",
     "countermodel adams_alt": "261315cc246a561e0325d0a8bdc029e4f00f21209e7c3d2284f8ce12b8fef252",
@@ -513,7 +513,7 @@ GOLDEN_OUTPUT_DIGESTS = {
     "check hartshorne --minimal-frames": "5fd0a771e2a361231849703e9ad196419f6244ea2b09d0d46861134e5732e7a4",
     "check hartshorne_alt --minimal-frames": "65f19e7a83375ef6bd54d540e843674ca72f50ed96606b584b1d6afdc7a49d56",
     "check kane --minimal-frames": "200e91e4b15f498de85acc59c33e64d39876eee09c5c7e5d65a22242628f259b",
-    "check malcolm --minimal-frames": "4b2decd03523d6f16966937210733fbdaad6d2945b7a581ffa0ce19ba3fc2289",
+    "check malcolm --minimal-frames": "85f784b4317cd278f6a3468ede4ca870f3e5d4b25579cf5cfcf5c588d8ce3952",
     "check malcolm_alt --minimal-frames": "9aeae369160d607dc50e403f2f9570134c80dc56d0b01f273a25367d67046c63",
 }
 
