@@ -180,6 +180,33 @@ GOLDEN_FIXED_ATOMS = [
     ([], "<>p -> [][]<>p", SERIAL, (2, 7, 8, 1)),
 ]
 
+# find_first at 3 worlds over atoms (g, p, q) whose hit lies at relation
+# bits >= 64.  A kernel that evaluates blocks of 64 such relations at once
+# (2^15 bits over 2^9 valuations) must find the same first hit whether it
+# lies in a later block (the first two groups: past the 64th relation the
+# frame accepts) or at high relation bits within the first block (the
+# third group, whose frames accept at most 64 relations).  Recorded from
+# the per-relation kernel.
+GOLDEN_PAST_FIRST_BLOCK = [
+    (["~[]<>g"], "~[]g", K, (3, 82, 64, 0)),
+    (["~(<>q -> <>p)", "~([]q & (g | p))"], "(((p & p) -> <>p) <-> []p) -> ~g", K, (3, 105, 145, 1)),
+    (["g | p | q", "g -> ~p & ~q", "p -> ~q", "<>g & <>p & <>q"], "~g", K, (3, 511, 84, 2)),
+    (["g | p | q", "g -> ~p & ~q", "p -> ~q", "<>g & <>p & <>q"], "[]~q", K, (3, 511, 84, 0)),
+    (["g | p | q", "g -> ~p & ~q", "p -> ~q", "<>g & <>p & <>q"], "g", TRANSITIVE, (3, 511, 84, 0)),
+    (["[]p", "<>~<>g", "<>(p <-> g) | q"], "q -> [](q <-> (g | p))", TRANSITIVE, (3, 211, 94, 0)),
+    (["p -> p", "~(<>g -> []g)"],
+     "(((g -> g) | (g & p)) -> ((q | q) -> <>q)) & <>((g & g) <-> []g)", TRANSITIVE, (3, 219, 68, 0)),
+    (["<>[]~p", "<><>p"], "((g & ~p) | ~<>g) -> (~g | q)", SERIAL, (3, 221, 80, 2)),
+    (["<>(q <-> g) -> ((g | g) <-> (g <-> q))", "<>g", "<>~g"], "[](~(g <-> q) | q)", SERIAL, (3, 222, 129, 2)),
+    (["g | p | q", "g -> ~p & ~q", "p -> ~q", "<>g & <>p"], "~q", SERIAL, (3, 219, 84, 0)),
+    (["<><>g"], "<>((q -> p) -> g) | q", REFL | SERIAL, (3, 285, 256, 1)),
+    ([], "p | <>(p <-> <>p)", EUCLIDEAN | SERIAL, (3, 91, 16, 0)),
+    (["q", "p | <><>g"], "((~p <-> []q) -> g) | [](~p | (g & g))", REFL | EUCLIDEAN, (3, 511, 87, 0)),
+    (["((p -> g) & ~p) <-> <>[]g", "q"], "([](g & g) | p) | p", REFL | SYM, (3, 351, 231, 2)),
+    (["(p | (q | p)) <-> ((g -> g) <-> []g)", "((g | p) & (g -> p)) -> ((g <-> q) -> (p -> q))"],
+     "[][](g & p) | <>~p", REFL | SYM | SERIAL, (3, 351, 476, 1)),
+]
+
 # Full sweeps and an early exit at 3 worlds over each query's own atoms.
 GOLDEN_OWN_ATOMS = [
     ([], "[](p -> q) -> ([]p -> []q)", K, None),
@@ -211,6 +238,10 @@ class TestKernels:
 
     @pytest.mark.parametrize("premises,conclusion,frame,expected", GOLDEN_FIXED_ATOMS)
     def test_golden_fixed_atoms(self, premises, conclusion, frame, expected):
+        assert _find_first(premises, conclusion, frame, ("g", "p", "q")) == expected
+
+    @pytest.mark.parametrize("premises,conclusion,frame,expected", GOLDEN_PAST_FIRST_BLOCK)
+    def test_golden_past_first_block(self, premises, conclusion, frame, expected):
         assert _find_first(premises, conclusion, frame, ("g", "p", "q")) == expected
 
     @pytest.mark.parametrize("premises,conclusion,frame,expected", GOLDEN_OWN_ATOMS)
