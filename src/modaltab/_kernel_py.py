@@ -6,14 +6,21 @@ order (the layout of ``enumeration.relation_from_bits`` and
 ``enumeration.valuation_from_bits``).
 
 Formulas arrive as postfix bytecode (see ``enumeration.compile_formula``)
-and are evaluated for one relation over every valuation at once: the
-value of a formula is a list holding one int per world, whose bit ``v``
-is the formula's truth at that world under valuation bits ``v``.
+and are evaluated over a block of relations and every valuation at once.
+A block holds ``B = max(1, BLOCK_BITS // V)`` consecutive frame-accepted
+relations of one world count, in relation-bit order, where
+``V = 2^(atoms x worlds)`` is the number of valuations.  The value of a
+formula is a list holding one int per world, whose bit ``k * V + v`` is
+the formula's truth at that world in the block's ``k``-th relation under
+valuation bits ``v``.  So the lowest set bit of a block's hits is the
+first hit in the pinned order, and no int is longer than
+``max(BLOCK_BITS, V)`` bits.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterable, Iterator, NamedTuple
 
 OP_ATOM = 0
 OP_NOT = 1
@@ -30,9 +37,14 @@ FRAME_EUCLIDEAN = 8
 FRAME_SERIAL = 16
 
 MAX_WORLDS = 5  # 2^25 relations; larger sweeps are out of reach anyway
-# atoms x worlds: each truth int has 2^(atoms x worlds) bits, so 20 keeps
-# every int within 128 KiB
+# atoms x worlds: a truth int holds one block, max(BLOCK_BITS, 2^(atoms x
+# worlds)) bits at most, so 20 keeps every int within 128 KiB
 MAX_VALUATION_BITS = 20
+# a block holds BLOCK_BITS // 2^(atoms x worlds) relations, at least one
+BLOCK_BITS = 1 << 15
+# a (worlds, atoms, frame) key's blocks are kept when its relations times
+# valuations fit in this many bits: every key up to 3 worlds and 3 atoms
+CACHE_BITS = 1 << 18
 
 
 def _frame_ok(succ: list[int], n: int, frame_mask: int) -> bool:
@@ -64,31 +76,36 @@ def _frame_ok(succ: list[int], n: int, frame_mask: int) -> bool:
     return True
 
 
-def _decode(n: int, frame_mask: int):
-    """(relation bits, successors per world) for every relation meeting the
-    frame conditions, in relation-bit order.  Row ``i`` of a relation is
-    ``n`` bits, world 0 most significant."""
-    rows = [tuple(j for j in range(n) if (r >> (n - 1 - j)) & 1) for r in range(1 << n)]
-    masks = [sum(1 << j for j in succ) for succ in rows]
+def _decode(n: int, frame_mask: int) -> Iterator[int]:
+    """The bits of every relation meeting the frame conditions, in
+    relation-bit order.  Row ``i`` of a relation is ``n`` bits, world 0
+    most significant."""
+    masks = [sum(1 << j for j in range(n) if (r >> (n - 1 - j)) & 1) for r in range(1 << n)]
     full = (1 << n) - 1
     shifts = range(n * n - n, -1, -n)
     for rel in range(1 << (n * n)):
-        cut = [(rel >> s) & full for s in shifts]
-        if _frame_ok([masks[r] for r in cut], n, frame_mask):
-            yield rel, tuple(rows[r] for r in cut)
+        if _frame_ok([masks[(rel >> s) & full] for s in shifts], n, frame_mask):
+            yield rel
 
 
 @cache
-def _relations(n: int, frame_mask: int) -> tuple:
+def _relations(n: int, frame_mask: int) -> tuple[int, ...]:
     return tuple(_decode(n, frame_mask))
 
 
 @cache
-def atom_columns(n: int, atom_count: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Per atom, per world: the int whose bit ``v`` is the atom's truth at
-    that world under valuation bits ``v``; plus the all-valuations mask."""
+def atom_columns(
+    n: int, atom_count: int, count: int = 1
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per atom, per world: the int whose bit ``k * V + v`` is the atom's
+    truth at that world under valuation bits ``v``, for ``k < count``; plus
+    the mask of all ``count * V`` bits."""
     total = atom_count * n
     size = 1 << total  # valuations
+    if count > 1:
+        columns, every = atom_columns(n, atom_count)
+        repunit = int("1".zfill(size) * count, 2)
+        return tuple(tuple(c * repunit for c in column) for column in columns), every * repunit
     columns = []
     for a in range(atom_count):
         column = []
@@ -105,10 +122,67 @@ def atom_columns(n: int, atom_count: int) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(columns), (1 << size) - 1
 
 
-def evaluate(
-    code: tuple[int, ...], succ: tuple[tuple[int, ...], ...], columns: tuple, every: int
-) -> list[int]:
-    """Per-world truth ints of ``code`` under the relation ``succ``."""
+class Block(NamedTuple):
+    """Consecutive relations of one world count, evaluated together."""
+
+    relations: tuple[int, ...]
+    every: int  # all bits of the block
+    columns: tuple[tuple[int, ...], ...]
+    # per world i: (j, E, every ^ E) for each j with an edge i -> j in some
+    # relation, where E's bits k * V .. k * V + V - 1 are set when the
+    # block's k-th relation has that edge
+    edges: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+def blocks(n: int, atom_count: int, relations: Iterable[int]) -> Iterator[Block]:
+    """The given relations of ``n`` worlds, in order, cut into blocks of
+    ``max(1, BLOCK_BITS // V)``."""
+    per = max(1, BLOCK_BITS // (1 << (atom_count * n)))
+    chunk: list[int] = []
+    for rel in relations:
+        chunk.append(rel)
+        if len(chunk) == per:
+            yield _block(n, atom_count, tuple(chunk))
+            chunk = []
+    if chunk:
+        yield _block(n, atom_count, tuple(chunk))
+
+
+def _block(n: int, atom_count: int, rels: tuple[int, ...]) -> Block:
+    columns, every = atom_columns(n, atom_count, len(rels))
+    shifts = range(n * n - 1, -1, -1)  # of the pairs (i, j), row-major
+    if len(rels) == 1:
+        masks = [every if (rels[0] >> s) & 1 else 0 for s in shifts]
+    else:  # V bits per relation, the last relation's first
+        size = 1 << (atom_count * n)
+        zero, one = "0" * size, "1" * size
+        masks = [
+            int("".join([one if (r >> s) & 1 else zero for r in reversed(rels)]), 2) for s in shifts
+        ]
+    edges = tuple(
+        tuple((j, edge, every ^ edge) for j, edge in enumerate(masks[i * n : (i + 1) * n]) if edge)
+        for i in range(n)
+    )
+    return Block(rels, every, columns, edges)
+
+
+@cache
+def _cached_blocks(n: int, atom_count: int, frame_mask: int) -> tuple[Block, ...]:
+    return tuple(blocks(n, atom_count, _relations(n, frame_mask)))
+
+
+def _blocks_of(n: int, atom_count: int, frame_mask: int) -> Iterable[Block]:
+    if n == MAX_WORLDS:
+        # 2^25 relations: stream them rather than decode all first
+        return blocks(n, atom_count, _decode(n, frame_mask))
+    if len(_relations(n, frame_mask)) << (atom_count * n) <= CACHE_BITS:
+        return _cached_blocks(n, atom_count, frame_mask)
+    return blocks(n, atom_count, _relations(n, frame_mask))
+
+
+def evaluate(code: tuple[int, ...], block: Block) -> list[int]:
+    """Per-world truth ints of ``code`` over ``block``."""
+    _, every, columns, edges = block
     stack: list = []
     push = stack.append
     for instr in code:
@@ -129,19 +203,19 @@ def evaluate(
         elif op == OP_BOX:
             x = stack[-1]
             out = []
-            for targets in succ:
+            for pairs in edges:
                 m = every
-                for j in targets:
-                    m &= x[j]
+                for j, _, missing in pairs:
+                    m &= x[j] | missing
                 out.append(m)
             stack[-1] = out
         else:  # OP_DIA
             x = stack[-1]
             out = []
-            for targets in succ:
+            for pairs in edges:
                 m = 0
-                for j in targets:
-                    m |= x[j]
+                for j, edge, _ in pairs:
+                    m |= x[j] & edge
                 out.append(m)
             stack[-1] = out
     return stack[-1]
@@ -163,25 +237,25 @@ def find_first(
     if atom_count * max_worlds > MAX_VALUATION_BITS:
         raise ValueError(f"enumeration supports at most {MAX_VALUATION_BITS} atoms x worlds")
     for n in range(1, max_worlds + 1):
-        columns, every = atom_columns(n, atom_count)
-        # 2^25 relations at the cap: stream them rather than decode all first
-        relations = _relations(n, frame_mask) if n < MAX_WORLDS else _decode(n, frame_mask)
-        for rel, succ in relations:
-            held = every  # valuations under which every premise holds everywhere
+        size = 1 << (atom_count * n)
+        for block in _blocks_of(n, atom_count, frame_mask):
+            every = block.every
+            held = every  # models in which every premise holds everywhere
             for code in premises:
-                for x in evaluate(code, succ, columns, every):
+                for x in evaluate(code, block):
                     held &= x
                 if not held:
                     break
             else:
-                values = evaluate(conclusion, succ, columns, every)
+                values = evaluate(conclusion, block)
                 everywhere = every
                 for x in values:
                     everywhere &= x
                 hit = held & ~everywhere
                 if hit:
-                    val = (hit & -hit).bit_length() - 1
+                    bit = (hit & -hit).bit_length() - 1
+                    k, val = divmod(bit, size)
                     for w, x in enumerate(values):
-                        if not (x >> val) & 1:
-                            return (n, rel, val, w)
+                        if not (x >> bit) & 1:
+                            return (n, block.relations[k], val, w)
     return None

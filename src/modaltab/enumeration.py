@@ -9,9 +9,12 @@ budget without a hit does NOT certify validity; the tableau module owns
 that direction.
 
 The search itself runs in ``_kernel_py``, which evaluates each formula
-over every valuation of a relation at once (one int per world, one bit
-per valuation).  Every witness is re-verified against the reference
-semantics before it is returned.
+over a block of relations and every valuation at once: one int per
+world, whose bit ``k * V + v`` is the truth in the block's ``k``-th
+relation under valuation bits ``v``, for ``V = 2^(atoms x worlds)``
+valuations.  A block holds ``max(1, _kernel_py.BLOCK_BITS // V)``
+relations, so no int exceeds ``max(BLOCK_BITS, V)`` bits.  Every witness is re-verified
+against the reference semantics before it is returned.
 """
 
 from __future__ import annotations

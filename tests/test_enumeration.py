@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from modaltab import _kernel_py, enumeration
@@ -20,7 +22,7 @@ from modaltab.semantics import (
     holds_globally,
     model_to_json,
 )
-from modaltab.syntax import atoms_of, desugar, parse
+from modaltab.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, atoms_of, desugar, parse
 
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
@@ -282,24 +284,237 @@ class TestKernels:
         chain = parse("p" + " <-> p" * links)
         assert len(compile_formula(chain, {"p": 0})) == 2 * links + 1
 
-    def test_mask_evaluation_matches_reference(self, small_models):
+    def test_mask_evaluation_matches_reference(self, small_models, monkeypatch):
+        # bit k * V + v of a world's int is the truth there in the block's
+        # k-th relation under valuation bits v; blocks of all, 2 (or 8) and
+        # 1 of the relations of each world count
         battery = [parse(s) for s in (
             "[]p -> p", "<>p & ~q", "[](p <-> q)", "<>[]p | []~q",
             "(p <-> q) <-> ~p", "[](p <-> <>q) <-> (q <-> p)",
         )]
         atoms = ("p", "q")
         index = {a: i for i, a in enumerate(atoms)}
-        for f in battery:
-            code = compile_formula(f, index)
-            for m in small_models[::5]:
-                n = m.world_count
-                succ = tuple(tuple(sorted(j for i, j in m.access if i == w)) for w in range(n))
-                columns, every = _kernel_py.atom_columns(n, len(atoms))
-                got = _kernel_py.evaluate(code, succ, columns, every)
-                total = len(atoms) * n
-                val = sum(
-                    1 << (total - 1 - (a * n + w))
-                    for a, name in enumerate(atoms)
-                    for w in m.valuation.get(name, ())
-                )
-                assert [(x >> val) & 1 for x in got] == [evaluate(m, w, f) for w in range(n)]
+        models = small_models[::5]
+        for block_bits in (1 << 15, 32, 1):
+            monkeypatch.setattr(_kernel_py, "BLOCK_BITS", block_bits)
+            for f in battery:
+                code = compile_formula(f, index)
+                for n in (1, 2):
+                    rels = sorted({_relation_bits(m) for m in models if m.world_count == n})
+                    size = 1 << (len(atoms) * n)
+                    truth = {}
+                    for block in _kernel_py.blocks(n, len(atoms), rels):
+                        got = _kernel_py.evaluate(code, block)
+                        for k, rel in enumerate(block.relations):
+                            truth[rel] = [x >> (k * size) for x in got]
+                    for m in models:
+                        if m.world_count != n:
+                            continue
+                        total = len(atoms) * n
+                        val = sum(
+                            1 << (total - 1 - (a * n + w))
+                            for a, name in enumerate(atoms)
+                            for w in m.valuation.get(name, ())
+                        )
+                        got = [(x >> val) & 1 for x in truth[_relation_bits(m)]]
+                        assert got == [evaluate(m, w, f) for w in range(n)]
+
+
+def _relation_bits(model):
+    n = model.world_count
+    return sum(1 << (n * n - 1 - (i * n + j)) for i, j in model.access)
+
+
+def _successors(n, rel):
+    return [[j for j in range(n) if (rel >> (n * n - 1 - (i * n + j))) & 1] for i in range(n)]
+
+
+def _reference_evaluate(code, succ, columns, every):
+    """Per-world truth ints of ``code`` for one relation: bit v is the truth
+    under valuation bits v (the kernel's evaluator before blocks)."""
+    stack = []
+    for instr in code:
+        op = instr & 7
+        if op == _kernel_py.OP_ATOM:
+            stack.append(columns[instr >> 3])
+        elif op == _kernel_py.OP_NOT:
+            stack[-1] = [every ^ x for x in stack[-1]]
+        elif op == _kernel_py.OP_AND:
+            y = stack.pop()
+            stack[-1] = [x & z for x, z in zip(stack[-1], y)]
+        elif op == _kernel_py.OP_OR:
+            y = stack.pop()
+            stack[-1] = [x | z for x, z in zip(stack[-1], y)]
+        elif op == _kernel_py.OP_IFF:
+            y = stack.pop()
+            stack[-1] = [every ^ x ^ z for x, z in zip(stack[-1], y)]
+        elif op == _kernel_py.OP_BOX:
+            x = stack[-1]
+            stack[-1] = [every & _all(x[j] for j in targets) for targets in succ]
+        else:  # OP_DIA
+            x = stack[-1]
+            stack[-1] = [_any(x[j] for j in targets) for targets in succ]
+    return stack[-1]
+
+
+def _all(ints):
+    out = -1
+    for x in ints:
+        out &= x
+    return out
+
+
+def _any(ints):
+    out = 0
+    for x in ints:
+        out |= x
+    return out
+
+
+def _reference_find_first(max_worlds, atom_count, mask, premises, conclusion):
+    """The kernel's search one relation at a time."""
+    for n in range(1, max_worlds + 1):
+        columns, every = _kernel_py.atom_columns(n, atom_count)
+        for rel in _kernel_py._decode(n, mask):
+            succ = _successors(n, rel)
+            held = every
+            for code in premises:
+                for x in _reference_evaluate(code, succ, columns, every):
+                    held &= x
+            values = _reference_evaluate(conclusion, succ, columns, every)
+            everywhere = every
+            for x in values:
+                everywhere &= x
+            hit = held & ~everywhere
+            if hit:
+                val = (hit & -hit).bit_length() - 1
+                world = next(w for w, x in enumerate(values) if not (x >> val) & 1)
+                return (n, rel, val, world)
+    return None
+
+
+def _random_formula(rng, depth, atom_count):
+    if depth == 0 or rng.random() < 0.2:
+        return Atom(f"a{rng.randrange(atom_count)}")
+    op = rng.choice([Not, Box, Diamond, And, Or, Implies, Iff])
+    if op in (Not, Box, Diamond):
+        return op(_random_formula(rng, depth - 1, atom_count))
+    return op(_random_formula(rng, depth - 1, atom_count), _random_formula(rng, depth - 1, atom_count))
+
+
+def _description(n, atom_count, rel, val):
+    """Each world is some world of the model (rel, val), with its valuation,
+    and reaches exactly the valuations of that world's successors: true
+    everywhere in the model when its worlds' valuations differ."""
+    total = atom_count * n
+
+    def literals(w):
+        return [
+            Atom(f"a{a}") if (val >> (total - 1 - (a * n + w))) & 1 else Not(Atom(f"a{a}"))
+            for a in range(atom_count)
+        ]
+
+    def conj(parts):
+        out = parts[0]
+        for part in parts[1:]:
+            out = And(out, part)
+        return out
+
+    cases = []
+    for w in range(n):
+        parts = literals(w)
+        for j in range(n):
+            here = conj(literals(j))
+            edge = (rel >> (n * n - 1 - (w * n + j))) & 1
+            parts.append(Diamond(here) if edge else Box(Not(here)))
+        cases.append(conj(parts))
+    out = cases[0]
+    for case in cases[1:]:
+        out = Or(out, case)
+    return out
+
+
+def _random_queries(seed):
+    """1,029 queries as find_first arguments, each with the per-relation
+    search's result: 32 per frame mask over 1-3 atoms and 1-3 worlds, then
+    five at 4 worlds.  Every other query is drawn around a random model of
+    its largest world count: premises that hold everywhere in it, at times
+    with its description, and a conclusion that fails somewhere, so it has
+    a hit, often late; it is redrawn while the hit has fewer worlds."""
+    rng = random.Random(seed)
+    sizes = [(worlds, atoms) for worlds in (1, 2, 3) for atoms in (1, 2, 3)] * 4
+    shapes = [(mask, *sizes[i % len(sizes)]) for mask in range(32) for i in range(32)]
+    shapes += [(mask, 4, 1) for mask in (0, 5, 7, 16, 28)]
+    for number, (mask, worlds, atom_count) in enumerate(shapes):
+        index = {f"a{i}": i for i in range(atom_count)}
+
+        def draw(depth):
+            return compile_formula(_random_formula(rng, depth, atom_count), index)
+
+        if number % 2:
+            premises = tuple(draw(3) for _ in range(rng.randrange(3)))
+            conclusion = draw(4)
+            query = (worlds, atom_count, mask, premises, conclusion)
+            yield query, _reference_find_first(*query)
+            continue
+        for _ in range(20):
+            rel = rng.choice(_kernel_py._relations(worlds, mask))
+            val = rng.randrange(1 << (atom_count * worlds))
+            succ = _successors(worlds, rel)
+            columns, every = _kernel_py.atom_columns(worlds, atom_count)
+
+            def truth(code):
+                return [(x >> val) & 1 for x in _reference_evaluate(code, succ, columns, every)]
+
+            premises = tuple(p for p in (draw(3) for _ in range(6)) if all(truth(p)))
+            described = compile_formula(_description(worlds, atom_count, rel, val), index)
+            if rng.random() < 0.5 and all(truth(described)):
+                premises += (described,)
+            conclusion = draw(4)
+            while all(truth(conclusion)):
+                conclusion = draw(4)
+            query = (worlds, atom_count, mask, premises, conclusion)
+            expected = _reference_find_first(*query)
+            if expected[0] == worlds:
+                break
+        yield query, expected
+
+
+class TestBlockKernel:
+    """The block kernel finds the hit the per-relation search finds."""
+
+    @pytest.fixture
+    def block_bits(self, monkeypatch):
+        def use(bits):
+            monkeypatch.setattr(_kernel_py, "BLOCK_BITS", bits)
+            _kernel_py._cached_blocks.cache_clear()
+
+        yield use
+        _kernel_py._cached_blocks.cache_clear()
+
+    def test_matches_per_relation_search(self, block_bits):
+        queries, expected = zip(*_random_queries(18))
+        assert sum(e is not None and e[0] == 3 for e in expected) >= 50
+        for bits in (1 << 15, 64, 1):
+            block_bits(bits)
+            assert tuple(_kernel_py.find_first(*q) for q in queries) == expected
+
+    def test_one_relation_over_the_block(self, block_bits):
+        # at MAX_VALUATION_BITS, 2^20 valuations of one relation outgrow a block
+        cap = MAX_VALUATION_BITS
+        a = {f"a{i}": i for i in range(cap // 2)}
+        conclusion = compile_formula(parse("a9 -> [](a9 | a0)"), a)
+        premises = (compile_formula(parse("<>a9"), a),)
+        query = (2, cap // 2, 0, premises, conclusion)
+        expected = _reference_find_first(*query)
+        assert expected[0] == 2
+        for bits in (1 << 15, 1):
+            block_bits(bits)
+            assert _kernel_py.find_first(*query) == expected
+
+    def test_largest_world_count_streams(self):
+        blocks = _kernel_py._blocks_of(_kernel_py.MAX_WORLDS, 1, 0)
+        assert not isinstance(blocks, tuple)
+        first = next(iter(blocks))
+        per = _kernel_py.BLOCK_BITS >> _kernel_py.MAX_WORLDS
+        assert first.relations == tuple(range(per))
