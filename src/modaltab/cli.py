@@ -6,9 +6,12 @@ of one formula over a logic or frame list), and the four suite runners
 ``corpus``, ``axioms``, ``steps``, ``jacquette``.
 
 Exit codes: 0 for valid / all expectations met, 1 for invalid / a failed
-expectation, 2 for usage or input errors.  ``--json`` reports are
-byte-deterministic for fixed inputs once ``--stable`` zeroes the timing
-fields.
+expectation, 2 for usage or input errors and for internal errors.  An
+internal error (any other exception, such as a countermodel that fails
+its re-verification) is reported as one ``error: internal error: ...``
+line, not as a traceback with exit 1, which would read as "invalid".
+``--json`` reports are byte-deterministic for fixed inputs once
+``--stable`` zeroes the timing fields.
 """
 
 from __future__ import annotations
@@ -447,6 +450,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ResourceLimit) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"error: internal error: {detail}", file=sys.stderr)
         return 2
 
 

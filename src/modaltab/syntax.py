@@ -210,35 +210,36 @@ _Token = tuple[str, str, int]  # (kind, spelling, char position)
 # longest first, so that ``<->`` is not read as ``<`` and ``|>`` not as ``|``
 _PUNCT = sorted([a for a, _, _ in _CONNECTIVES.values()] + ["(", ")"], key=len, reverse=True)
 
+# One alternative per token class, tried in order at each position:
+# skipped whitespace and ``#`` comments (no group), then group 1 a
+# connective or parenthesis, 2 a Unicode glyph, 3 an identifier, and 4
+# any other character, which is an error.  Every character starts some
+# alternative, so the matches cover the text without gaps.
+_TOKEN_RE = re.compile(
+    "[ \t\r\n]+|#[^\n]*\n?"
+    f"|({'|'.join(map(re.escape, _PUNCT))})"
+    f"|([{''.join(_UNICODE_ALIASES)}])"
+    f"|({_IDENT_RE.pattern})"
+    "|(.)",
+    re.DOTALL,
+)
+
 
 def _tokenize(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
             continue
-        if c == "#":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if c in _UNICODE_ALIASES:
-            yield (_UNICODE_ALIASES[c], _UNICODE_ALIASES[c], i)
-            i += 1
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                yield (punct, punct, i)
-                i += len(punct)
-                break
+        spelling = m.group(group)
+        if group == 1:
+            yield (spelling, spelling, m.start())
+        elif group == 2:
+            yield (_UNICODE_ALIASES[spelling], _UNICODE_ALIASES[spelling], m.start())
+        elif group == 3:
+            yield ("ident", spelling, m.start())
         else:
-            m = _IDENT_RE.match(text, i)
-            if m:
-                yield ("ident", m.group(), i)
-                i = m.end()
-            else:
-                raise FormulaSyntaxError(text, i, ("~", "[]", "<>", "(", "identifier"))
-    yield ("eof", "", n)
+            raise FormulaSyntaxError(text, m.start(), ("~", "[]", "<>", "(", "identifier"))
+    yield ("eof", "", len(text))
 
 
 _UNARY = {a: c for c, (a, _, _) in _CONNECTIVES.items() if issubclass(c, _Unary)}
@@ -504,8 +505,24 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    """Names of all atoms occurring in ``f``."""
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
+    """Names of all atoms occurring in ``f``, in one walk that enters each
+    node object once: no node is hashed, and a shared subtree is skipped
+    by identity."""
+    names: set[str] = set()
+    seen: set[int] = set()  # ids of the nodes entered; ``f`` keeps them all alive
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if type(g) is Atom:
+            names.add(g.name)
+        elif isinstance(g, _Unary):
+            stack.append(g.operand)
+        else:
+            stack += (g.left, g.right)
+    return frozenset(names)
 
 
 def fresh_atom(avoid: set[str] | frozenset[str]) -> str:

@@ -26,6 +26,12 @@ license) and its licence are written once, in ``_Branch``: the search
 fires the licensed steps its triggers queue, replay fires only licensed
 steps, and extraction refuses a branch where a trigger yields one.
 
+Every rule adds only a component, an operand or a premise, so every
+formula a branch holds is a subformula of the negated conclusion or of a
+premise.  Each query compiles those into one ``_Table`` of int ids, as
+the frame is compiled into ``_Branch.mask``; branches, queued steps and
+licences hold ids, and only proofs and countermodels see formulas.
+
 The search backjumps (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", JLC 1999): every label, formula and edge
 carries the set of open beta splits it depends on, and a split that the
@@ -166,8 +172,66 @@ Verdict = Valid | Invalid
 _PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
 # Rules that spawn a successor; a step names only the parent label.
 _SPAWNING = frozenset({"diamond", "serial"})
+
+# The kind of each formula of a _Table: an atom, a negated atom, and the
+# four connectives that NNF keeps.
+_ATOM, _LITERAL, _AND, _OR, _BOX, _DIAMOND = range(6)
+_KINDS = {Atom: _ATOM, Not: _LITERAL, And: _AND, Or: _OR, Box: _BOX, Diamond: _DIAMOND}
 # Formulas that box steps move along edges.
-_MODAL = (Box, Diamond)
+_MODAL = (_BOX, _DIAMOND)
+
+
+class _Table:
+    """The distinct subformulas of one query's NNF seeds (the negated
+    conclusion and the premises), each under an int id.
+
+    Ids run 0..n-1 in post-order over the seeds, so they depend on the
+    seeds alone.  Per id: ``formulas`` holds the formula, ``kind`` its
+    ``_ATOM`` .. ``_DIAMOND`` kind, ``left`` and ``right`` its children's
+    ids (a unary node's operand in ``left``), ``boxed`` the id of its box
+    and ``negated`` (for an atom) the id of its negation; each is -1 where
+    there is none.  -1 is never in a label set, so ``boxed[f] in s`` asks
+    whether []f is in s.  ``index`` maps each formula to its id, and
+    ``roots`` holds the seeds' ids in order."""
+
+    __slots__ = ("formulas", "kind", "left", "right", "boxed", "negated", "index", "roots")
+
+    def __init__(self, seeds: Sequence[Formula]):
+        self.formulas: list[Formula] = []
+        self.kind: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.boxed: list[int] = []
+        self.negated: list[int] = []
+        self.index: dict[Formula, int] = {}
+        self.roots = tuple([self._add(f) for f in seeds])
+
+    def _add(self, f: Formula) -> int:
+        """The id of ``f``, compiling it after its children if it is new."""
+        i = self.index.get(f)
+        if i is not None:
+            return i
+        kind = _KINDS.get(type(f))
+        if kind is None or kind == _LITERAL and type(f.operand) is not Atom:
+            raise TypeError(f"not in negation normal form: {f!r}")
+        left = right = -1
+        if kind == _AND or kind == _OR:
+            left, right = self._add(f.left), self._add(f.right)
+        elif kind != _ATOM:
+            left = self._add(f.operand)
+        i = len(self.formulas)
+        self.formulas.append(f)
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(right)
+        self.boxed.append(-1)
+        self.negated.append(-1)
+        if kind == _BOX:
+            self.boxed[left] = i
+        elif kind == _LITERAL:
+            self.negated[left] = i
+        self.index[f] = i
+        return i
 
 
 class _Budget:
@@ -204,21 +268,25 @@ class _Branch:
     (:meth:`fire`).  Shared by the search, proof replay and the saturation
     check, so it enqueues no work and detects no closure.
 
-    Each edge (a, b) is stored once per end, as ``out_edges[a][b]`` and
-    ``in_edges[b][a]``: per-label dicts in arrival order, so triggers emit
-    steps in edge order.  Rules test ``mask``, the frame compiled once into
-    the enumeration kernel's ``FRAME_*`` bits.  Every label, formula and
-    edge holds its dependency mask, the set of beta splits it depends on
-    as bits (``label_deps``, and the values of ``label_sets``,
-    ``out_edges`` and ``in_edges``); replay leaves every mask 0."""
+    The branch holds formula ids of one per-query ``table``: each label
+    set maps ids to masks, a step's formula is an id, and ``premises``
+    holds the premises' ids.  Each edge (a, b) is stored once per end, as
+    ``out_edges[a][b]`` and ``in_edges[b][a]``: per-label dicts in arrival
+    order, so triggers emit steps in edge order.  Rules test ``mask``, the
+    frame compiled once into the enumeration kernel's ``FRAME_*`` bits.
+    Every label, formula and edge holds its dependency mask, the set of
+    beta splits it depends on as bits (``label_deps``, and the values of
+    ``label_sets``, ``out_edges`` and ``in_edges``); replay leaves every
+    mask 0."""
 
-    __slots__ = ("frame", "mask", "premises", "label_sets", "out_edges", "in_edges", "label_deps")
+    __slots__ = ("frame", "mask", "table", "premises", "label_sets", "out_edges", "in_edges", "label_deps")
 
-    def __init__(self, frame: FrameClass, premises: tuple[Formula, ...]):
+    def __init__(self, frame: FrameClass, table: _Table, premises: tuple[int, ...]):
         self.frame = frame
         self.mask = frame_mask(frame)
+        self.table = table
         self.premises = premises
-        self.label_sets: list[dict[Formula, int]] = []
+        self.label_sets: list[dict[int, int]] = []
         self.out_edges: list[dict[int, int]] = []
         self.in_edges: list[dict[int, int]] = []
         self.label_deps: list[int] = []
@@ -227,6 +295,7 @@ class _Branch:
         other = object.__new__(type(self))
         other.frame = self.frame
         other.mask = self.mask
+        other.table = self.table
         other.premises = self.premises
         other.label_sets = [dict(d) for d in self.label_sets]
         other.out_edges = [dict(d) for d in self.out_edges]
@@ -241,7 +310,7 @@ class _Branch:
         self.label_deps.append(deps)
         return len(self.label_sets) - 1
 
-    def add_formula(self, label: int, f: Formula, deps: int = 0) -> bool:
+    def add_formula(self, label: int, f: int, deps: int = 0) -> bool:
         s = self.label_sets[label]
         if f in s:
             return False
@@ -259,18 +328,19 @@ class _Branch:
         if self.mask & FRAME_REFLEXIVE:
             emit(("frame-closure", (label, label), None))
 
-    def formula_steps(self, label: int, f: Formula, emit) -> None:
-        if isinstance(f, And):
+    def formula_steps(self, label: int, f: int, emit) -> None:
+        kind = self.table.kind[f]
+        if kind == _AND:
             emit(("alpha", (label,), f))
-        elif isinstance(f, Or):
+        elif kind == _OR:
             emit(("beta", (label,), f))
-        elif isinstance(f, _MODAL):
-            if isinstance(f, Diamond):
+        elif kind in _MODAL:
+            if kind == _DIAMOND:
                 emit(("diamond", (label,), f))
             for m in self.out_edges[label]:
                 # K-arrival of the operand plus possible transfer of f itself
-                if isinstance(f, Box):
-                    emit(("box", (label, m), f.operand))
+                if kind == _BOX:
+                    emit(("box", (label, m), self.table.left[f]))
                 emit(("box", (label, m), f))
             if self.mask & FRAME_EUCLIDEAN:
                 # backward transfer is only ever licensed on Euclidean frames
@@ -283,14 +353,15 @@ class _Branch:
 
     def transfer_steps(self, a: int, b: int, emit) -> None:
         """Box steps across edge (a, b): forward, and backward on Euclidean frames."""
+        kind, operand = self.table.kind, self.table.left
         for f in self.label_sets[a]:
-            if isinstance(f, Box):
-                emit(("box", (a, b), f.operand))
-            if isinstance(f, _MODAL):
+            if kind[f] == _BOX:
+                emit(("box", (a, b), operand[f]))
+            if kind[f] in _MODAL:
                 emit(("box", (a, b), f))
         if self.mask & FRAME_EUCLIDEAN:
             for f in self.label_sets[b]:
-                if isinstance(f, _MODAL):
+                if kind[f] in _MODAL:
                     emit(("box", (b, a), f))
 
     def closure_steps(self, a: int, b: int, emit) -> None:
@@ -307,7 +378,7 @@ class _Branch:
                 emit(("frame-closure", (b, c), None))
                 emit(("frame-closure", (c, b), None))
 
-    def licensed(self, rule: str, labels: Sequence[int], f: Formula | None) -> bool:
+    def licensed(self, rule: str, labels: Sequence[int], f: int | None) -> bool:
         """Whether the step applies to this branch and would change it.  A
         spawning step names only its parent label, and a ``frame-closure``
         or ``serial`` step carries no formula."""
@@ -315,20 +386,21 @@ class _Branch:
             src, dst = labels
             if f is None or f in self.label_sets[dst]:
                 return False
+            s, kind = self.label_sets[src], self.table.kind[f]
             if dst in self.out_edges[src]:
-                if Box(f) in self.label_sets[src]:
+                if self.table.boxed[f] in s:
                     return True  # K: operand across an edge
-                if f in self.label_sets[src]:
-                    if isinstance(f, Box) and self.mask & FRAME_TRANSITIVE:
+                if f in s:
+                    if kind == _BOX and self.mask & FRAME_TRANSITIVE:
                         return True  # 4: boxes persist forward
                     if self.mask & FRAME_EUCLIDEAN:
-                        if isinstance(f, Diamond):
+                        if kind == _DIAMOND:
                             return True  # co-successors of src see f's witness too
-                        if isinstance(f, Box) and self.in_edges[src]:
+                        if kind == _BOX and self.in_edges[src]:
                             return True  # successors of a non-root world see no more
             if src in self.out_edges[dst] and self.mask & FRAME_EUCLIDEAN:
                 # backward within range: dst's successors include src's
-                if isinstance(f, _MODAL) and f in self.label_sets[src] and self.in_edges[dst]:
+                if kind in _MODAL and f in s and self.in_edges[dst]:
                     return True
             return False
         if rule == "frame-closure":
@@ -344,22 +416,22 @@ class _Branch:
                 or mask & FRAME_EUCLIDEAN and not into_b.isdisjoint(self.in_edges[a])
             )
         (label,) = labels
-        s = self.label_sets[label]
-        if rule == "alpha":
-            return isinstance(f, And) and f in s and not (f.left in s and f.right in s)
-        if rule == "beta":
-            return isinstance(f, Or) and f in s and f.left not in s and f.right not in s
-        if rule == "diamond":
-            return (
-                isinstance(f, Diamond)
-                and f in s
-                and not any(f.operand in self.label_sets[m] for m in self.out_edges[label])
-            )
         if rule == "serial":
             return f is None and self.mask & FRAME_SERIAL and not self.out_edges[label]
-        return rule == "closure" and isinstance(f, Atom) and f in s and Not(f) in s
+        s = self.label_sets[label]
+        if f not in s:  # None too: each rule left expands a formula the label holds
+            return False
+        t = self.table
+        kind = t.kind[f]
+        if rule == "alpha":
+            return kind == _AND and not (t.left[f] in s and t.right[f] in s)
+        if rule == "beta":
+            return kind == _OR and t.left[f] not in s and t.right[f] not in s
+        if rule == "diamond":
+            return kind == _DIAMOND and not any(t.left[f] in self.label_sets[m] for m in self.out_edges[label])
+        return rule == "closure" and kind == _ATOM and t.negated[f] in s
 
-    def fire(self, rule: str, labels: Sequence[int], f: Formula | None, deps: int = 0) -> "_Branch | None":
+    def fire(self, rule: str, labels: Sequence[int], f: int | None, deps: int = 0) -> "_Branch | None":
         """The effect of a licensed step; every fact it adds gets the
         dependency mask ``deps``.  A spawning step adds a new label, then the
         diamond's operand there, then the edge from its parent, then the
@@ -368,19 +440,19 @@ class _Branch:
         if rule == "box":
             self.add_formula(labels[1], f, deps)
         elif rule == "alpha":
-            self.add_formula(labels[0], f.left, deps)
-            self.add_formula(labels[0], f.right, deps)
+            self.add_formula(labels[0], self.table.left[f], deps)
+            self.add_formula(labels[0], self.table.right[f], deps)
         elif rule == "frame-closure":
             self.add_edge(*labels, deps)
         elif rule == "beta":
             right = self.clone()
-            right.add_formula(labels[0], f.right, deps)
-            self.add_formula(labels[0], f.left, deps)
+            right.add_formula(labels[0], self.table.right[f], deps)
+            self.add_formula(labels[0], self.table.left[f], deps)
             return right
         else:
             child = self.new_label(deps)
             if rule == "diamond":
-                self.add_formula(child, f.operand, deps)
+                self.add_formula(child, self.table.left[f], deps)
             self.add_edge(labels[0], child, deps)
             for p in self.premises:
                 self.add_formula(child, p, deps)
@@ -390,12 +462,13 @@ class _Branch:
         """The diamond and serial steps owed by unblocked labels, per label
         in formula insertion order, serial last; ``blocked`` is the branch's
         blocked_by per label."""
+        kind = self.table.kind
         owed: list[tuple] = []
         for lid, s in enumerate(self.label_sets):
             if blocked[lid] is not None:
                 continue
             for f in s:
-                if isinstance(f, Diamond) and self.licensed("diamond", (lid,), f):
+                if kind[f] == _DIAMOND and self.licensed("diamond", (lid,), f):
                     owed.append(("diamond", (lid,), f))
             if self.licensed("serial", (lid,), None):
                 owed.append(("serial", (lid,), None))
@@ -418,12 +491,12 @@ class _State(_Branch):
         "_blocked",
     )
 
-    def __init__(self, frame: FrameClass, premises: tuple[Formula, ...], budget: _Budget):
-        super().__init__(frame, premises)
+    def __init__(self, frame: FrameClass, table: _Table, premises: tuple[int, ...], budget: _Budget):
+        super().__init__(frame, table, premises)
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.queued: set[tuple] = set()
-        self.closed: tuple[int, Atom] | None = None
+        self.closed: tuple[int, int] | None = None  # (label, atom id)
         # (step, dependency mask, search id of a spawn's new label or None)
         # per fired step, in firing order; see _run
         self.proof: list[tuple] = []
@@ -464,7 +537,7 @@ class _State(_Branch):
 
     # -- dependencies --------------------------------------------------
 
-    def support(self, rule: str, labels: Sequence[int], f: Formula | None) -> int:
+    def support(self, rule: str, labels: Sequence[int], f: int | None) -> int:
         """The dependency mask of a licensed step: the union of the masks of
         the facts its licence reads, in the order :meth:`licensed` tests
         them; where it asks for any edge, the first that qualifies.  Its
@@ -473,15 +546,16 @@ class _State(_Branch):
             src, dst = labels
             s, out = self.label_sets[src], self.out_edges[src]
             if dst in out:
-                if (box := Box(f)) in s:
+                if (box := self.table.boxed[f]) in s:
                     return out[dst] | s[box]
                 if f in s:
-                    if isinstance(f, Box) and self.mask & FRAME_TRANSITIVE:
+                    kind = self.table.kind[f]
+                    if kind == _BOX and self.mask & FRAME_TRANSITIVE:
                         return out[dst] | s[f]
                     if self.mask & FRAME_EUCLIDEAN:
-                        if isinstance(f, Diamond):
+                        if kind == _DIAMOND:
                             return out[dst] | s[f]
-                        if isinstance(f, Box) and self.in_edges[src]:
+                        if kind == _BOX and self.in_edges[src]:
                             return out[dst] | s[f] | next(iter(self.in_edges[src].values()))
             # backward: the edge (dst, src), f at src and an edge into dst
             return self.out_edges[dst][src] | s[f] | next(iter(self.in_edges[dst].values()))
@@ -503,7 +577,7 @@ class _State(_Branch):
             return self.label_deps[label]
         s = self.label_sets[label]
         if rule == "closure":
-            return s[f] | s[Not(f)]
+            return s[f] | s[self.table.negated[f]]
         return s[f]  # alpha, beta, diamond: the formula it expands
 
     # -- structure growth ----------------------------------------------
@@ -513,17 +587,18 @@ class _State(_Branch):
         self._blocked = None
         return super().new_label(deps)
 
-    def add_formula(self, label: int, f: Formula, deps: int = 0) -> bool:
+    def add_formula(self, label: int, f: int, deps: int = 0) -> bool:
         if not super().add_formula(label, f, deps):
             return False
         self._blocked = None
-        match f:
-            case Atom():
-                if Not(f) in self.label_sets[label] and self.closed is None:
-                    self.closed = (label, f)
-            case Not(operand=Atom() as atom):
-                if atom in self.label_sets[label] and self.closed is None:
-                    self.closed = (label, atom)
+        kind = self.table.kind[f]
+        if kind == _ATOM:
+            if self.table.negated[f] in self.label_sets[label] and self.closed is None:
+                self.closed = (label, f)
+        elif kind == _LITERAL:
+            atom = self.table.left[f]
+            if atom in self.label_sets[label] and self.closed is None:
+                self.closed = (label, atom)
         self.formula_steps(label, f, self.enqueue)
         return True
 
@@ -659,17 +734,16 @@ def _run(state: _State) -> _State | None:
             return None
 
 
-def _renumber(entries: list[tuple]) -> tuple[tuple, ...]:
-    """The proof steps of the search's ``(step, deps, child)`` entries.
-    Backjumping drops spawns, so each label is renamed to its place among
-    the labels that the kept spawns of its branch create, as replay
-    numbers them."""
+def _renumber(entries: list[tuple], formulas: list[Formula]) -> tuple[tuple, ...]:
+    """The proof steps of the search's ``(step, deps, child)`` entries, each
+    formula id replaced by its formula in ``formulas``.  Backjumping drops
+    spawns, so each label is renamed to its place among the labels that
+    the kept spawns of its branch create, as replay numbers them."""
     new = {0: 0}  # search id -> replay id, on the current branch
     count, pending, steps = 1, [], []
     for step, _, child in entries:
         rule, labels, f = step
-        renamed = tuple([new[lab] for lab in labels])
-        steps.append(step if renamed == labels else (rule, renamed, f))
+        steps.append((rule, tuple([new[lab] for lab in labels]), None if f is None else formulas[f]))
         if child is not None:
             new[child] = count
             count += 1
@@ -688,7 +762,8 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
     for lid, s in enumerate(sets):
         for f in s:
             if branch.licensed("closure", (lid,), f):
-                raise NotSaturated(f"branch is closed: {f.name} and ~{f.name} at label {lid}")
+                name = branch.table.formulas[f].name
+                raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
 
     def emit(step: tuple) -> None:
         rule, labels, f = step
@@ -714,7 +789,8 @@ def extract_countermodel(
     """Loop-back model from a saturated open branch.
 
     ``blocked`` is the branch's blocked_by per label; ``premises`` and
-    ``conclusion`` are the query's, desugared, for re-verification.
+    ``conclusion`` are the query's, desugared, for re-verification.  Atom
+    names come from the branch's table.
     Worlds are the unblocked labels; edges into blocked labels are
     redirected to their blockers, the result is re-closed under the frame
     class's Horn conditions, and an atom holds at a world exactly when the
@@ -732,11 +808,12 @@ def extract_countermodel(
     }
     horn = branch.frame - {FrameCondition.SERIAL}
     access = frame_closure(base_edges, horn, len(unblocked))
+    table = branch.table
     valuation: dict[str, set[int]] = {}
     for i, lid in enumerate(unblocked):
         for f in branch.label_sets[lid]:
-            if isinstance(f, Atom):
-                valuation.setdefault(f.name, set()).add(i)
+            if table.kind[f] == _ATOM:
+                valuation.setdefault(table.formulas[f].name, set()).add(i)
     model = KripkeModel(len(unblocked), access, valuation)
     witness = CountermodelWitness(model, 0)
     for cond in branch.frame:
@@ -750,14 +827,17 @@ def extract_countermodel(
     return witness
 
 
-def _seed_root(branch: _Branch, conclusion: Formula) -> None:
-    """Open root label 0 with the negated conclusion, then the premises,
-    all in NNF: the state that both the search and proof replay start
-    from.  ``conclusion`` is desugared; ``branch.premises`` are in NNF."""
+def _seeded(branch_type: type, frame: FrameClass, premises: Sequence[Formula], conclusion: Formula, *args):
+    """A ``branch_type(frame, table, premise ids, *args)`` whose root label
+    0 holds the negated conclusion, then the premises: the state that both
+    the search and proof replay start from.  ``premises`` and
+    ``conclusion`` are desugared; ``table`` compiles their NNF."""
+    table = _Table([nnf(Not(conclusion)), *[nnf(p) for p in premises]])
+    branch = branch_type(frozenset(frame), table, table.roots[1:], *args)
     root = branch.new_label()
-    branch.add_formula(root, nnf(Not(conclusion)))
-    for p in branch.premises:
-        branch.add_formula(root, p)
+    for f in table.roots:
+        branch.add_formula(root, f)
+    return branch
 
 
 def decide(
@@ -769,12 +849,11 @@ def decide(
     """Valid with a proof, or Invalid with a re-verified countermodel."""
     desugared_premises = tuple(desugar(p) for p in premises)
     desugared_conclusion = desugar(conclusion)
-    state = _State(frozenset(frame), tuple(nnf(p) for p in desugared_premises), _Budget(max_labels))
-    _seed_root(state, desugared_conclusion)
+    state = _seeded(_State, frame, desugared_premises, desugared_conclusion, _Budget(max_labels))
     state.label_steps(0, state.enqueue)  # serial steps, the root's too, come from _audit
     open_branch = _run(state)
     if open_branch is None:
-        return Valid(ProofObject(_renumber(state.proof)))
+        return Valid(ProofObject(_renumber(state.proof, state.table.formulas)))
     # a module-global lookup, so that a tracer rebinding
     # tableau.extract_countermodel sees this call
     return Invalid(
@@ -794,12 +873,17 @@ def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LAB
 def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
     """Replay proof steps in order from the seeded root: a beta step's right
     branch waits on a stack until a closure ends the branch before it, and
-    the last step must close the last branch."""
+    the last step must close the last branch.  A step's formula is looked
+    up in the branch's table; no licensed step names one outside it."""
+    index = branch.table.index
     pending: list[_Branch] = []
     current: _Branch | None = branch
-    for rule, labels, f in steps:
+    for rule, labels, formula in steps:
         if current is None or not all(0 <= lab < len(current.label_sets) for lab in labels):
             return False  # a step after every branch closed, or a label that does not exist
+        f = None if formula is None else index.get(formula)
+        if f is None and formula is not None:
+            return False
         if not current.licensed(rule, labels, f):
             return False
         if rule == "closure":
@@ -819,8 +903,7 @@ def check_proof(
     must be licensed and every branch must end in a present closure pair.
     Returns False on any mismatch; never raises."""
     try:
-        branch = _Branch(frozenset(frame), tuple(nnf(desugar(p)) for p in premises))
-        _seed_root(branch, desugar(conclusion))
+        branch = _seeded(_Branch, frame, [desugar(p) for p in premises], desugar(conclusion))
         return _replay(branch, proof.nodes)
     except Exception:
         return False

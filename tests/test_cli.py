@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import modaltab
 
-from modaltab import arguments, cli
+from modaltab import arguments, cli, tableau
 from modaltab.arguments import DerivationScript, eder_ramharter_manual
 from modaltab.cli import export_dot, load_argument_file, main
 from modaltab.enumeration import CountermodelWitness, EnumerationBudget, find_countermodel
 from modaltab.semantics import LOGICS, FrameCondition, KripkeModel
 from modaltab.syntax import MAX_DEPTH, parse, print_formula
-from modaltab.tableau import ProofObject
+from modaltab.tableau import NotSaturated, ProofObject
 
 from conftest import formula_strategy
 
@@ -439,6 +439,25 @@ class TestSuites:
         names = {c["name"] for e in doc["entries"] for c in e["checks"]}
         assert "eder_ramharter_no_frame" in names
         assert "hartshorne_triviality" in names
+
+
+class TestInternalErrors:
+    """An exception that is not an input error is a fault of the program:
+    it exits 2 with one line, never 1, which would read as "invalid"."""
+
+    @pytest.mark.parametrize("error", [
+        AssertionError("extracted model violates a global premise"),
+        NotSaturated("beta rule applicable at label 0\nand more"),
+    ])
+    def test_reported_as_one_line_with_exit_2(self, capsys, monkeypatch, error):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(tableau, "extract_countermodel", failing)
+        code, out, err = run(capsys, "prove", "[]p -> p", "--logic", "K")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: internal error: {type(error).__name__}: "
+                                    + " ".join(str(error).split())]
 
 
 class TestFailingSuite:

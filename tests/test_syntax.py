@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +28,10 @@ from modaltab.syntax import (
     print_formula,
     subformulas,
     substitute,
+    _IDENT_RE,
+    _PUNCT,
+    _UNICODE_ALIASES,
+    _tokenize,
 )
 from modaltab.semantics import KripkeModel, evaluate
 from modaltab.tableau import decide
@@ -85,6 +90,81 @@ class TestParse:
     def test_error_stray_token(self):
         with pytest.raises(FormulaSyntaxError):
             parse("p q")
+
+
+def reference_tokenize(text):
+    """Reference for ``_tokenize``: a scan that tries each token class by
+    hand at each character."""
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            j = text.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        if c in _UNICODE_ALIASES:
+            yield (_UNICODE_ALIASES[c], _UNICODE_ALIASES[c], i)
+            i += 1
+            continue
+        for punct in _PUNCT:
+            if text.startswith(punct, i):
+                yield (punct, punct, i)
+                i += len(punct)
+                break
+        else:
+            m = _IDENT_RE.match(text, i)
+            if m:
+                yield ("ident", m.group(), i)
+                i = m.end()
+            else:
+                raise FormulaSyntaxError(text, i, ("~", "[]", "<>", "(", "identifier"))
+    yield ("eof", "", n)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return list(tokenize(text))
+    except FormulaSyntaxError as e:
+        return e.offset, e.expected, str(e)
+
+
+# fragments of formula text: every connective spelling and its prefixes,
+# glyphs, comments, the four whitespace characters and others that are
+# not (\x0b, \x0c, a no-break space), identifiers, non-ASCII letters,
+# lone surrogates and stray characters
+TEXT_PIECES = [
+    "<->", "->", "|>", "|", "&", "~", "[]", "<>", "(", ")", "<", "-", ">", "[", "]", "<-",
+    "¬", "∧", "∨", "⊃", "□", "◇", "#", "# note\n", "#\n", "\n", " ", "\t", "\r",
+    "\x0b", "\x0c", "\xa0", "p", "q_1", "_x9", "Ab", "0", "9", "é", "ß", "π", "Ω", "pé",
+    "!", "$", "\\", "\udc80", "\ud800", "\x00",
+]
+
+
+class TestTokenizer:
+    """The regular-expression tokenizer gives the reference scan's tokens
+    and positions, and raises its errors at the same byte offset with the
+    same expected set."""
+
+    @given(st.lists(st.sampled_from(TEXT_PIECES) | st.characters(), max_size=24).map("".join))
+    @settings(max_examples=400)
+    def test_same_tokens_and_errors_as_the_reference(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "p", "p\x0bq", "p\x0cq", "# only a comment", "p # no newline", "é", "p<->q|>r", "<-p",
+        "□p ⊃ p", "p\udc80", "(p\t&\rq)\n",
+    ])
+    def test_edge_cases(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+    def test_whitespace_is_exactly_four_characters(self):
+        for c in "\x0b\x0c\xa0\u2003":
+            with pytest.raises(FormulaSyntaxError) as e:
+                parse(f"p{c}")
+            assert e.value.offset == 1
 
 
 # shape -> (text with k nesting steps, depth each step adds)
@@ -440,6 +520,22 @@ class TestSubformulas:
                     return 1 + node_count(x.left) + node_count(x.right)
 
         assert len(subformulas(f)) <= node_count(f)
+
+
+class TestAtomsOf:
+    def test_names(self):
+        assert atoms_of(parse("[](p -> q) & <>~p")) == frozenset({"p", "q"})
+
+    def test_shared_subtree_walked_once(self):
+        shared = Box(p)
+        for _ in range(200):  # 2**200 paths, 201 distinct nodes
+            shared = And(shared, shared)
+        assert atoms_of(shared) == frozenset({"p"})
+
+    @given(formula_strategy(atoms=("p", "q", "g", "r_1"), max_leaves=32))
+    @settings(max_examples=200)
+    def test_agrees_with_subformulas(self, f):
+        assert atoms_of(f) == frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 class TestFreshAtom:

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from modaltab import tableau
 from modaltab.arguments import builtin_corpus, eder_ramharter_manual
@@ -27,8 +28,10 @@ from modaltab.syntax import (
     Not,
     Or,
     desugar,
+    nnf,
     parse,
     print_formula,
+    subformulas,
 )
 from modaltab.tableau import (
     Invalid,
@@ -39,13 +42,18 @@ from modaltab.tableau import (
     _Branch,
     _Budget,
     _State,
+    _Table,
     _check_branch_saturated,
     _expand_segment,
+    _replay,
+    _seeded,
     check_proof,
     decide,
     extract_countermodel,
     prove_valid,
 )
+
+from conftest import formula_strategy
 
 K = frozenset()
 REFL = frozenset({FrameCondition.REFLEXIVE})
@@ -127,12 +135,14 @@ class TestProveValid:
 
 
 def hand_branch(frame, label_sets, edges):
-    """A branch with the given formula set per label and the given edges."""
-    branch = _Branch(frame, ())
+    """A branch with the given formula set per label and the given edges;
+    its formulas are compiled into one table, and the branch holds their ids."""
+    table = _Table([f for formulas in label_sets for f in formulas])
+    branch = _Branch(frame, table, ())
     for formulas in label_sets:
         lid = branch.new_label()
         for f in formulas:
-            branch.add_formula(lid, f)
+            branch.add_formula(lid, table.index[f])
     for a, b in edges:
         branch.add_edge(a, b)
     return branch
@@ -197,8 +207,9 @@ class TestEuclideanTransfers:
         # out-edge, and only as the converse of one (or through the
         # reflexive (0, 0), whose closure adds every converse); the converse
         # edge (c, 0) queues the transfer of the root's boxes along (0, c)
-        box = Box(Atom("p"))
-        state = _State(EUCL, (), _Budget(10))
+        table = _Table([Box(Atom("p"))])
+        box, p = table.index[Box(Atom("p"))], table.index[Atom("p")]
+        state = _State(EUCL, table, (), _Budget(10))
         for _ in range(3):
             state.new_label()
         state.add_formula(0, box)
@@ -209,7 +220,58 @@ class TestEuclideanTransfers:
         assert ("box", (0, 1), box) in state.queued
         assert _expand_segment(state) is None and state.closed is None
         _check_branch_saturated(state, state.blocking())
-        assert all(box in s and Atom("p") in s for s in state.label_sets)
+        assert all(box in s and p in s for s in state.label_sets)
+
+
+class TestTable:
+    """The formula table of one query: every subformula of its NNF seeds
+    under one id, children before parents, and nothing else."""
+
+    # sha256 of the formulas of every golden query's table, in id order
+    IDS_DIGEST = "8839bb1402ea567c6e36135d091912c07ebc7471321df099921be7eaa6e31e54"
+
+    KINDS = {Atom: tableau._ATOM, Not: tableau._LITERAL, And: tableau._AND, Or: tableau._OR,
+             Box: tableau._BOX, Diamond: tableau._DIAMOND}
+
+    def check(self, seeds):
+        table = _Table(seeds)
+        formulas, index = table.formulas, table.index
+        assert [formulas[i] for i in table.roots] == list(seeds)
+        assert set(formulas) == set().union(*map(subformulas, seeds)) == index.keys()
+        for i, f in enumerate(formulas):
+            assert index[f] == i and table.kind[i] == self.KINDS[type(f)]
+            children = [f.left, f.right] if isinstance(f, (And, Or)) else [getattr(f, "operand", None), None]
+            ids = [table.left[i], table.right[i]]
+            assert [formulas[c] if c >= 0 else None for c in ids] == children
+            assert all(c < i for c in ids)  # post-order
+            assert table.boxed[i] == index.get(Box(f), -1)
+            assert table.negated[i] == (index.get(Not(f), -1) if isinstance(f, Atom) else -1)
+
+    @given(formula_strategy(atoms=("p", "q", "r"), max_leaves=24), formula_strategy(max_leaves=12))
+    @settings(max_examples=150)
+    def test_invariants(self, conclusion, premise):
+        self.check([nnf(Not(desugar(conclusion))), nnf(desugar(premise))])
+
+    def test_seeds_share_subformulas(self):
+        self.check([parse("[]p & ~p"), parse("~p"), parse("[]p | <>[]p")])
+
+    def test_refuses_a_formula_outside_nnf(self):
+        with pytest.raises(TypeError, match="negation normal form"):
+            _Table([parse("~[]p")])
+
+    def test_ids_pinned(self):
+        # ids follow the seeds alone, never the string hash seed, so the
+        # formulas of every golden query's table, in id order, hash alike
+        # under every PYTHONHASHSEED
+        lines = []
+        for name in sorted(GOLDEN_QUERIES):
+            premises, conclusion, frame = GOLDEN_QUERIES[name]
+            table = _seeded(_Branch, frame, [desugar(p) for p in premises], desugar(conclusion)).table
+            lines.append(" ".join(
+                f"{i}:{print_formula(f)}:{table.boxed[i]}:{table.negated[i]}"
+                for i, f in enumerate(table.formulas)
+            ))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.IDS_DIGEST
 
 
 K_AXIOM = "[](p -> q) -> ([]p -> []q)"
@@ -599,6 +661,25 @@ class TestForgedProofs:
         forged = _edit_node(doc, index, formula="q & ~q")
         assert check_proof(ProofObject.from_json_dict(doc), [], conclusion, frame)
         assert not check_proof(ProofObject.from_json_dict(forged), [], conclusion, frame)
+
+    @pytest.mark.parametrize("rule,text,frame,forged_formula", [
+        # r is no atom of []p -> p, so no label holds r or ~r
+        ("closure", "[]p -> p", REFL, "r"),
+        # nor is p & p a subformula of the K axiom
+        ("alpha", K_AXIOM, K, "p & p"),
+    ])
+    def test_formula_outside_the_query_rejected(self, rule, text, frame, forged_formula):
+        # the query's table holds every formula a licensed step can name;
+        # a step naming another one is refused before any licence is read
+        conclusion = parse(text)
+        doc = json.loads(prove_valid(conclusion, frame).proof.to_json())
+        index = next(i for i, e in enumerate(doc["nodes"]) if e["rule"] == rule)
+        forged = ProofObject.from_json_dict(_edit_node(doc, index, formula=forged_formula))
+        branch = _seeded(_Branch, frame, [], conclusion)
+        assert parse(forged_formula) not in branch.table.index
+        assert _replay(branch, forged.nodes) is False
+        assert check_proof(ProofObject.from_json_dict(doc), [], conclusion, frame)
+        assert not check_proof(forged, [], conclusion, frame)
 
 
 class TestNoOpSteps:
