@@ -12,13 +12,14 @@ derivation replay, and the modal modus-tollens checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import groupby
 from operator import itemgetter
 
 from .enumeration import CountermodelWitness, minimize_countermodel
-from .semantics import LOGICS, FrameClass, FrameCondition, frame_satisfies
+from .semantics import LOGICS, FrameClass, FrameCondition, KripkeModel, frame_satisfies
 from .syntax import (
     Atom,
     Diamond,
@@ -75,21 +76,40 @@ class Argument:
 
 
 class AnalysisReport:
-    """Report on one argument; each field is computed on first read."""
+    """Report on one argument; each field is computed on first read.
+
+    ``verdict`` and ``verdict_without_frame`` decide their frame class at
+    most once between them, so an argument whose stated frame is empty is
+    decided once.  ``minimal_frames`` starts from the verdicts already read
+    and from the countermodels given to ``add_countermodel``.
+    """
 
     def __init__(self, argument: Argument):
         self.argument = argument
         self.name = argument.name
+        self._verdicts: dict[FrameClass, Verdict] = {}
+        self._countermodels: list[CountermodelWitness] = []
 
-    @cached_property
+    def _decide(self, frame: FrameClass) -> Verdict:
+        verdict = self._verdicts.get(frame)
+        if verdict is None:
+            a = self.argument
+            verdict = self._verdicts[frame] = decide(a.premise_formulas(), a.conclusion, frame)
+        return verdict
+
+    @property
     def verdict(self) -> Verdict:
-        a = self.argument
-        return decide(a.premise_formulas(), a.conclusion, a.frame)
+        return self._decide(self.argument.frame)
 
-    @cached_property
+    @property
     def verdict_without_frame(self) -> Verdict:
-        a = self.argument
-        return decide(a.premise_formulas(), a.conclusion, frozenset())
+        return self._decide(frozenset())
+
+    def add_countermodel(self, witness: CountermodelWitness) -> None:
+        """Hand the frame search a verified countermodel of this argument
+        found elsewhere, such as a minimised one; a small model satisfies
+        more frame conditions, so it refutes more classes."""
+        self._countermodels.append(witness)
 
     @cached_property
     def triviality(self) -> Verdict | None:
@@ -101,7 +121,8 @@ class AnalysisReport:
 
     @cached_property
     def minimal_frames(self) -> tuple[FrameClass, ...]:
-        return tuple(frame_requirement_search(self.argument))
+        return tuple(frame_requirement_search(
+            self.argument, self._verdicts.items(), self._countermodels))
 
 
 @dataclass(frozen=True)
@@ -229,7 +250,11 @@ _SUBSETS = tuple(sorted(
 ))
 
 
-def frame_requirement_search(a: Argument) -> list[FrameClass]:
+def frame_requirement_search(
+    a: Argument,
+    known: Iterable[tuple[FrameClass, Verdict]] = (),
+    countermodels: Iterable[CountermodelWitness] = (),
+) -> list[FrameClass]:
     """Minimal frame-condition subsets (under inclusion) that make the
     argument valid; sorted by size, then by condition names.
 
@@ -240,20 +265,38 @@ def frame_requirement_search(a: Argument) -> list[FrameClass]:
     frame satisfies, so a subset of those conditions is invalid.  Every
     proper subset of a visited set comes earlier, so a set found valid is
     minimal.
+
+    ``known`` holds verdicts of this argument over some frame classes,
+    and ``countermodels`` further verified countermodels of it.  They
+    count as if the search had found them: a known Valid class is not
+    decided again, and a known countermodel, an Invalid verdict's
+    included, refutes the classes its frame satisfies from the start.
+    They spare ``decide`` calls but cannot change the result, since the
+    minimal valid sets are unique.
     """
     premises = a.premise_formulas()
+    verdicts = dict(known)
+    witnesses = [*countermodels, *(v.witness for v in verdicts.values() if isinstance(v, Invalid))]
     minimal: list[FrameClass] = []
-    refuted: list[FrameClass] = []  # the conditions each countermodel's frame satisfies
+    # the conditions each countermodel's frame satisfies; a known Invalid
+    # class is among its own, so the lookup below finds only Valid ones
+    refuted = [_conditions_satisfied(w.model) for w in witnesses]
     for subset in _SUBSETS:
         if any(m <= subset for m in minimal) or any(subset <= r for r in refuted):
             continue
-        verdict = decide(premises, a.conclusion, subset)
+        verdict = verdicts.get(subset)
+        if verdict is None:
+            verdict = decide(premises, a.conclusion, subset)
         if isinstance(verdict, Valid):
             minimal.append(subset)
         else:
-            model = verdict.witness.model
-            refuted.append(frozenset(c for c in _ALL_CONDITIONS if frame_satisfies(model, c)))
+            refuted.append(_conditions_satisfied(verdict.witness.model))
     return minimal
+
+
+def _conditions_satisfied(model: KripkeModel) -> FrameClass:
+    """The conditions the model's frame satisfies."""
+    return frozenset(c for c in _ALL_CONDITIONS if frame_satisfies(model, c))
 
 
 def analyze(a: Argument) -> AnalysisReport:

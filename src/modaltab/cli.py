@@ -12,6 +12,13 @@ its re-verification) is reported as one ``error: internal error: ...``
 line, not as a traceback with exit 1, which would read as "invalid".
 ``--json`` reports are byte-deterministic for fixed inputs once
 ``--stable`` zeroes the timing fields.
+
+The timing field ``elapsed_ms`` covers the deciding a command prints.
+For ``check`` and ``countermodel`` that is the main verdict, the
+triviality schema, the minimisation of the main countermodel (which the
+frame search starts from) and the minimal frames; for ``prove`` the
+verdict alone, not the minimisation; for a suite the whole suite run.
+Loading the argument and formatting the report are outside it.
 """
 
 from __future__ import annotations
@@ -165,14 +172,15 @@ def _verdict_dict(verdict: Verdict, witness: CountermodelWitness | None) -> dict
     }
 
 
-def _emit(report: dict, as_json: bool, text: str) -> None:
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(out: str) -> None:
     """Write the report to stdout; a write that fails (a full disk, a
     closed pipe) is an error with exit 2, not a traceback with exit 1."""
     try:
-        if as_json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(text, end="")
+        print(out, end="")
         sys.stdout.flush()
     except OSError as e:
         # what stays buffered goes to devnull, so the flush at interpreter
@@ -222,12 +230,10 @@ def cmd_check(args) -> int:
     frame = frozenset() if no_frame else argument.frame
     t0 = time.perf_counter()
     report: AnalysisReport = analyze(argument)
-    # read only the parts this command prints, inside the timed span
+    # read only the parts this command prints, inside the timed span; the
+    # frame search starts from the main verdict and its minimised witness
     main_verdict = report.verdict_without_frame if no_frame else report.verdict
     triviality = report.triviality
-    minimal_frames = report.minimal_frames if args.minimal_frames else ()
-    elapsed = 0.0 if args.stable else (time.perf_counter() - t0) * 1000
-
     main_witness = None
     if isinstance(main_verdict, Invalid):
         main_witness = _minimized(
@@ -237,42 +243,47 @@ def cmd_check(args) -> int:
             frame,
             args.max_worlds,
         )
+        report.add_countermodel(main_witness)
+    minimal_frames = report.minimal_frames if args.minimal_frames else ()
+    elapsed = 0.0 if args.stable else (time.perf_counter() - t0) * 1000
 
-    doc: dict = {
-        "command": "check",
-        "argument": argument.name,
-        "premises": [
-            {"name": n, "formula": print_formula(f)} for n, f in argument.premises
-        ],
-        "conclusion": print_formula(argument.conclusion),
-        "frame": _frame_names(frame),
-        "stated_frame": _frame_names(argument.frame),
-        "no_frame": no_frame,
-        "result": _verdict_dict(main_verdict, main_witness),
-        "triviality": None if triviality is None else triviality.answer,
-        "elapsed_ms": elapsed,
-    }
-    if args.minimal_frames:
-        doc["minimal_frames"] = [_frame_names(fs) for fs in minimal_frames]
+    if args.json:
+        doc: dict = {
+            "command": "check",
+            "argument": argument.name,
+            "premises": [
+                {"name": n, "formula": print_formula(f)} for n, f in argument.premises
+            ],
+            "conclusion": print_formula(argument.conclusion),
+            "frame": _frame_names(frame),
+            "stated_frame": _frame_names(argument.frame),
+            "no_frame": no_frame,
+            "result": _verdict_dict(main_verdict, main_witness),
+            "triviality": None if triviality is None else triviality.answer,
+            "elapsed_ms": elapsed,
+        }
+        if args.minimal_frames:
+            doc["minimal_frames"] = [_frame_names(fs) for fs in minimal_frames]
+        out = _json_text(doc)
+    else:
+        u = args.unicode
+        lines = [f"{argument.name}:"]
+        for n, f in argument.premises:
+            lines.append(f"  {n}: {print_formula(f, unicode=u)}")
+        lines.append(f"  conclusion: {print_formula(argument.conclusion, unicode=u)}")
+        lines.append(f"  {main_verdict.answer.capitalize()} under {_frame_text(frame)}")
+        out = "\n".join(lines) + "\n"
+        if main_witness is not None:
+            out += _witness_text(main_witness)
+        if triviality is not None:
+            out += f"  triviality schema: {triviality.answer.capitalize()}\n"
+        if args.minimal_frames:
+            shown = ", ".join(_frame_text(fs) for fs in minimal_frames)
+            out += f"  minimal frames: {shown}\n"
+        if not args.stable:
+            out += f"  ({elapsed:.1f} ms)\n"
 
-    u = args.unicode
-    lines = [f"{argument.name}:"]
-    for n, f in argument.premises:
-        lines.append(f"  {n}: {print_formula(f, unicode=u)}")
-    lines.append(f"  conclusion: {print_formula(argument.conclusion, unicode=u)}")
-    lines.append(f"  {main_verdict.answer.capitalize()} under {_frame_text(frame)}")
-    text = "\n".join(lines) + "\n"
-    if main_witness is not None:
-        text += _witness_text(main_witness)
-    if triviality is not None:
-        text += f"  triviality schema: {triviality.answer.capitalize()}\n"
-    if args.minimal_frames:
-        shown = ", ".join(_frame_text(fs) for fs in minimal_frames)
-        text += f"  minimal frames: {shown}\n"
-    if not args.stable:
-        text += f"  ({elapsed:.1f} ms)\n"
-
-    _emit(doc, args.json, text)
+    _emit(out)
     _maybe_write_dot(args, main_witness)
     return 0 if isinstance(main_verdict, Valid) else 1
 
@@ -301,21 +312,22 @@ def cmd_prove(args) -> int:
     witness = None
     if isinstance(verdict, Invalid):
         witness = _minimized(verdict.witness, [], formula, frame, args.max_worlds)
-    doc = {
-        "command": "prove",
-        "formula": print_formula(formula),
-        "frame": _frame_names(frame),
-        "result": _verdict_dict(verdict, witness),
-        "elapsed_ms": elapsed,
-    }
-    u = args.unicode
-    status = verdict.answer.capitalize()
-    text = f"{print_formula(formula, unicode=u)}\n  {status} under {_frame_text(frame)}\n"
-    if witness is not None:
-        text += _witness_text(witness)
-    if not args.stable:
-        text += f"  ({elapsed:.1f} ms)\n"
-    _emit(doc, args.json, text)
+    if args.json:
+        out = _json_text({
+            "command": "prove",
+            "formula": print_formula(formula),
+            "frame": _frame_names(frame),
+            "result": _verdict_dict(verdict, witness),
+            "elapsed_ms": elapsed,
+        })
+    else:
+        status = verdict.answer.capitalize()
+        out = f"{print_formula(formula, unicode=args.unicode)}\n  {status} under {_frame_text(frame)}\n"
+        if witness is not None:
+            out += _witness_text(witness)
+        if not args.stable:
+            out += f"  ({elapsed:.1f} ms)\n"
+    _emit(out)
     _maybe_write_dot(args, witness)
     return 0 if isinstance(verdict, Valid) else 1
 
@@ -328,47 +340,57 @@ _SUITES = {
 }
 
 
-def cmd_suite(args) -> int:
-    runner = _SUITES[args.suite_name]
-    t0 = time.perf_counter()
-    report: SuiteReport = runner()
-    elapsed = 0.0 if args.stable else (time.perf_counter() - t0) * 1000
-
+def _suite_doc(report: SuiteReport, elapsed: float) -> dict:
     entries = []
-    lines = [f"suite {report.suite}:"]
-    n_ok = 0
     for entry in report.entries:
-        checks = []
-        for c in entry.checks:
-            checks.append(
-                {
-                    "name": c.name,
-                    "description": c.description,
-                    "frame": _frame_names(c.frame),
-                    "expected": c.expected,
-                    "actual": c.verdict.answer,
-                    "ok": c.ok,
-                    "countermodel": model_to_dict(c.witness.model) if c.witness else None,
-                    "witness_world": c.witness.world if c.witness else None,
-                }
-            )
-            expected = c.expected if c.expected is not None else "(reported)"
-            mark = "ok " if c.ok else "FAIL"
-            lines.append(f"  [{mark}] {c.name}: expected {expected}, got {c.verdict.answer}")
+        checks = [
+            {
+                "name": c.name,
+                "description": c.description,
+                "frame": _frame_names(c.frame),
+                "expected": c.expected,
+                "actual": c.verdict.answer,
+                "ok": c.ok,
+                "countermodel": model_to_dict(c.witness.model) if c.witness else None,
+                "witness_world": c.witness.world if c.witness else None,
+            }
+            for c in entry.checks
+        ]
         entries.append({"name": entry.name, "ok": entry.ok, "checks": checks})
-        n_ok += entry.ok
-    lines.append(f"{n_ok}/{len(report.entries)} entries match")
-    doc = {
+    return {
         "command": report.suite,
         "ok": report.ok,
         "entries": entries,
         "failed_entry": next((e.name for e in report.entries if not e.ok), None),
         "elapsed_ms": elapsed,
     }
-    text = "\n".join(lines) + "\n"
-    if not args.stable:
-        text += f"  ({elapsed:.1f} ms)\n"
-    _emit(doc, args.json, text)
+
+
+def _suite_text(report: SuiteReport) -> str:
+    lines = [f"suite {report.suite}:"]
+    for entry in report.entries:
+        for c in entry.checks:
+            expected = c.expected if c.expected is not None else "(reported)"
+            mark = "ok " if c.ok else "FAIL"
+            lines.append(f"  [{mark}] {c.name}: expected {expected}, got {c.verdict.answer}")
+    n_ok = sum(e.ok for e in report.entries)
+    lines.append(f"{n_ok}/{len(report.entries)} entries match")
+    return "\n".join(lines) + "\n"
+
+
+def cmd_suite(args) -> int:
+    runner = _SUITES[args.suite_name]
+    t0 = time.perf_counter()
+    report: SuiteReport = runner()
+    elapsed = 0.0 if args.stable else (time.perf_counter() - t0) * 1000
+
+    if args.json:
+        out = _json_text(_suite_doc(report, elapsed))
+    else:
+        out = _suite_text(report)
+        if not args.stable:
+            out += f"  ({elapsed:.1f} ms)\n"
+    _emit(out)
     return 0 if report.ok else 1
 
 

@@ -20,7 +20,7 @@ from modaltab.arguments import (
     triviality_check,
     triviality_lifted,
 )
-from modaltab.enumeration import EnumerationBudget, find_countermodel
+from modaltab.enumeration import EnumerationBudget, find_countermodel, minimize_countermodel
 from modaltab.semantics import FrameCondition, evaluate, frame_satisfies, holds_globally, model_to_json
 from modaltab.syntax import (
     And,
@@ -41,6 +41,20 @@ from modaltab.tableau import Invalid, ResourceLimit, Valid, decide, prove_valid
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
 EUCL = frozenset({FrameCondition.EUCLIDEAN})
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The frame class of each ``arguments.decide`` call the test makes."""
+    frames = []
+    real = arguments.decide
+
+    def counting(*args, **kwargs):
+        frames.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arguments, "decide", counting)
+    return frames
 
 
 class TestCorpus:
@@ -115,6 +129,27 @@ class TestAnalyze:
         report = analyze(a)
         assert isinstance(report.verdict, Valid)
         assert report.minimal_frames == (K,)
+
+    @pytest.mark.parametrize("first", ["verdict", "verdict_without_frame"])
+    def test_decides_an_empty_stated_frame_once(self, decided, first):
+        a = Argument(
+            name="t", premises=(("P1", parse("<>a")),), frame=K, conclusion=parse("[]p -> p"),
+        )
+        report = analyze(a)
+        second = "verdict" if first == "verdict_without_frame" else "verdict_without_frame"
+        assert getattr(report, first) is getattr(report, second)
+        assert isinstance(report.verdict, Invalid)
+        assert decided == [K]
+
+    def test_minimal_frames_start_from_the_verdicts_read(self, decided):
+        a = corpus_entry("malcolm")
+        report = analyze(a)
+        assert isinstance(report.verdict, Valid)
+        assert isinstance(report.verdict_without_frame, Invalid)
+        assert list(report.minimal_frames) == [EUCL, SYM]
+        # {} and {euclidean} were read; the search decides neither again
+        assert len(decided) == len(set(decided))
+        assert decided[:2] == [EUCL, K]
 
 
 class TestTriviality:
@@ -227,6 +262,42 @@ class TestFrameRequirementSearch:
             compared += 1
         assert compared >= 200
 
+    def test_seeded_search_agrees_with_the_exhaustive_sweep(self):
+        """Random stated frames: seeded with the stated-frame verdict, with
+        it and its minimised witness, or with the verdict over {}, the
+        search finds the sets the exhaustive sweep finds."""
+        rng = random.Random(20261019)
+        compared = 0
+        for _ in range(220):
+            a = Argument(
+                name="random",
+                premises=(("P1", _random_formula(rng, rng.randrange(1, 4))), ("P2", parse("<>a"))),
+                frame=frozenset(c for c in FrameCondition if rng.randrange(3) == 0),
+                conclusion=_random_conclusion(rng),
+            )
+            premises = a.premise_formulas()
+            try:
+                expected = exhaustive_frame_search(a)
+                stated = decide(premises, a.conclusion, a.frame)
+                empty = decide(premises, a.conclusion, K)
+            except ResourceLimit:
+                continue
+            witnesses = ()
+            if isinstance(stated, Invalid):
+                witnesses = (minimize_countermodel(stated.witness, premises, a.conclusion, a.frame),)
+            assert frame_requirement_search(a, [(a.frame, stated)]) == expected, a
+            assert frame_requirement_search(a, [(a.frame, stated)], witnesses) == expected, a
+            assert frame_requirement_search(a, [(K, empty)]) == expected, a
+            compared += 1
+        assert compared >= 200
+
+    def test_seeded_search_skips_what_its_seeds_settle(self, decided):
+        a = corpus_entry("malcolm")
+        stated = decide(a.premise_formulas(), a.conclusion, a.frame)
+        assert frame_requirement_search(a, [(a.frame, stated)]) == [EUCL, SYM]
+        assert a.frame == EUCL and EUCL not in decided
+        assert len(decided) == self.DECIDES["malcolm"] - 1
+
     def test_sweep_with_a_biconditional_premise_settles(self):
         # a global premise whose disjunctions split again at every new
         # label: without backjumping, 12 of the 32 subsets raised
@@ -255,18 +326,10 @@ class TestFrameRequirementSearch:
     }
 
     @pytest.mark.parametrize("name", sorted(DECIDES))
-    def test_decides_only_the_frontier(self, monkeypatch, name):
-        seen = []
-        real = arguments.decide
-
-        def counting(*args, **kwargs):
-            seen.append(args[2])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(arguments, "decide", counting)
+    def test_decides_only_the_frontier(self, decided, name):
         frame_requirement_search(corpus_entry(name))
-        assert len(seen) == self.DECIDES[name]
-        assert len(set(seen)) == len(seen)
+        assert len(decided) == self.DECIDES[name]
+        assert len(set(decided)) == len(decided)
 
 
 def exhaustive_frame_search(a):

@@ -77,10 +77,31 @@ class TestCheck:
         [
             (["check", "eder_ramharter"], 2),  # the verdict and the triviality schema
             (["countermodel", "kane"], 2),
-            (["check", "malcolm", "--minimal-frames"], 5),  # plus the 3 subsets not implied
+            # plus the 2 subsets that neither the verdict nor a countermodel settles
+            (["check", "malcolm", "--minimal-frames"], 4),
         ],
     )
     def test_decides_only_what_it_prints(self, capsys, monkeypatch, argv, calls):
+        assert len(self._decides(capsys, monkeypatch, argv)) == calls
+
+    # decide calls of `check` and `countermodel` with --minimal-frames, in
+    # corpus order: the main verdict, the triviality schema, and the subsets
+    # that neither the main verdict nor its minimised countermodel settles
+    CHECK_DECIDES = (5, 5, 4, 4, 5, 5, 5, 5)
+    COUNTERMODEL_DECIDES = (5, 5, 4, 4, 4, 4, 5, 4)
+
+    @pytest.mark.parametrize("command,name,calls", [
+        *(("check", a.name, n) for a, n in zip(arguments.builtin_corpus(), CHECK_DECIDES)),
+        *(("countermodel", a.name, n) for a, n in zip(arguments.builtin_corpus(), COUNTERMODEL_DECIDES)),
+    ])
+    def test_minimal_frames_start_from_the_main_verdict(self, capsys, monkeypatch, command, name, calls):
+        seen = self._decides(capsys, monkeypatch, [command, name, "--minimal-frames"])
+        assert len(seen) == calls
+        assert len({(tuple(p), c, f) for p, c, f in seen}) == len(seen)  # none decided twice
+
+    @staticmethod
+    def _decides(capsys, monkeypatch, argv):
+        """The arguments of each ``arguments.decide`` call one command makes."""
         seen = []
         real = arguments.decide
 
@@ -91,13 +112,15 @@ class TestCheck:
         monkeypatch.setattr(arguments, "decide", counting)
         code, _, _ = run(capsys, *argv)
         assert code in (0, 1)
-        assert len(seen) == calls
+        return seen
 
     @pytest.mark.parametrize(
         "argv,calls",
         [
             (["check", "kane", "--json"], 1),  # the verdict's proof id; triviality is one word
             (["countermodel", "kane", "--json"], 0),  # the verdict is Invalid
+            (["check", "kane"], 0),  # text reports print no proof id
+            (["prove", "[]p -> p", "--logic", "T"], 0),
         ],
     )
     def test_serialises_only_the_proof_it_reports(self, capsys, monkeypatch, argv, calls):
