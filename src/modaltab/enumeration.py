@@ -218,7 +218,8 @@ def minimize_countermodel(
     and at the kernel's ``MAX_VALUATION_BITS`` bound on atoms x worlds; a
     witness beyond either is returned unchanged when nothing smaller is
     found under them."""
-    atoms = tuple(sorted(set().union(*(atoms_of(desugar(f)) for f in [*premises, conclusion]))))
+    # desugar adds and drops no atom, so the query's own atoms are its atoms
+    atoms = tuple(sorted(set().union(*(atoms_of(f) for f in [*premises, conclusion]))))
     cap = min(witness.model.world_count, max_worlds, MAX_VALUATION_BITS // max(len(atoms), 1))
     found = None
     if cap:

@@ -442,14 +442,26 @@ def nnf(f: Formula) -> Formula:
 
     Input must be sugar-free.  Modalities are pushed through by duality
     (``~[]a`` becomes ``<>~a`` and vice versa); ``<->`` is expanded as the
-    conjunction of the two implications.
+    conjunction of the two implications.  Within one call each node is
+    rewritten once per polarity and the result shared, so the operands of
+    a ``<->`` chain, which the expansion reads twice, cost linear time.
     """
-    return _nnf(f, False)
+    return _nnf(f, False, {})
 
 
-def _nnf(f: Formula, negated: bool) -> Formula:
-    """NNF of ``~f`` if ``negated``, else of ``f``; builds only the nodes
-    of the result.  A run of negations is peeled in one frame."""
+def _nnf(f: Formula, negated: bool, memo: dict[tuple[int, bool], Formula]) -> Formula:
+    """NNF of ``~f`` if ``negated``, else of ``f``, memoised in ``memo`` on
+    the node's identity and the polarity (the caller's ``f`` keeps every
+    node alive); builds only the nodes of the result.  A run of negations
+    is peeled in one frame."""
+    key = (id(f), negated)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _nnf_node(f, negated, memo)
+    return result
+
+
+def _nnf_node(f: Formula, negated: bool, memo: dict) -> Formula:
     while type(f) is Not:
         if not negated and type(f.operand) is Atom:
             return f  # a literal is its own NNF
@@ -459,25 +471,27 @@ def _nnf(f: Formula, negated: bool) -> Formula:
             return Not(f) if negated else f
         case And(a, b):
             if negated:
-                return Or(_nnf(a, True), _nnf(b, True))
-            return And(_nnf(a, False), _nnf(b, False))
+                return Or(_nnf(a, True, memo), _nnf(b, True, memo))
+            return And(_nnf(a, False, memo), _nnf(b, False, memo))
         case Or(a, b):
             if negated:
-                return And(_nnf(a, True), _nnf(b, True))
-            return Or(_nnf(a, False), _nnf(b, False))
+                return And(_nnf(a, True, memo), _nnf(b, True, memo))
+            return Or(_nnf(a, False, memo), _nnf(b, False, memo))
         case Implies(a, b):
             if negated:
-                return And(_nnf(a, False), _nnf(b, True))
-            return Or(_nnf(a, True), _nnf(b, False))
+                return And(_nnf(a, False, memo), _nnf(b, True, memo))
+            return Or(_nnf(a, True, memo), _nnf(b, False, memo))
         case Iff(a, b):
             # (a -> b) & (b -> a), or its negation ~(a -> b) | ~(b -> a)
             if negated:
-                return Or(And(_nnf(a, False), _nnf(b, True)), And(_nnf(b, False), _nnf(a, True)))
-            return And(Or(_nnf(a, True), _nnf(b, False)), Or(_nnf(b, True), _nnf(a, False)))
+                return Or(And(_nnf(a, False, memo), _nnf(b, True, memo)),
+                          And(_nnf(b, False, memo), _nnf(a, True, memo)))
+            return And(Or(_nnf(a, True, memo), _nnf(b, False, memo)),
+                       Or(_nnf(b, True, memo), _nnf(a, False, memo)))
         case Box(x):
-            return Diamond(_nnf(x, True)) if negated else Box(_nnf(x, False))
+            return Diamond(_nnf(x, True, memo)) if negated else Box(_nnf(x, False, memo))
         case Diamond(x):
-            return Box(_nnf(x, True)) if negated else Diamond(_nnf(x, False))
+            return Box(_nnf(x, True, memo)) if negated else Diamond(_nnf(x, False, memo))
     raise TypeError(f"nnf requires sugar-free input: {Not(f) if negated else f!r}")
 
 

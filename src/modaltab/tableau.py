@@ -27,10 +27,15 @@ fires the licensed steps its triggers queue, replay fires only licensed
 steps, and extraction refuses a branch where a trigger yields one.
 
 Every rule adds only a component, an operand or a premise, so every
-formula a branch holds is a subformula of the negated conclusion or of a
-premise.  Each query compiles those into one ``_Table`` of int ids, as
-the frame is compiled into ``_Branch.mask``; branches, queued steps and
-licences hold ids, and only proofs and countermodels see formulas.
+formula a branch holds is a subformula of the NNF of the negated
+conclusion or of a premise.  Each query compiles those into one
+``_Table`` of int ids, as the frame is compiled into ``_Branch.mask``: one
+walk over the formulas as parsed, which carries the polarity and expands
+``->``, ``<->`` and ``|>`` in place, so no desugared or NNF formula is
+built first.  Branches, queued steps and licences hold ids.  A proof's
+formulas are built from their ids (``_Table.formula``), replay maps them
+back (``_Table.find``), and only the re-verification of a countermodel
+desugars the query.
 
 The search backjumps (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", JLC 1999): every label, formula and edge
@@ -70,13 +75,18 @@ from .syntax import (
     Box,
     Diamond,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
+    StrictImplies,
+    _Binary,
     desugar,
-    nnf,
     parse,
     print_formula,
 )
+# not called here; verdictbench/spans.py rebinds this name on this module
+from .syntax import nnf  # noqa: F401
 
 __all__ = [
     "Valid",
@@ -133,22 +143,38 @@ class ProofObject:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
-        """The steps of ``data``, each distinct formula text parsed once.
-        Raises ValueError on any malformed table."""
+        """The steps of ``data``.  Raises ValueError on any malformed table.
+
+        Every node is checked before any text is parsed.  The distinct
+        formula texts are then parsed longest first, and each subtree of a
+        parse is kept under its printed text: ``parse(print_formula(g)) ==
+        g``, so a shorter text that a longer one printed is looked up, not
+        parsed again."""
         entries = data.get("nodes") if type(data) is dict else None
         if type(entries) is not list or not all(type(e) is dict for e in entries):
             raise ValueError("proof table is not an object with a list of node objects")
-        parsed: dict[str | None, Formula | None] = {None: None}
-        steps = []
         for i, e in enumerate(entries):
             rule, labels, text = map(e.get, ("rule", "labels", "formula"))
             typed = type(rule) is str and type(labels) is list and type(text) in (str, type(None))
             if e.keys() != _STEP_KEYS or not (typed and all(type(lab) is int for lab in labels)):
                 raise ValueError(f"proof node {i} is malformed")
-            if text not in parsed:
-                parsed[text] = parse(text)
-            steps.append((rule, tuple(labels), parsed[text]))
-        return cls(tuple(steps))
+        parsed: dict[str | None, Formula | None] = {None: None}
+        texts = dict.fromkeys(e["formula"] for e in entries if e["formula"] is not None)
+        for text in sorted(texts, key=len, reverse=True):
+            if text in parsed:
+                continue
+            f = parsed[text] = parse(text)
+            print_formula(f)  # caches the text of every subtree on it
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                if parsed.setdefault(g._text, g) is not g:
+                    continue  # stored before, with its subtrees
+                if isinstance(g, _Binary):
+                    stack += (g.right, g.left)
+                elif type(g) is not Atom:
+                    stack.append(g.operand)
+        return cls(tuple([(e["rule"], tuple(e["labels"]), parsed[e["formula"]]) for e in entries]))
 
 
 @dataclass(frozen=True)
@@ -174,9 +200,11 @@ _PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, 
 _SPAWNING = frozenset({"diamond", "serial"})
 
 # The kind of each formula of a _Table: an atom, a negated atom, and the
-# four connectives that NNF keeps.
+# four connectives that NNF keeps; ``_CONSTRUCTORS`` builds a formula of
+# each kind from its children.
 _ATOM, _LITERAL, _AND, _OR, _BOX, _DIAMOND = range(6)
-_KINDS = {Atom: _ATOM, Not: _LITERAL, And: _AND, Or: _OR, Box: _BOX, Diamond: _DIAMOND}
+_CONSTRUCTORS = (Atom, Not, And, Or, Box, Diamond)
+_KINDS = {c: kind for kind, c in enumerate(_CONSTRUCTORS)}
 # Formulas that box steps move along edges.
 _MODAL = (_BOX, _DIAMOND)
 
@@ -185,52 +213,131 @@ class _Table:
     """The distinct subformulas of one query's NNF seeds (the negated
     conclusion and the premises), each under an int id.
 
-    Ids run 0..n-1 in post-order over the seeds, so they depend on the
-    seeds alone.  Per id: ``formulas`` holds the formula, ``kind`` its
-    ``_ATOM`` .. ``_DIAMOND`` kind, ``left`` and ``right`` its children's
-    ids (a unary node's operand in ``left``), ``boxed`` the id of its box
-    and ``negated`` (for an atom) the id of its negation; each is -1 where
-    there is none.  -1 is never in a label set, so ``boxed[f] in s`` asks
-    whether []f is in s.  ``index`` maps each formula to its id, and
-    ``roots`` holds the seeds' ids in order."""
+    ``seeds`` are ``(formula, negated)`` pairs of formulas as parsed, sugar
+    included; the table holds the NNF of each, or of its negation, without
+    building it.  One recursive walk carries the polarity and expands
+    ``~``, ``->``, ``<->`` and ``|>`` in place (``a |> b`` is
+    ``[](~a | b)``, its negation ``<>(a & ~b)``).  Each entry is
+    hash-consed on its kind and its children's ids (an atom on its name),
+    and the walk is memoised on node identity and polarity, so a shared or
+    twice-read operand is compiled once.  Ids run 0..n-1 in post-order
+    over the NNF of the seeds, as a walk over the NNF trees would number
+    them, so they depend on the seeds alone.
 
-    __slots__ = ("formulas", "kind", "left", "right", "boxed", "negated", "index", "roots")
+    Per id: ``kind`` holds its ``_ATOM`` .. ``_DIAMOND`` kind, ``left`` and
+    ``right`` its children's ids (a unary node's operand in ``left``),
+    ``boxed`` the id of its box, ``negated`` (for an atom) the id of its
+    negation and ``name`` (for an atom) its name; -1 (None for ``name``)
+    where there is none.  -1 is never in a label set, so ``boxed[f] in s``
+    asks whether []f is in s.  ``roots`` holds the seeds' ids in order.
+    :meth:`formula` builds the NNF formula of an id when a proof needs it,
+    and :meth:`find` maps a formula back to its id."""
 
-    def __init__(self, seeds: Sequence[Formula]):
-        self.formulas: list[Formula] = []
+    __slots__ = ("kind", "left", "right", "boxed", "negated", "name", "roots", "_ids", "_formulas")
+
+    def __init__(self, seeds: Sequence[tuple[Formula, bool]]):
         self.kind: list[int] = []
         self.left: list[int] = []
         self.right: list[int] = []
         self.boxed: list[int] = []
         self.negated: list[int] = []
-        self.index: dict[Formula, int] = {}
-        self.roots = tuple([self._add(f) for f in seeds])
+        self.name: list[str | None] = []
+        self._ids: dict = {}  # hash-cons key -> id: an atom's name, else (kind, left, right)
+        self._formulas: list[Formula | None] = []
+        memo: dict[tuple[int, bool], int] = {}
+        self.roots = tuple([self._compile(f, negated, memo) for f, negated in seeds])
 
-    def _add(self, f: Formula) -> int:
-        """The id of ``f``, compiling it after its children if it is new."""
-        i = self.index.get(f)
+    def _entry(self, kind: int, left: int = -1, right: int = -1, name: str | None = None) -> int:
+        """The id of the entry, appended if it is new."""
+        key = name if kind == _ATOM else (kind, left, right)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.kind)
+            self.kind.append(kind)
+            self.left.append(left)
+            self.right.append(right)
+            self.boxed.append(-1)
+            self.negated.append(-1)
+            self.name.append(name)
+            self._formulas.append(None)
+            if kind == _BOX:
+                self.boxed[left] = i
+            elif kind == _LITERAL:
+                self.negated[left] = i
+        return i
+
+    def _compile(self, f: Formula, negated: bool, memo: dict[tuple[int, bool], int]) -> int:
+        """The id of the NNF of ``~f`` if ``negated``, else of ``f``; one
+        frame per connective, a run of negations peeled in it."""
+        key = (id(f), negated)
+        i = memo.get(key)
         if i is not None:
             return i
-        kind = _KINDS.get(type(f))
-        if kind is None or kind == _LITERAL and type(f.operand) is not Atom:
-            raise TypeError(f"not in negation normal form: {f!r}")
-        left = right = -1
-        if kind == _AND or kind == _OR:
-            left, right = self._add(f.left), self._add(f.right)
-        elif kind != _ATOM:
-            left = self._add(f.operand)
-        i = len(self.formulas)
-        self.formulas.append(f)
-        self.kind.append(kind)
-        self.left.append(left)
-        self.right.append(right)
-        self.boxed.append(-1)
-        self.negated.append(-1)
-        if kind == _BOX:
-            self.boxed[left] = i
-        elif kind == _LITERAL:
-            self.negated[left] = i
-        self.index[f] = i
+        entry, compile_ = self._entry, self._compile
+        g = f
+        while type(g) is Not:
+            g, negated = g.operand, not negated
+        t = type(g)
+        if t is Atom:
+            i = entry(_ATOM, name=g.name)
+            if negated:
+                i = entry(_LITERAL, i)
+        elif t is And or t is Or:
+            a, b = compile_(g.left, negated, memo), compile_(g.right, negated, memo)
+            i = entry(_OR if (t is And) == negated else _AND, a, b)
+        elif t is Box or t is Diamond:
+            i = entry(_DIAMOND if (t is Box) == negated else _BOX, compile_(g.operand, negated, memo))
+        elif t is Implies:
+            # ~a | b, or its negation a & ~b
+            a, b = compile_(g.left, not negated, memo), compile_(g.right, negated, memo)
+            i = entry(_AND if negated else _OR, a, b)
+        elif t is Iff:
+            # (~a | b) & (~b | a), or its negation (a & ~b) | (b & ~a)
+            a, b = g.left, g.right
+            inner = _AND if negated else _OR
+            x = entry(inner, compile_(a, not negated, memo), compile_(b, negated, memo))
+            y = entry(inner, compile_(b, not negated, memo), compile_(a, negated, memo))
+            i = entry(_OR if negated else _AND, x, y)
+        elif t is StrictImplies:
+            # [](~a | b), or its negation <>(a & ~b)
+            a, b = compile_(g.left, not negated, memo), compile_(g.right, negated, memo)
+            i = entry(_DIAMOND if negated else _BOX, entry(_AND if negated else _OR, a, b))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = i
+        return i
+
+    def formula(self, i: int) -> Formula:
+        """The NNF formula of id ``i``, built once per table."""
+        f = self._formulas[i]
+        if f is None:
+            kind = self.kind[i]
+            if kind == _ATOM:
+                f = Atom(self.name[i])
+            elif kind == _AND or kind == _OR:
+                f = _CONSTRUCTORS[kind](self.formula(self.left[i]), self.formula(self.right[i]))
+            else:
+                f = _CONSTRUCTORS[kind](self.formula(self.left[i]))
+            self._formulas[i] = f
+        return f
+
+    def find(self, f: Formula, seen: dict[int, int | None]) -> int | None:
+        """The id of formula ``f``, or None if the table does not hold it;
+        ``seen`` memoises the answers by node identity, for as long as
+        the caller keeps the nodes alive."""
+        i = seen.get(id(f), -1)
+        if i != -1:
+            return i
+        kind, i = _KINDS.get(type(f)), None
+        if kind == _ATOM:
+            i = self._ids.get(f.name)
+        elif kind == _AND or kind == _OR:
+            a, b = self.find(f.left, seen), self.find(f.right, seen)
+            i = None if a is None or b is None else self._ids.get((kind, a, b))
+        elif kind is not None:
+            a = self.find(f.operand, seen)
+            i = None if a is None else self._ids.get((kind, a, -1))
+        seen[id(f)] = i
         return i
 
 
@@ -734,16 +841,16 @@ def _run(state: _State) -> _State | None:
             return None
 
 
-def _renumber(entries: list[tuple], formulas: list[Formula]) -> tuple[tuple, ...]:
+def _renumber(entries: list[tuple], table: _Table) -> tuple[tuple, ...]:
     """The proof steps of the search's ``(step, deps, child)`` entries, each
-    formula id replaced by its formula in ``formulas``.  Backjumping drops
+    formula id replaced by its formula in ``table``.  Backjumping drops
     spawns, so each label is renamed to its place among the labels that
     the kept spawns of its branch create, as replay numbers them."""
     new = {0: 0}  # search id -> replay id, on the current branch
     count, pending, steps = 1, [], []
     for step, _, child in entries:
         rule, labels, f = step
-        steps.append((rule, tuple([new[lab] for lab in labels]), None if f is None else formulas[f]))
+        steps.append((rule, tuple([new[lab] for lab in labels]), None if f is None else table.formula(f)))
         if child is not None:
             new[child] = count
             count += 1
@@ -762,7 +869,7 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
     for lid, s in enumerate(sets):
         for f in s:
             if branch.licensed("closure", (lid,), f):
-                name = branch.table.formulas[f].name
+                name = branch.table.name[f]
                 raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
 
     def emit(step: tuple) -> None:
@@ -813,7 +920,7 @@ def extract_countermodel(
     for i, lid in enumerate(unblocked):
         for f in branch.label_sets[lid]:
             if table.kind[f] == _ATOM:
-                valuation.setdefault(table.formulas[f].name, set()).add(i)
+                valuation.setdefault(table.name[f], set()).add(i)
     model = KripkeModel(len(unblocked), access, valuation)
     witness = CountermodelWitness(model, 0)
     for cond in branch.frame:
@@ -830,9 +937,9 @@ def extract_countermodel(
 def _seeded(branch_type: type, frame: FrameClass, premises: Sequence[Formula], conclusion: Formula, *args):
     """A ``branch_type(frame, table, premise ids, *args)`` whose root label
     0 holds the negated conclusion, then the premises: the state that both
-    the search and proof replay start from.  ``premises`` and
-    ``conclusion`` are desugared; ``table`` compiles their NNF."""
-    table = _Table([nnf(Not(conclusion)), *[nnf(p) for p in premises]])
+    the search and proof replay start from.  ``table`` compiles the NNF of
+    the formulas as given, sugar included."""
+    table = _Table([(conclusion, True), *[(p, False) for p in premises]])
     branch = branch_type(frozenset(frame), table, table.roots[1:], *args)
     root = branch.new_label()
     for f in table.roots:
@@ -847,18 +954,17 @@ def decide(
     max_labels: int = DEFAULT_MAX_LABELS,
 ) -> Verdict:
     """Valid with a proof, or Invalid with a re-verified countermodel."""
-    desugared_premises = tuple(desugar(p) for p in premises)
-    desugared_conclusion = desugar(conclusion)
-    state = _seeded(_State, frame, desugared_premises, desugared_conclusion, _Budget(max_labels))
+    state = _seeded(_State, frame, premises, conclusion, _Budget(max_labels))
     state.label_steps(0, state.enqueue)  # serial steps, the root's too, come from _audit
     open_branch = _run(state)
     if open_branch is None:
-        return Valid(ProofObject(_renumber(state.proof, state.table.formulas)))
-    # a module-global lookup, so that a tracer rebinding
-    # tableau.extract_countermodel sees this call
-    return Invalid(
-        extract_countermodel(open_branch, open_branch.blocking(), desugared_premises, desugared_conclusion)
-    )
+        return Valid(ProofObject(_renumber(state.proof, state.table)))
+    # only re-verification needs the desugared query; a module-global
+    # lookup, so that a tracer rebinding tableau.extract_countermodel sees
+    # this call
+    return Invalid(extract_countermodel(
+        open_branch, open_branch.blocking(), tuple(desugar(p) for p in premises), desugar(conclusion)
+    ))
 
 
 def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LABELS) -> Verdict:
@@ -875,13 +981,13 @@ def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
     branch waits on a stack until a closure ends the branch before it, and
     the last step must close the last branch.  A step's formula is looked
     up in the branch's table; no licensed step names one outside it."""
-    index = branch.table.index
+    table, seen = branch.table, {}  # ``steps`` keeps the nodes ``seen`` is keyed by alive
     pending: list[_Branch] = []
     current: _Branch | None = branch
     for rule, labels, formula in steps:
         if current is None or not all(0 <= lab < len(current.label_sets) for lab in labels):
             return False  # a step after every branch closed, or a label that does not exist
-        f = None if formula is None else index.get(formula)
+        f = None if formula is None else table.find(formula, seen)
         if f is None and formula is not None:
             return False
         if not current.licensed(rule, labels, f):
@@ -903,7 +1009,7 @@ def check_proof(
     must be licensed and every branch must end in a present closure pair.
     Returns False on any mismatch; never raises."""
     try:
-        branch = _seeded(_Branch, frame, [desugar(p) for p in premises], desugar(conclusion))
+        branch = _seeded(_Branch, frame, premises, conclusion)
         return _replay(branch, proof.nodes)
     except Exception:
         return False

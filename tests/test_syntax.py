@@ -222,7 +222,7 @@ class TestFramesPerLevel:
 
     @pytest.mark.parametrize("shape,name", [
         (shape, name)
-        for shape in sorted(set(NESTED) - {"biconditional"})  # its NNF is exponential
+        for shape in sorted(NESTED)
         for name, (_, _, sugar_free) in PER_LEVEL.items()
         if not (sugar_free and shape.startswith("strict"))
     ])

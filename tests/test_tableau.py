@@ -137,12 +137,12 @@ class TestProveValid:
 def hand_branch(frame, label_sets, edges):
     """A branch with the given formula set per label and the given edges;
     its formulas are compiled into one table, and the branch holds their ids."""
-    table = _Table([f for formulas in label_sets for f in formulas])
+    table = _Table([(f, False) for formulas in label_sets for f in formulas])
     branch = _Branch(frame, table, ())
     for formulas in label_sets:
         lid = branch.new_label()
         for f in formulas:
-            branch.add_formula(lid, table.index[f])
+            branch.add_formula(lid, table.find(f, {}))
     for a, b in edges:
         branch.add_edge(a, b)
     return branch
@@ -207,8 +207,8 @@ class TestEuclideanTransfers:
         # out-edge, and only as the converse of one (or through the
         # reflexive (0, 0), whose closure adds every converse); the converse
         # edge (c, 0) queues the transfer of the root's boxes along (0, c)
-        table = _Table([Box(Atom("p"))])
-        box, p = table.index[Box(Atom("p"))], table.index[Atom("p")]
+        table = _Table([(Box(Atom("p")), False)])
+        box, p = table.find(Box(Atom("p")), {}), table.find(Atom("p"), {})
         state = _State(EUCL, table, (), _Budget(10))
         for _ in range(3):
             state.new_label()
@@ -223,6 +223,48 @@ class TestEuclideanTransfers:
         assert all(box in s and p in s for s in state.label_sets)
 
 
+class ReferenceTable:
+    """The table as compiled from NNF seeds built first by ``nnf`` and
+    ``desugar``: each formula added after its children, in post-order over
+    the seeds, unless an equal one is present."""
+
+    def __init__(self, seeds):
+        self.formulas, self.kind, self.left, self.right, self.boxed, self.negated = [], [], [], [], [], []
+        self.index = {}
+        self.roots = tuple([self.add(f) for f in seeds])
+
+    def add(self, f):
+        if f in self.index:
+            return self.index[f]
+        kind = TestTable.KINDS[type(f)]
+        left = right = -1
+        if isinstance(f, (And, Or)):
+            left, right = self.add(f.left), self.add(f.right)
+        elif not isinstance(f, Atom):
+            left = self.add(f.operand)
+        i = self.index[f] = len(self.formulas)
+        for column, value in ((self.formulas, f), (self.kind, kind), (self.left, left), (self.right, right),
+                              (self.boxed, -1), (self.negated, -1)):
+            column.append(value)
+        if isinstance(f, Box):
+            self.boxed[left] = i
+        elif isinstance(f, Not):
+            self.negated[left] = i
+        return i
+
+
+def nnf_seeds(seeds):
+    """The NNF of each ``(formula, negated)`` seed, as ``nnf`` and
+    ``desugar`` build it."""
+    return [nnf(Not(desugar(f)) if negated else desugar(f)) for f, negated in seeds]
+
+
+def table_find(table, f):
+    """The id of ``f`` in ``table``, -1 if absent."""
+    i = table.find(f, {})
+    return -1 if i is None else i
+
+
 class TestTable:
     """The formula table of one query: every subformula of its NNF seeds
     under one id, children before parents, and nothing else."""
@@ -234,30 +276,54 @@ class TestTable:
              Box: tableau._BOX, Diamond: tableau._DIAMOND}
 
     def check(self, seeds):
+        """``seeds`` are ``(formula, negated)`` pairs."""
         table = _Table(seeds)
-        formulas, index = table.formulas, table.index
-        assert [formulas[i] for i in table.roots] == list(seeds)
-        assert set(formulas) == set().union(*map(subformulas, seeds)) == index.keys()
+        formulas = [table.formula(i) for i in range(len(table.kind))]
+        expected = nnf_seeds(seeds)
+        assert [formulas[i] for i in table.roots] == expected
+        assert set(formulas) == set().union(*map(subformulas, expected))
         for i, f in enumerate(formulas):
-            assert index[f] == i and table.kind[i] == self.KINDS[type(f)]
+            assert table_find(table, f) == i and table.kind[i] == self.KINDS[type(f)]
             children = [f.left, f.right] if isinstance(f, (And, Or)) else [getattr(f, "operand", None), None]
             ids = [table.left[i], table.right[i]]
             assert [formulas[c] if c >= 0 else None for c in ids] == children
             assert all(c < i for c in ids)  # post-order
-            assert table.boxed[i] == index.get(Box(f), -1)
-            assert table.negated[i] == (index.get(Not(f), -1) if isinstance(f, Atom) else -1)
+            assert table.boxed[i] == table_find(table, Box(f))
+            assert table.negated[i] == (table_find(table, Not(f)) if isinstance(f, Atom) else -1)
+            assert table.name[i] == (f.name if isinstance(f, Atom) else None)
 
     @given(formula_strategy(atoms=("p", "q", "r"), max_leaves=24), formula_strategy(max_leaves=12))
     @settings(max_examples=150)
     def test_invariants(self, conclusion, premise):
-        self.check([nnf(Not(desugar(conclusion))), nnf(desugar(premise))])
+        self.check([(conclusion, True), (premise, False)])
+
+    @given(formula_strategy(atoms=("p", "q", "r"), max_leaves=24), formula_strategy(max_leaves=12))
+    @settings(max_examples=300)
+    def test_one_walk_matches_the_reference(self, conclusion, premise):
+        # formula_strategy draws <->, |>, -> and runs of ~: the one walk
+        # expands them as desugar and nnf do, and numbers the result alike
+        seeds = [(conclusion, True), (premise, False)]
+        table, reference = _Table(seeds), ReferenceTable(nnf_seeds(seeds))
+        assert table.roots == reference.roots
+        for column in ("kind", "left", "right", "boxed", "negated"):
+            assert getattr(table, column) == getattr(reference, column), column
+        assert [table.formula(i) for i in range(len(table.kind))] == reference.formulas
 
     def test_seeds_share_subformulas(self):
-        self.check([parse("[]p & ~p"), parse("~p"), parse("[]p | <>[]p")])
+        self.check([(parse("[]p & ~p"), False), (parse("~p"), False), (parse("[]p | <>[]p"), False)])
 
-    def test_refuses_a_formula_outside_nnf(self):
-        with pytest.raises(TypeError, match="negation normal form"):
-            _Table([parse("~[]p")])
+    def test_seeds_outside_nnf_and_with_sugar(self):
+        self.check([(parse("~[]p"), False), (parse("p |> ~~q"), True), (parse("(p <-> q) -> r"), False)])
+
+    def test_refuses_a_non_formula(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            _Table([("[]p", False)])  # text, not a formula
+
+    def test_find_answers_only_for_formulas_the_table_holds(self):
+        table = _Table([(parse("[]p -> q"), False)])  # compiles <>~p | q
+        assert [table_find(table, parse(t)) for t in ("p", "~p", "<>~p", "q", "<>~p | q")] == list(range(5))
+        for text in ("[]p -> q", "~[]p | q", "q | <>~p", "[]p", "~~p", "~q", "r"):
+            assert table_find(table, parse(text)) == -1, text
 
     def test_ids_pinned(self):
         # ids follow the seeds alone, never the string hash seed, so the
@@ -266,10 +332,10 @@ class TestTable:
         lines = []
         for name in sorted(GOLDEN_QUERIES):
             premises, conclusion, frame = GOLDEN_QUERIES[name]
-            table = _seeded(_Branch, frame, [desugar(p) for p in premises], desugar(conclusion)).table
+            table = _seeded(_Branch, frame, premises, conclusion).table
             lines.append(" ".join(
-                f"{i}:{print_formula(f)}:{table.boxed[i]}:{table.negated[i]}"
-                for i, f in enumerate(table.formulas)
+                f"{i}:{print_formula(table.formula(i))}:{table.boxed[i]}:{table.negated[i]}"
+                for i in range(len(table.kind))
             ))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.IDS_DIGEST
 
@@ -599,6 +665,103 @@ class TestGoldenProofs:
                 position, value)
 
 
+def _parsed_one_by_one(doc):
+    """The steps of a proof table, each formula text parsed alone."""
+    return tuple(
+        (e["rule"], tuple(e["labels"]), None if e["formula"] is None else parse(e["formula"]))
+        for e in doc["nodes"]
+    )
+
+
+class TestProofReader:
+    """``from_json_dict`` parses the longest texts first and looks a
+    shorter text up among the printed subtrees of those parses; the steps
+    it returns are those of parsing each text alone."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_golden_proofs_read_as_parsed_one_by_one(self, name):
+        doc = _proof_doc(name)
+        assert ProofObject.from_json_dict(doc).nodes == _parsed_one_by_one(doc)
+
+    def test_texts_written_by_hand_read_as_parsed_one_by_one(self):
+        # the same formulas re-spaced, in Unicode glyphs and with redundant
+        # parentheses, each spelling on other nodes: no text is the printed
+        # form of a subtree of another, and the proof still replays
+        spellings = [
+            lambda t: t.replace(" ", ""),
+            lambda t: f"( {t} )",
+            lambda t: t.replace("&", "∧").replace("[]", "□ "),
+            lambda t: t,
+        ]
+        name = "corpus/malcolm"
+        doc = _proof_doc(name)
+        edited = {"nodes": [
+            {**e, "formula": spellings[i % len(spellings)](e["formula"])} if e["formula"] else e
+            for i, e in enumerate(doc["nodes"])
+        ]}
+        assert len({e["formula"] for e in edited["nodes"]}) > len({e["formula"] for e in doc["nodes"]})
+        proof = ProofObject.from_json_dict(edited)
+        assert proof.nodes == _parsed_one_by_one(edited) == ProofObject.from_json_dict(doc).nodes
+        assert check_proof(proof, *GOLDEN_QUERIES[name])
+
+    def test_a_printed_subtree_is_not_parsed_again(self, monkeypatch):
+        parsed = []
+        real = tableau.parse
+        monkeypatch.setattr(tableau, "parse", lambda text: parsed.append(text) or real(text))
+        linear_proof(FOUR_TRANSFER, 2, "p")  # every other text is a subtree of the first
+        assert parsed == ["[]p & <><>~p"]
+
+    def test_a_malformed_text_in_any_node_is_refused(self):
+        doc = _proof_doc("corpus/malcolm")
+        for i, e in enumerate(doc["nodes"]):
+            if e["formula"] is None:
+                continue
+            for bad in (e["formula"] + " &", "(" + e["formula"], e["formula"] + " p"):
+                with pytest.raises(ValueError):
+                    ProofObject.from_json_dict(_edit_node(doc, i, formula=bad))
+
+
+class TestBiconditionalChain:
+    """An n-link ``p <-> ... <-> p`` chain.  Its NNF reads both operands
+    of every link at both polarities, so as a tree it doubles with each
+    link; compiling, deciding and replaying it must stay linear.  There is
+    no wall-clock assertion: tree walks over 40 links never finish."""
+
+    LINKS = 40
+
+    @staticmethod
+    def chain(n):
+        return parse("p" + " <-> p" * n)
+
+    def test_decides_and_the_proof_replays(self):
+        n = self.LINKS
+        # an even number of links is equivalent to p, an odd number valid
+        assert isinstance(decide([], self.chain(n), K), Invalid)
+        verdict = decide([], self.chain(n + 1), K)
+        assert isinstance(verdict, Valid)
+        assert check_proof(verdict.proof, [], self.chain(n + 1), K)
+
+    @pytest.mark.parametrize("n", [LINKS, LINKS + 1])
+    def test_table_is_linear(self, n):
+        # 6 entries per link below the top (both polarities of its left
+        # operand), 3 for the negated top link, and p and ~p
+        table = _seeded(_Branch, K, [], self.chain(n)).table
+        assert len(table.kind) == 6 * n - 3
+
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_nnf_shares_its_subtrees(self, negated):
+        n = self.LINKS
+        f = self.chain(n)
+        seen, stack = set(), [nnf(Not(f) if negated else f)]
+        while stack:
+            g = stack.pop()
+            if id(g) not in seen:
+                seen.add(id(g))
+                stack += [getattr(g, a) for a in ("operand", "left", "right") if hasattr(g, a)]
+        # per link 6 connectives, an atom and a negated atom
+        assert len(seen) <= 8 * n + 8
+
+
 # steps for []p -> [][]p that move []p itself from the root to its successor
 FOUR_TRANSFER = [
     ("alpha", [0], "[]p & <><>~p"),
@@ -676,7 +839,7 @@ class TestForgedProofs:
         index = next(i for i, e in enumerate(doc["nodes"]) if e["rule"] == rule)
         forged = ProofObject.from_json_dict(_edit_node(doc, index, formula=forged_formula))
         branch = _seeded(_Branch, frame, [], conclusion)
-        assert parse(forged_formula) not in branch.table.index
+        assert branch.table.find(parse(forged_formula), {}) is None
         assert _replay(branch, forged.nodes) is False
         assert check_proof(ProofObject.from_json_dict(doc), [], conclusion, frame)
         assert not check_proof(forged, [], conclusion, frame)
