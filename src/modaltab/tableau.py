@@ -43,7 +43,10 @@ carries the set of open beta splits it depends on, and a split that the
 closures below it do not depend on is not explored twice (see ``_run``).
 Global premises add their disjunctions again at every new label, so
 without this a search splits each one again at each label, although the
-clash does not depend on the split.  No open branch is ever skipped.
+clash does not depend on the split.  No open branch is ever skipped.  The
+licence that admits a step also gives its set, the union of the sets of
+the facts it read (``_Branch.licensed``), so a step depends on exactly
+the facts that replay checks for it.
 
 Valid verdicts carry a replayable proof object, invalid verdicts a
 countermodel extracted from the first open saturated branch; both are
@@ -371,9 +374,10 @@ class _Budget:
 class _Branch:
     """Labels, formula sets and edges of one tableau branch, plus each
     rule's triggers (``*_steps``: each step a new label, formula or edge
-    may license, handed to ``emit``), licence (:meth:`licensed`) and effect
-    (:meth:`fire`).  Shared by the search, proof replay and the saturation
-    check, so it enqueues no work and detects no closure.
+    may license, handed to ``emit``), licence (:meth:`licensed`, which also
+    gives a licensed step's dependency mask) and effect (:meth:`fire`).
+    Shared by the search, proof replay and the saturation check, so it
+    enqueues no work and detects no closure.
 
     The branch holds formula ids of one per-query ``table``: each label
     set maps ids to masks, a step's formula is an id, and ``premises``
@@ -485,58 +489,75 @@ class _Branch:
                 emit(("frame-closure", (b, c), None))
                 emit(("frame-closure", (c, b), None))
 
-    def licensed(self, rule: str, labels: Sequence[int], f: int | None) -> bool:
-        """Whether the step applies to this branch and would change it.  A
-        spawning step names only its parent label, and a ``frame-closure``
-        or ``serial`` step carries no formula."""
+    def licensed(self, rule: str, labels: Sequence[int], f: int | None) -> int | None:
+        """None unless the step applies to this branch and would change it;
+        else the step's dependency mask, the union of the masks of the facts
+        its licence reads (where it asks for any edge, the first that
+        qualifies, in insertion order).  Its tests for absent facts read
+        nothing.  A spawning step names only its parent label, and a
+        ``frame-closure`` or ``serial`` step carries no formula."""
         if rule == "box":
             src, dst = labels
             if f is None or f in self.label_sets[dst]:
-                return False
-            s, kind = self.label_sets[src], self.table.kind[f]
-            if dst in self.out_edges[src]:
-                if self.table.boxed[f] in s:
-                    return True  # K: operand across an edge
+                return None
+            s, out, kind = self.label_sets[src], self.out_edges[src], self.table.kind[f]
+            if dst in out:
+                if (box := self.table.boxed[f]) in s:
+                    return out[dst] | s[box]  # K: operand across an edge
                 if f in s:
                     if kind == _BOX and self.mask & FRAME_TRANSITIVE:
-                        return True  # 4: boxes persist forward
+                        return out[dst] | s[f]  # 4: boxes persist forward
                     if self.mask & FRAME_EUCLIDEAN:
                         if kind == _DIAMOND:
-                            return True  # co-successors of src see f's witness too
+                            return out[dst] | s[f]  # co-successors of src see f's witness too
                         if kind == _BOX and self.in_edges[src]:
-                            return True  # successors of a non-root world see no more
+                            # successors of a non-root world see no more
+                            return out[dst] | s[f] | next(iter(self.in_edges[src].values()))
             if src in self.out_edges[dst] and self.mask & FRAME_EUCLIDEAN:
                 # backward within range: dst's successors include src's
                 if kind in _MODAL and f in s and self.in_edges[dst]:
-                    return True
-            return False
+                    return self.out_edges[dst][src] | s[f] | next(iter(self.in_edges[dst].values()))
+            return None
         if rule == "frame-closure":
             a, b = labels
             if f is not None or b in self.out_edges[a]:
-                return False
+                return None
             # one Horn closure step derives (a, b): from b->a, a->c->b, or c->a and c->b
-            mask, into_b = self.mask, self.in_edges[b].keys()
-            return (
-                a == b and mask & FRAME_REFLEXIVE
-                or mask & FRAME_SYMMETRIC and a in self.out_edges[b]
-                or mask & FRAME_TRANSITIVE and not into_b.isdisjoint(self.out_edges[a])
-                or mask & FRAME_EUCLIDEAN and not into_b.isdisjoint(self.in_edges[a])
-            )
+            mask, into_b = self.mask, self.in_edges[b]
+            if a == b and mask & FRAME_REFLEXIVE:
+                return self.label_deps[a]
+            if mask & FRAME_SYMMETRIC and a in self.out_edges[b]:
+                return self.out_edges[b][a]
+            if mask & FRAME_TRANSITIVE:
+                for c, deps in self.out_edges[a].items():
+                    if c in into_b:
+                        return deps | into_b[c]
+            if mask & FRAME_EUCLIDEAN:
+                for c, deps in self.in_edges[a].items():
+                    if c in into_b:
+                        return deps | into_b[c]
+            return None
         (label,) = labels
         if rule == "serial":
-            return f is None and self.mask & FRAME_SERIAL and not self.out_edges[label]
+            applies = f is None and self.mask & FRAME_SERIAL and not self.out_edges[label]
+            return self.label_deps[label] if applies else None
         s = self.label_sets[label]
-        if f not in s:  # None too: each rule left expands a formula the label holds
-            return False
+        deps = s.get(f)  # None for f None too: each rule left expands a formula the label holds
+        if deps is None:
+            return None
         t = self.table
         kind = t.kind[f]
         if rule == "alpha":
-            return kind == _AND and not (t.left[f] in s and t.right[f] in s)
+            return deps if kind == _AND and not (t.left[f] in s and t.right[f] in s) else None
         if rule == "beta":
-            return kind == _OR and t.left[f] not in s and t.right[f] not in s
+            return deps if kind == _OR and t.left[f] not in s and t.right[f] not in s else None
         if rule == "diamond":
-            return kind == _DIAMOND and not any(t.left[f] in self.label_sets[m] for m in self.out_edges[label])
-        return rule == "closure" and kind == _ATOM and t.negated[f] in s
+            if kind != _DIAMOND or any(t.left[f] in self.label_sets[m] for m in self.out_edges[label]):
+                return None
+            return deps
+        if rule == "closure" and kind == _ATOM and (neg := t.negated[f]) in s:
+            return deps | s[neg]
+        return None
 
     def fire(self, rule: str, labels: Sequence[int], f: int | None, deps: int = 0) -> "_Branch | None":
         """The effect of a licensed step; every fact it adds gets the
@@ -575,9 +596,9 @@ class _Branch:
             if blocked[lid] is not None:
                 continue
             for f in s:
-                if kind[f] == _DIAMOND and self.licensed("diamond", (lid,), f):
+                if kind[f] == _DIAMOND and self.licensed("diamond", (lid,), f) is not None:
                     owed.append(("diamond", (lid,), f))
-            if self.licensed("serial", (lid,), None):
+            if self.licensed("serial", (lid,), None) is not None:
                 owed.append(("serial", (lid,), None))
         return owed
 
@@ -642,51 +663,6 @@ class _State(_Branch):
         heapq.heappush(self.heap, (_PRIORITY[rule], target, self.seq, step))
         self.seq += 1
 
-    # -- dependencies --------------------------------------------------
-
-    def support(self, rule: str, labels: Sequence[int], f: int | None) -> int:
-        """The dependency mask of a licensed step: the union of the masks of
-        the facts its licence reads, in the order :meth:`licensed` tests
-        them; where it asks for any edge, the first that qualifies.  Its
-        tests for absent facts read nothing."""
-        if rule == "box":
-            src, dst = labels
-            s, out = self.label_sets[src], self.out_edges[src]
-            if dst in out:
-                if (box := self.table.boxed[f]) in s:
-                    return out[dst] | s[box]
-                if f in s:
-                    kind = self.table.kind[f]
-                    if kind == _BOX and self.mask & FRAME_TRANSITIVE:
-                        return out[dst] | s[f]
-                    if self.mask & FRAME_EUCLIDEAN:
-                        if kind == _DIAMOND:
-                            return out[dst] | s[f]
-                        if kind == _BOX and self.in_edges[src]:
-                            return out[dst] | s[f] | next(iter(self.in_edges[src].values()))
-            # backward: the edge (dst, src), f at src and an edge into dst
-            return self.out_edges[dst][src] | s[f] | next(iter(self.in_edges[dst].values()))
-        if rule == "frame-closure":
-            a, b = labels
-            mask, into_b = self.mask, self.in_edges[b]
-            if a == b and mask & FRAME_REFLEXIVE:
-                return self.label_deps[a]
-            if mask & FRAME_SYMMETRIC and a in self.out_edges[b]:
-                return self.out_edges[b][a]
-            if mask & FRAME_TRANSITIVE:
-                for c, deps in self.out_edges[a].items():
-                    if c in into_b:
-                        return deps | into_b[c]
-            # Euclidean: c->a and c->b
-            return next(deps | into_b[c] for c, deps in self.in_edges[a].items() if c in into_b)
-        (label,) = labels
-        if rule == "serial":
-            return self.label_deps[label]
-        s = self.label_sets[label]
-        if rule == "closure":
-            return s[f] | s[self.table.negated[f]]
-        return s[f]  # alpha, beta, diamond: the formula it expands
-
     # -- structure growth ----------------------------------------------
 
     def new_label(self, deps: int = 0) -> int:
@@ -735,18 +711,17 @@ class _State(_Branch):
 
 def _dispatch(state: _State, step: tuple) -> _State | None:
     """Fire one queued step if the branch licenses it and, for a spawn, its
-    label is unblocked, and record it; a beta step returns the right branch
-    of its split.  A beta step's disjuncts depend on its split, bit
-    ``1 << depth``."""
+    label is unblocked, and record it with the dependency mask its licence
+    gives; a beta step returns the right branch of its split.  A beta
+    step's disjuncts depend on its split too, bit ``1 << depth``."""
     state.budget.count_step()
     rule, labels, f = step
-    if not state.licensed(rule, labels, f):
+    deps = state.licensed(rule, labels, f)
+    if deps is None:
         return None
     spawns = rule in _SPAWNING
     if spawns and state.blocking()[labels[0]] is not None:
         return None
-    # masks hold only the bits of open splits, so with none open they are 0
-    deps = state.support(rule, labels, f) if state.depth else 0
     if rule == "beta":
         deps |= 1 << state.depth
         state.depth += 1
@@ -780,7 +755,7 @@ def _expand_segment(state: _State) -> _State | None:
         if state.closed is not None:
             label, atom = state.closed
             step = ("closure", (label,), atom)
-            state.proof.append((step, state.support(*step), None))
+            state.proof.append((step, state.licensed(*step), None))
             return None
         if not _audit(state):
             return None
@@ -868,13 +843,13 @@ def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
     sets = branch.label_sets
     for lid, s in enumerate(sets):
         for f in s:
-            if branch.licensed("closure", (lid,), f):
+            if branch.licensed("closure", (lid,), f) is not None:
                 name = branch.table.name[f]
                 raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
 
     def emit(step: tuple) -> None:
         rule, labels, f = step
-        if rule not in _SPAWNING and branch.licensed(rule, labels, f):
+        if rule not in _SPAWNING and branch.licensed(rule, labels, f) is not None:
             raise NotSaturated(f"{rule} rule applicable at label {labels[0]}")
 
     for lid, s in enumerate(sets):
@@ -990,7 +965,7 @@ def _replay(branch: _Branch, steps: Sequence[tuple]) -> bool:
         f = None if formula is None else table.find(formula, seen)
         if f is None and formula is not None:
             return False
-        if not current.licensed(rule, labels, f):
+        if current.licensed(rule, labels, f) is None:
             return False
         if rule == "closure":
             current = pending.pop() if pending else None

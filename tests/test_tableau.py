@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import operator
 import random
 
 import pytest
@@ -1050,6 +1051,95 @@ class TestRuleLicences:
         assert unsound == []
 
 
+class TestDependencyMasks:
+    """Each label, edge and formula of a hand-built branch carries its own
+    bit, so the mask that ``licensed`` returns for a step names exactly the
+    facts its licence read.  Where a licence asks for any edge, a second
+    qualifying edge, added later, must not show in the mask."""
+
+    TEXTS = ("[]p", "<>p", "p & q", "p | q", "~p")
+
+    # name: (frame conditions, edges in insertion order, formulas as
+    # (label, text), the step, the facts in its mask: a label, an edge
+    # (a, b) or a formula (label, text))
+    CASES = {
+        "K box": ([], [(0, 1)], [(0, "[]p")], ("box", (0, 1), "p"), [(0, 1), (0, "[]p")]),
+        "transitive box": (["transitive"], [(0, 1)], [(0, "[]p")], ("box", (0, 1), "[]p"), [(0, 1), (0, "[]p")]),
+        "Euclidean forward diamond": (
+            ["euclidean"], [(0, 1)], [(0, "<>p")], ("box", (0, 1), "<>p"), [(0, 1), (0, "<>p")],
+        ),
+        "Euclidean forward box": (
+            ["euclidean"], [(0, 1), (2, 0), (3, 0)], [(0, "[]p")], ("box", (0, 1), "[]p"),
+            [(0, 1), (0, "[]p"), (2, 0)],
+        ),
+        "Euclidean backward box": (
+            ["euclidean"], [(0, 1), (2, 0), (3, 0)], [(1, "[]p")], ("box", (1, 0), "[]p"),
+            [(0, 1), (1, "[]p"), (2, 0)],
+        ),
+        "reflexive frame-closure": (["reflexive"], [], [], ("frame-closure", (1, 1), None), [1]),
+        "symmetric frame-closure": (["symmetric"], [(0, 1)], [], ("frame-closure", (1, 0), None), [(0, 1)]),
+        "transitive frame-closure": (
+            ["transitive"], [(0, 1), (1, 2), (0, 3), (3, 2)], [], ("frame-closure", (0, 2), None),
+            [(0, 1), (1, 2)],
+        ),
+        "Euclidean frame-closure": (
+            ["euclidean"], [(0, 1), (0, 2), (3, 1), (3, 2)], [], ("frame-closure", (1, 2), None),
+            [(0, 1), (0, 2)],
+        ),
+        "serial": (["serial"], [(0, 1)], [], ("serial", (1,), None), [1]),
+        "alpha": ([], [], [(0, "p & q")], ("alpha", (0,), "p & q"), [(0, "p & q")]),
+        "beta": ([], [], [(0, "p | q")], ("beta", (0,), "p | q"), [(0, "p | q")]),
+        "diamond": ([], [], [(0, "<>p")], ("diamond", (0,), "<>p"), [(0, "<>p")]),
+        "closure": ([], [], [(0, "p"), (0, "~p")], ("closure", (0,), "p"), [(0, "p"), (0, "~p")]),
+    }
+
+    def mask(self, conditions, edges, formulas, step):
+        """The mask ``licensed`` returns for ``step`` on a branch of four
+        labels, and each fact's bit."""
+        table = _Table([(parse(text), False) for text in self.TEXTS])
+        branch = _Branch(frame_class(conditions), table, ())
+        bit = {}
+
+        def fresh(key):
+            bit[key] = 1 << len(bit)
+            return bit[key]
+
+        for label in range(4):
+            branch.new_label(fresh(label))
+        for a, b in edges:
+            branch.add_edge(a, b, fresh((a, b)))
+        for label, text in formulas:
+            branch.add_formula(label, table.find(parse(text), {}), fresh((label, text)))
+        rule, labels, text = step
+        return branch.licensed(rule, labels, None if text is None else table.find(parse(text), {})), bit
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_mask_is_the_licence_facts(self, name):
+        conditions, edges, formulas, step, facts = self.CASES[name]
+        mask, bit = self.mask(conditions, edges, formulas, step)
+        assert mask == functools.reduce(operator.or_, [bit[fact] for fact in facts])
+
+    @pytest.mark.parametrize("conditions,edges,formulas,step", [
+        ([], [], [(0, "[]p")], ("box", (0, 1), "p")),  # no edge
+        (["reflexive"], [(0, 1)], [(0, "[]p")], ("box", (0, 1), "[]p")),  # no transfer
+        (["euclidean"], [(0, 1)], [(0, "[]p")], ("box", (0, 1), "[]p")),  # 0 has no in-edge
+        (["transitive"], [(0, 1), (2, 3)], [], ("frame-closure", (0, 3), None)),
+        ([], [], [(0, "p & q"), (0, "p"), (0, "q")], ("alpha", (0,), "p & q")),
+        ([], [], [(0, "p | q"), (0, "q")], ("beta", (0,), "p | q")),
+        ([], [], [(0, "p"), (0, "~p")], ("closure", (0,), "~p")),
+        (["serial"], [(1, 0)], [], ("serial", (1,), None)),
+    ])
+    def test_unlicensed_step_is_none(self, conditions, edges, formulas, step):
+        assert self.mask(conditions, edges, formulas, step)[0] is None
+
+    def test_replay_mask_is_zero_not_none(self):
+        # a replay branch leaves every mask 0, so a licensed step's mask is
+        # 0, which is falsy: callers must test it against None
+        branch = _seeded(_Branch, K, [], parse("p & q -> p"))
+        (conj,) = [f for f in branch.label_sets[0] if branch.table.kind[f] == tableau._AND]
+        assert branch.licensed("alpha", (0,), conj) == 0
+
+
 def _outcome(decide_fn, *args, **kwargs):
     """One line per query: the raw countermodel and its world when
     Invalid, the proof when Valid, the exception's name if one is raised;
@@ -1063,11 +1153,9 @@ def _outcome(decide_fn, *args, **kwargs):
     return verdict.proof.to_json(), True
 
 
-@functools.cache
-def _golden_outcomes():
-    """The lines of 2,384 queries: every licence formula over every frame
-    subset, then 2,000 seeded random queries; and the number of steps the
-    search popped for them, counted through ``_Budget.count_step``."""
+def _counting_popped(run):
+    """``run()``'s result and the number of steps the search popped while
+    it ran, counted through ``_Budget.count_step``."""
     popped = 0
     count_step = tableau._Budget.count_step
 
@@ -1078,6 +1166,18 @@ def _golden_outcomes():
 
     tableau._Budget.count_step = counting
     try:
+        return run(), popped
+    finally:
+        tableau._Budget.count_step = count_step
+
+
+@functools.cache
+def _golden_outcomes():
+    """The lines of 2,384 queries: every licence formula over every frame
+    subset, then 2,000 seeded random queries; and the number of steps the
+    search popped for them."""
+
+    def run():
         outcomes = [
             _outcome(prove_valid, parse(text), frame)
             for text in LICENCE_FORMULAS
@@ -1089,9 +1189,9 @@ def _golden_outcomes():
             premises = [random_formula(rng, rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
             conclusion = random_formula(rng, rng.randrange(1, 4))
             outcomes.append(_outcome(decide, premises, conclusion, frame, max_labels=500))
-    finally:
-        tableau._Budget.count_step = count_step
-    return outcomes, popped
+        return outcomes
+
+    return _counting_popped(run)
 
 
 def full_formula(rng, depth, atoms):
@@ -1109,17 +1209,23 @@ def full_formula(rng, depth, atoms):
 def _deep_outcomes():
     """The lines of 1,000 seeded deep queries: a depth-5 conclusion and
     zero or one depth-4 premise over p, q and r, every branch built to full
-    depth, over K, T, D, B, S4 and S5 in turn.  Deep premises make long
-    proofs with many beta splits, where a reordering of the steps that
-    fire shows up more often than in the shallow golden queries."""
-    rng = random.Random(1609)
-    logics = list(LOGICS.values())
-    outcomes = []
-    for i in range(1000):
-        premises = [full_formula(rng, 4, ["p", "q", "r"]) for _ in range(rng.randrange(2))]
-        conclusion = full_formula(rng, 5, ["p", "q", "r"])
-        outcomes.append(_outcome(decide, premises, conclusion, logics[i % len(logics)], max_labels=500))
-    return outcomes
+    depth, over K, T, D, B, S4 and S5 in turn; and the number of steps the
+    search popped for them.  Deep premises make long proofs with many beta
+    splits, where a reordering of the steps that fire shows up more often
+    than in the shallow golden queries, and where backjumping skips the
+    most search."""
+
+    def run():
+        rng = random.Random(1609)
+        logics = list(LOGICS.values())
+        outcomes = []
+        for i in range(1000):
+            premises = [full_formula(rng, 4, ["p", "q", "r"]) for _ in range(rng.randrange(2))]
+            conclusion = full_formula(rng, 5, ["p", "q", "r"])
+            outcomes.append(_outcome(decide, premises, conclusion, logics[i % len(logics)], max_labels=500))
+        return outcomes
+
+    return _counting_popped(run)
 
 
 def _digest(is_proof, outcomes=None):
@@ -1146,6 +1252,8 @@ class TestGoldenOutcomes:
     DEEP_DIGEST = "82bc0f158d5b03ef33b0dcff06734ee2793cbcab44d750d1c9a34685be917721"
     # the 208 deep queries' Valid lines
     DEEP_PROOFS_DIGEST = "a4ca50b4c7d8027ac233e7f8f25ae38be8f97d67dfc106ec4c0af8b75ff6a440"
+    # steps popped over all 1,000 deep queries
+    DEEP_POPPED_STEPS = 31_144
 
     def test_outcomes_unchanged(self):
         assert _digest(False) == self.DIGEST
@@ -1159,7 +1267,12 @@ class TestGoldenOutcomes:
         assert _golden_outcomes()[1] == self.POPPED_STEPS
 
     def test_deep_outcomes_unchanged(self):
-        assert _digest(False, _deep_outcomes()) == self.DEEP_DIGEST
+        assert _digest(False, _deep_outcomes()[0]) == self.DEEP_DIGEST
 
     def test_deep_proofs_unchanged(self):
-        assert _digest(True, _deep_outcomes()) == self.DEEP_PROOFS_DIGEST
+        assert _digest(True, _deep_outcomes()[0]) == self.DEEP_PROOFS_DIGEST
+
+    def test_deep_search_work_unchanged(self):
+        # the deep queries split most, so this pins the work backjumping
+        # leaves the search
+        assert _deep_outcomes()[1] == self.DEEP_POPPED_STEPS
