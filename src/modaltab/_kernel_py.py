@@ -89,11 +89,6 @@ def _decode(n: int, frame_mask: int) -> Iterator[int]:
 
 
 @cache
-def _relations(n: int, frame_mask: int) -> tuple[int, ...]:
-    return tuple(_decode(n, frame_mask))
-
-
-@cache
 def atom_columns(
     n: int, atom_count: int, count: int = 1
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -166,18 +161,25 @@ def _block(n: int, atom_count: int, rels: tuple[int, ...]) -> Block:
     return Block(rels, every, columns, edges)
 
 
-@cache
-def _cached_blocks(n: int, atom_count: int, frame_mask: int) -> tuple[Block, ...]:
-    return tuple(blocks(n, atom_count, _relations(n, frame_mask)))
+# the blocks of each (worlds, atoms, frame) key that fits CACHE_BITS
+_BLOCKS: dict[tuple[int, int, int], tuple[Block, ...]] = {}
 
 
 def _blocks_of(n: int, atom_count: int, frame_mask: int) -> Iterable[Block]:
+    """A key's blocks, and with them its relations, are kept for the life
+    of the process only when its relations times valuations fit in
+    CACHE_BITS; any other key's are rebuilt on each search."""
     if n == MAX_WORLDS:
         # 2^25 relations: stream them rather than decode all first
         return blocks(n, atom_count, _decode(n, frame_mask))
-    if len(_relations(n, frame_mask)) << (atom_count * n) <= CACHE_BITS:
-        return _cached_blocks(n, atom_count, frame_mask)
-    return blocks(n, atom_count, _relations(n, frame_mask))
+    key = (n, atom_count, frame_mask)
+    kept = _BLOCKS.get(key)
+    if kept is None:
+        relations = tuple(_decode(n, frame_mask))
+        if len(relations) << (atom_count * n) > CACHE_BITS:
+            return blocks(n, atom_count, relations)
+        kept = _BLOCKS[key] = tuple(blocks(n, atom_count, relations))
+    return kept
 
 
 def evaluate(code: tuple[int, ...], block: Block) -> list[int]:

@@ -5,6 +5,17 @@ accessibility relation over them, and a valuation mapping atom names to
 the sets of worlds where they hold.  Atoms absent from the valuation are
 false everywhere.  Box quantifies over all accessible worlds, diamond
 over some accessible world, and global truth is truth at every world.
+
+The semantics is the textbook one, computed over world bitmasks: bit
+``w`` of an int stands for world ``w``.  When a model is built it
+derives each world's successors and each atom's worlds as such masks.
+A formula's extension, the mask of the worlds where it holds, comes out
+of one walk over the formula: ``~`` complements its operand's mask, the
+binary connectives combine their operands' masks bitwise, ``[]x`` holds
+at ``w`` when ``succ[w] & ~ext(x) == 0`` and ``<>x`` when
+``succ[w] & ext(x) != 0``.  ``evaluate`` reads one bit of the
+extension and ``holds_globally`` compares it with the mask of all
+worlds.  The frame conditions are tested on the successor masks.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .syntax import (
@@ -89,88 +101,126 @@ class SerialNotClosable(ValueError):
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """Immutable finite model; all operations on it are pure."""
+    """Immutable finite model; all operations on it are pure.
+
+    The valuation is stored read-only.  Besides its fields a model holds
+    the masks derived from them: ``_succ[w]``, the successors of world
+    ``w``; ``_true[name]``, the worlds where an atom of the valuation
+    holds; and ``_full``, all worlds.
+    """
 
     world_count: int
     access: frozenset[tuple[int, int]]
     valuation: Mapping[str, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.world_count < 1:
+        n = self.world_count
+        if n < 1:
             raise ValueError("a model needs at least one world")
-        # own a frozen copy so later mutation of the caller's dict cannot
+        # own frozen copies so later mutation of the caller's objects cannot
         # reach into this model
-        object.__setattr__(
-            self,
-            "access",
-            frozenset(tuple(pair) for pair in self.access),
-        )
-        object.__setattr__(
-            self,
-            "valuation",
-            {name: frozenset(ws) for name, ws in self.valuation.items()},
-        )
-        for i, j in self.access:
-            if not (0 <= i < self.world_count and 0 <= j < self.world_count):
-                raise InvalidWorld(f"access pair ({i}, {j}) outside 0..{self.world_count - 1}")
+        access = frozenset(tuple(pair) for pair in self.access)
+        succ = [0] * n
+        for i, j in access:
+            if not (0 <= i < n and 0 <= j < n):
+                raise InvalidWorld(f"access pair ({i}, {j}) outside 0..{n - 1}")
+            succ[i] |= 1 << j
+        valuation = {}
+        true = {}
         for name, worlds in self.valuation.items():
+            worlds = valuation[name] = frozenset(worlds)
+            mask = 0
             for w in worlds:
-                if not 0 <= w < self.world_count:
+                if not 0 <= w < n:
                     raise InvalidWorld(f"valuation of {name!r} mentions world {w}")
+                mask |= 1 << w
+            true[name] = mask
+        object.__setattr__(self, "access", access)
+        object.__setattr__(self, "valuation", MappingProxyType(valuation))
+        object.__setattr__(self, "_succ", tuple(succ))
+        object.__setattr__(self, "_true", true)
+        object.__setattr__(self, "_full", (1 << n) - 1)
+
+    def __hash__(self) -> int:
+        return hash((self.world_count, self.access, frozenset(self.valuation.items())))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle: rebuild through the constructor
+        return KripkeModel, (self.world_count, self.access, dict(self.valuation))
 
     def successors(self, w: int) -> frozenset[int]:
-        return frozenset(j for i, j in self.access if i == w)
+        s = self._succ[w]
+        return frozenset(j for j in range(self.world_count) if (s >> j) & 1)
 
     def atom_true_at(self, name: str, w: int) -> bool:
         return w in self.valuation.get(name, frozenset())
+
+
+def _extension(model: KripkeModel, f: Formula) -> int:
+    """Mask of the worlds where the sugar-free ``f`` holds."""
+    kind = type(f)
+    if kind is Atom:
+        return model._true.get(f.name, 0)
+    if kind is Not:
+        return model._full ^ _extension(model, f.operand)
+    if kind is And:
+        return _extension(model, f.left) & _extension(model, f.right)
+    if kind is Or:
+        return _extension(model, f.left) | _extension(model, f.right)
+    if kind is Implies:
+        return (model._full ^ _extension(model, f.left)) | _extension(model, f.right)
+    if kind is Iff:
+        return model._full ^ _extension(model, f.left) ^ _extension(model, f.right)
+    if kind is Box:
+        missing = model._full ^ _extension(model, f.operand)
+        out = 0
+        bit = 1
+        for s in model._succ:
+            if not s & missing:
+                out |= bit
+            bit <<= 1
+        return out
+    if kind is Diamond:
+        x = _extension(model, f.operand)
+        out = 0
+        bit = 1
+        for s in model._succ:
+            if s & x:
+                out |= bit
+            bit <<= 1
+        return out
+    if kind is StrictImplies:
+        raise TypeError("strict implication must be desugared before evaluation")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate(model: KripkeModel, world: int, f: Formula) -> bool:
     """Truth of ``f`` at ``world``; ``f`` must be sugar-free."""
     if not 0 <= world < model.world_count:
         raise InvalidWorld(f"world {world} outside 0..{model.world_count - 1}")
-    match f:
-        case Atom(name):
-            return model.atom_true_at(name, world)
-        case Not(x):
-            return not evaluate(model, world, x)
-        case And(a, b):
-            return evaluate(model, world, a) and evaluate(model, world, b)
-        case Or(a, b):
-            return evaluate(model, world, a) or evaluate(model, world, b)
-        case Implies(a, b):
-            return (not evaluate(model, world, a)) or evaluate(model, world, b)
-        case Iff(a, b):
-            return evaluate(model, world, a) == evaluate(model, world, b)
-        case Box(x):
-            return all(evaluate(model, v, x) for v in sorted(model.successors(world)))
-        case Diamond(x):
-            return any(evaluate(model, v, x) for v in sorted(model.successors(world)))
-        case StrictImplies():
-            raise TypeError("strict implication must be desugared before evaluation")
-    raise TypeError(f"not a formula: {f!r}")
+    return (_extension(model, f) >> world) & 1 == 1
 
 
 def holds_globally(model: KripkeModel, f: Formula) -> bool:
     """True iff ``f`` is true at every world of the model."""
-    return all(evaluate(model, w, f) for w in range(model.world_count))
+    return _extension(model, f) == model._full
 
 
 def frame_satisfies(model: KripkeModel, condition: FrameCondition) -> bool:
     """Exhaustive check of one first-order frame property."""
-    n = model.world_count
-    r = model.access
-    match condition:
-        case FrameCondition.REFLEXIVE:
-            return all((u, u) in r for u in range(n))
-        case FrameCondition.SYMMETRIC:
-            return all((v, u) in r for u, v in r)
-        case FrameCondition.TRANSITIVE:
-            return all((u, w) in r for u, v in r for v2, w in r if v2 == v)
-        case FrameCondition.EUCLIDEAN:
-            return all((v, w) in r for u, v in r for u2, w in r if u2 == u)
-        case FrameCondition.SERIAL:
-            return all(any((u, v) in r for v in range(n)) for u in range(n))
+    succ = model._succ
+    if condition is FrameCondition.REFLEXIVE:
+        return all((s >> u) & 1 for u, s in enumerate(succ))
+    if condition is FrameCondition.SERIAL:
+        return all(succ)
+    if condition is FrameCondition.SYMMETRIC:
+        return all((succ[v] >> u) & 1 for u, v in model.access)
+    if condition is FrameCondition.TRANSITIVE:
+        # whatever v sees, u sees
+        return all(not succ[v] & ~succ[u] for u, v in model.access)
+    if condition is FrameCondition.EUCLIDEAN:
+        # v sees whatever u sees
+        return all(not succ[u] & ~succ[v] for u, v in model.access)
     raise TypeError(f"not a frame condition: {condition!r}")
 
 

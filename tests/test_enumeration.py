@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -434,6 +435,11 @@ def _description(n, atom_count, rel, val):
     return out
 
 
+@cache
+def _relations(n, mask):
+    return tuple(_kernel_py._decode(n, mask))
+
+
 def _random_queries(seed):
     """1,029 queries as find_first arguments, each with the per-relation
     search's result: 32 per frame mask over 1-3 atoms and 1-3 worlds, then
@@ -458,7 +464,7 @@ def _random_queries(seed):
             yield query, _reference_find_first(*query)
             continue
         for _ in range(20):
-            rel = rng.choice(_kernel_py._relations(worlds, mask))
+            rel = rng.choice(_relations(worlds, mask))
             val = rng.randrange(1 << (atom_count * worlds))
             succ = _successors(worlds, rel)
             columns, every = _kernel_py.atom_columns(worlds, atom_count)
@@ -487,10 +493,9 @@ class TestBlockKernel:
     def block_bits(self, monkeypatch):
         def use(bits):
             monkeypatch.setattr(_kernel_py, "BLOCK_BITS", bits)
-            _kernel_py._cached_blocks.cache_clear()
+            monkeypatch.setattr(_kernel_py, "_BLOCKS", {})
 
-        yield use
-        _kernel_py._cached_blocks.cache_clear()
+        return use
 
     def test_matches_per_relation_search(self, block_bits):
         queries, expected = zip(*_random_queries(18))
@@ -511,6 +516,24 @@ class TestBlockKernel:
         for bits in (1 << 15, 1):
             block_bits(bits)
             assert _kernel_py.find_first(*query) == expected
+
+    def test_four_worlds_keep_no_relations(self, block_bits):
+        # false only at a world that sees a world with a successor and two
+        # dead ends, p and ~p: four worlds.  4-world K relations times 16
+        # valuations outgrow CACHE_BITS, so the search keeps none of them
+        # and rebuilds them on the next search, with the same hit
+        block_bits(_kernel_py.BLOCK_BITS)
+        conclusion = compile_formula(
+            parse("~(~p & <>(p & <>(p | ~p)) & <>(p & [](p & ~p)) & <>(~p & [](p & ~p)))"),
+            {"p": 0},
+        )
+        query = (4, 1, 0, (), conclusion)
+        expected = _reference_find_first(*query)
+        assert expected[0] == 4
+        for _ in range(2):
+            assert _kernel_py.find_first(*query) == expected
+            assert [key for key in _kernel_py._BLOCKS if key[0] == 4] == []
+        assert (3, 1, 0) in _kernel_py._BLOCKS
 
     def test_largest_world_count_streams(self):
         blocks = _kernel_py._blocks_of(_kernel_py.MAX_WORLDS, 1, 0)
