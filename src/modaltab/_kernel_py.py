@@ -20,6 +20,7 @@ first hit in the pinned order, and no int is longer than
 from __future__ import annotations
 
 from functools import cache
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, NamedTuple
 
 OP_ATOM = 0
@@ -185,23 +186,26 @@ def _blocks_of(n: int, atom_count: int, frame_mask: int) -> Iterable[Block]:
 def evaluate(code: tuple[int, ...], block: Block) -> list[int]:
     """Per-world truth ints of ``code`` over ``block``."""
     _, every, columns, edges = block
+    flip = every.__xor__
     stack: list = []
     push = stack.append
+    # the connectives map C-level operators over the per-world ints: a
+    # list comprehension would cost a Python frame per op
     for instr in code:
         op = instr & 7
         if op == OP_ATOM:
             push(columns[instr >> 3])
         elif op == OP_NOT:
-            stack[-1] = [every ^ x for x in stack[-1]]
+            stack[-1] = list(map(flip, stack[-1]))
         elif op == OP_AND:
             y = stack.pop()
-            stack[-1] = [x & z for x, z in zip(stack[-1], y)]
+            stack[-1] = list(map(and_, stack[-1], y))
         elif op == OP_OR:
             y = stack.pop()
-            stack[-1] = [x | z for x, z in zip(stack[-1], y)]
+            stack[-1] = list(map(or_, stack[-1], y))
         elif op == OP_IFF:
             y = stack.pop()
-            stack[-1] = [every ^ x ^ z for x, z in zip(stack[-1], y)]
+            stack[-1] = list(map(flip, map(xor, stack[-1], y)))
         elif op == OP_BOX:
             x = stack[-1]
             out = []

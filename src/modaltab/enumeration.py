@@ -13,8 +13,13 @@ over a block of relations and every valuation at once: one int per
 world, whose bit ``k * V + v`` is the truth in the block's ``k``-th
 relation under valuation bits ``v``, for ``V = 2^(atoms x worlds)``
 valuations.  A block holds ``max(1, _kernel_py.BLOCK_BITS // V)``
-relations, so no int exceeds ``max(BLOCK_BITS, V)`` bits.  Every witness is re-verified
-against the reference semantics before it is returned.
+relations, so no int exceeds ``max(BLOCK_BITS, V)`` bits.
+
+Each premise and the conclusion is compiled for the kernel in one walk
+over the formula as parsed: ``|>`` compiles in place, nothing is
+desugared first, and the walk indexes the atoms it meets.  Only a hit is
+desugared, to be re-verified against the reference semantics before it
+is returned.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .semantics import FrameClass, FrameCondition, KripkeModel, evaluate, frame_satisfies, holds_globally
-from .syntax import And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or, atoms_of, desugar
+from .syntax import And, Atom, Box, Diamond, Formula, Iff, Implies, Not, Or, StrictImplies, atoms_of, desugar
 
 from . import _kernel_py
-from ._kernel_py import MAX_VALUATION_BITS, MAX_WORLDS
+from ._kernel_py import MAX_VALUATION_BITS, MAX_WORLDS, OP_AND, OP_ATOM, OP_BOX, OP_DIA, OP_IFF, OP_NOT, OP_OR
 
 KERNEL = "pure-python"
 # find_countermodel calls the kernel through this name, so tracing can rebind it
@@ -55,7 +60,8 @@ _FRAME_BITS = {
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Search bounds: world counts 1..max_worlds over the listed atoms."""
+    """Search bounds: world counts 1..max_worlds over the listed atoms,
+    each listed once; any sequence of names is stored as a tuple."""
 
     max_worlds: int = 3
     atoms: tuple[str, ...] = ()
@@ -63,6 +69,12 @@ class EnumerationBudget:
     def __post_init__(self):
         if self.max_worlds < 1:
             raise ValueError("budget needs at least one world")
+        if isinstance(self.atoms, str):
+            raise ValueError("budget atoms must be a sequence of names, not one string")
+        atoms = tuple(self.atoms)
+        if len(set(atoms)) != len(atoms):
+            raise ValueError(f"budget lists an atom more than once: {atoms!r}")
+        object.__setattr__(self, "atoms", atoms)
 
 
 @dataclass(frozen=True)
@@ -80,45 +92,53 @@ def frame_mask(frame: FrameClass) -> int:
     return mask
 
 
+# the kernel op of each connective that compiles to one op
+_UNARY_OPS = {Not: OP_NOT, Box: OP_BOX, Diamond: OP_DIA}
+_BINARY_OPS = {And: OP_AND, Or: OP_OR, Iff: OP_IFF}
+
+
 def compile_formula(f: Formula, atom_index: dict[str, int]) -> tuple[int, ...]:
-    """Postfix bytecode over the kernel ops; ``->`` is compiled away and
-    ``<->`` is one op.  Input must be sugar-free."""
+    """Postfix bytecode of ``f`` over the kernel ops, in one walk over the
+    formula as parsed: ``a -> b`` compiles as ``~a | b``, ``a |> b`` as
+    ``[](~a | b)``, and ``<->`` is one op.
+
+    ``atom_index`` maps names to the indices ``0 .. len(atom_index) - 1``.
+    The atoms of ``f`` that it lacks are added to it, in sorted order, at
+    the next indices; each gets a placeholder op in the walk, patched once
+    they are known and sorted."""
     code: list[int] = []
-
-    def emit(g: Formula) -> None:
-        match g:
-            case Atom(name):
-                code.append(_kernel_py.OP_ATOM | (atom_index[name] << 3))
-            case Not(x):
-                emit(x)
-                code.append(_kernel_py.OP_NOT)
-            case And(a, b):
-                emit(a)
-                emit(b)
-                code.append(_kernel_py.OP_AND)
-            case Or(a, b):
-                emit(a)
-                emit(b)
-                code.append(_kernel_py.OP_OR)
-            case Implies(a, b):
-                emit(a)
-                code.append(_kernel_py.OP_NOT)
-                emit(b)
-                code.append(_kernel_py.OP_OR)
-            case Iff(a, b):
-                emit(a)
-                emit(b)
-                code.append(_kernel_py.OP_IFF)
-            case Box(x):
-                emit(x)
-                code.append(_kernel_py.OP_BOX)
-            case Diamond(x):
-                emit(x)
-                code.append(_kernel_py.OP_DIA)
-            case _:
+    emit = code.append
+    new: dict[str, list[int]] = {}  # a new atom's name -> its positions in code
+    stack: list = [f]  # formulas still to walk, and the ops that follow them
+    pop = stack.pop
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is int:
+            emit(g)
+        elif t is Atom:
+            i = atom_index.get(g.name)
+            if i is None:
+                new.setdefault(g.name, []).append(len(code))
+                emit(OP_ATOM)
+            else:
+                emit(OP_ATOM | (i << 3))
+        else:
+            op = _UNARY_OPS.get(t)
+            if op is not None:
+                stack += (op, g.operand)
+            elif (op := _BINARY_OPS.get(t)) is not None:
+                stack += (op, g.right, g.left)
+            elif t is Implies:
+                stack += (OP_OR, g.right, OP_NOT, g.left)
+            elif t is StrictImplies:
+                stack += (OP_BOX, OP_OR, g.right, OP_NOT, g.left)
+            else:
                 raise TypeError(f"cannot compile {g!r}")
-
-    emit(f)
+    for i, name in enumerate(sorted(new), len(atom_index)):
+        atom_index[name] = i
+        for at in new[name]:
+            code[at] = OP_ATOM | (i << 3)
     return tuple(code)
 
 
@@ -179,30 +199,22 @@ def find_countermodel(
 ) -> CountermodelWitness | None:
     """First enumerated model where all premises hold globally and the
     conclusion fails, or None within the budget (which proves nothing)."""
-    premises = [desugar(p) for p in premises]
-    conclusion = desugar(conclusion)
-    atoms = list(budget.atoms)
-    known = set(atoms)
-    for f in [*premises, conclusion]:
-        for name in sorted(atoms_of(f)):
-            if name not in known:
-                known.add(name)
-                atoms.append(name)
-    atom_index = {a: i for i, a in enumerate(atoms)}
+    # the budget's atoms, then each formula's new atoms sorted, formula by formula
+    atom_index = {a: i for i, a in enumerate(budget.atoms)}
+    premise_code = tuple([compile_formula(p, atom_index) for p in premises])
+    conclusion_code = compile_formula(conclusion, atom_index)
     hit = _backend.find_first(
-        budget.max_worlds,
-        len(atoms),
-        frame_mask(frame),
-        tuple(compile_formula(p, atom_index) for p in premises),
-        compile_formula(conclusion, atom_index),
+        budget.max_worlds, len(atom_index), frame_mask(frame), premise_code, conclusion_code
     )
     if hit is None:
         return None
     n, rel_bits, val_bits, world = hit
     model = KripkeModel(
-        n, relation_from_bits(n, rel_bits), valuation_from_bits(n, atoms, val_bits)
+        n, relation_from_bits(n, rel_bits), valuation_from_bits(n, list(atom_index), val_bits)
     )
-    return _reverify(CountermodelWitness(model, world), premises, conclusion, frame)
+    return _reverify(
+        CountermodelWitness(model, world), [desugar(p) for p in premises], desugar(conclusion), frame
+    )
 
 
 def minimize_countermodel(

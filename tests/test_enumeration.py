@@ -1,8 +1,12 @@
+import hashlib
 import random
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import formula_strategy
 from modaltab import _kernel_py, enumeration
 from modaltab.enumeration import (
     KERNEL,
@@ -14,6 +18,8 @@ from modaltab.enumeration import (
     find_countermodel,
     frame_mask,
     minimize_countermodel,
+    relation_from_bits,
+    valuation_from_bits,
 )
 from modaltab.semantics import (
     FrameCondition,
@@ -23,7 +29,20 @@ from modaltab.semantics import (
     holds_globally,
     model_to_json,
 )
-from modaltab.syntax import And, Atom, Box, Diamond, Iff, Implies, Not, Or, atoms_of, desugar, parse
+from modaltab.syntax import (
+    And,
+    Atom,
+    Box,
+    Diamond,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    StrictImplies,
+    atoms_of,
+    desugar,
+    parse,
+)
 
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
@@ -67,6 +86,24 @@ class TestEnumerateModels:
         assert first[0] == '{"access":[],"valuation":{},"worlds":1}'
         assert first[1] == '{"access":[],"valuation":{"g":[0]},"worlds":1}'
         assert first[2] == '{"access":[[0,0]],"valuation":{},"worlds":1}'
+
+
+class TestBudget:
+    def test_atoms_stored_as_tuple(self):
+        budget = EnumerationBudget(2, ["p"])
+        assert budget.atoms == ("p",)
+        assert hash(budget) == hash(EnumerationBudget(2, ("p",)))
+
+    def test_duplicate_atoms_refused(self):
+        # a duplicate would double the valuations searched, and once atoms
+        # are indexed through a dict, silently shrink the atom count
+        with pytest.raises(ValueError, match="more than once"):
+            EnumerationBudget(1, ("p", "p"))
+
+    def test_bare_string_refused(self):
+        # "pq" is one name, not the atoms p and q
+        with pytest.raises(ValueError, match="not one string"):
+            EnumerationBudget(2, "pq")
 
 
 class TestFindCountermodel:
@@ -279,6 +316,40 @@ class TestKernels:
         text = "p" + " & (p" * 100 + ")" * 100
         assert _find_first([], text, K) == (1, 0, 0, 0)
 
+    def test_strict_implication_compiles_in_place(self):
+        # a |> b is [](~a | b), with no desugaring first
+        code = compile_formula(parse("p |> q"), {"p": 0, "q": 1})
+        assert code == (_kernel_py.OP_ATOM, _kernel_py.OP_NOT, _kernel_py.OP_ATOM | 1 << 3,
+                        _kernel_py.OP_OR, _kernel_py.OP_BOX)
+
+    def test_new_atoms_indexed_in_sorted_order(self):
+        # the atoms missing from the index follow it, sorted, whatever the
+        # order the walk meets them in
+        index = {"r": 0}
+        code = compile_formula(parse("q & (p | r) & q"), index)
+        assert index == {"r": 0, "p": 1, "q": 2}
+        atom = _kernel_py.OP_ATOM
+        assert code == (atom | 2 << 3, atom | 1 << 3, atom, _kernel_py.OP_OR, _kernel_py.OP_AND,
+                        atom | 2 << 3, _kernel_py.OP_AND)
+
+    @given(
+        st.lists(formula_strategy(atoms=("p", "q", "r"), max_leaves=8), max_size=2),
+        formula_strategy(atoms=("p", "q", "r"), max_leaves=12),
+        st.integers(0, 31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_code_finds_desugared_hit(self, premises, conclusion, mask):
+        # sugar compiled in place: the same atom order and the same first
+        # hit as the code of the desugared formulas
+        hits, indices = [], []
+        for prepare in (lambda f: f, desugar):
+            index = {}
+            codes = [compile_formula(prepare(f), index) for f in [*premises, conclusion]]
+            hits.append(_kernel_py.find_first(2, len(index), mask, tuple(codes[:-1]), codes[-1]))
+            indices.append(index)
+        assert hits[0] == hits[1]
+        assert list(indices[0].items()) == list(indices[1].items())
+
     @pytest.mark.parametrize("links", [1, 2, 18])
     def test_iff_chain_compiles_linearly(self, links):
         # one op per <->, so neither side is copied
@@ -394,13 +465,19 @@ def _reference_find_first(max_worlds, atom_count, mask, premises, conclusion):
     return None
 
 
-def _random_formula(rng, depth, atom_count):
+CONNECTIVES = (Not, Box, Diamond, And, Or, Implies, Iff)
+
+
+def _random_formula(rng, depth, atom_count, connectives=CONNECTIVES):
     if depth == 0 or rng.random() < 0.2:
         return Atom(f"a{rng.randrange(atom_count)}")
-    op = rng.choice([Not, Box, Diamond, And, Or, Implies, Iff])
+    op = rng.choice(connectives)
     if op in (Not, Box, Diamond):
-        return op(_random_formula(rng, depth - 1, atom_count))
-    return op(_random_formula(rng, depth - 1, atom_count), _random_formula(rng, depth - 1, atom_count))
+        return op(_random_formula(rng, depth - 1, atom_count, connectives))
+    return op(
+        _random_formula(rng, depth - 1, atom_count, connectives),
+        _random_formula(rng, depth - 1, atom_count, connectives),
+    )
 
 
 def _description(n, atom_count, rel, val):
@@ -541,3 +618,65 @@ class TestBlockKernel:
         first = next(iter(blocks))
         per = _kernel_py.BLOCK_BITS >> _kernel_py.MAX_WORLDS
         assert first.relations == tuple(range(per))
+
+
+def _golden_witness_lines():
+    """``find_countermodel``'s witnesses for 1,024 seeded queries over a0,
+    a1 and a2 with ``->``, ``<->`` and ``|>``: each frame subset, with
+    3-world budgets over the fixed atoms (a0, a1) and (a2, a0), over each
+    query's own atoms sorted (as minimisation passes them) and over none
+    (each formula's new atoms, formula by formula).  Every other query is
+    drawn around a random model of 2 or 3 worlds: premises that hold
+    everywhere in it, often with its description, and a conclusion that
+    fails somewhere, so that many witnesses have more than one world.  A
+    line holds the world count, access, valuation in the order of its
+    atoms, and world."""
+    rng = random.Random(2024)
+    conditions = sorted(FrameCondition, key=lambda c: c.value)
+    sugared = CONNECTIVES + (StrictImplies,)
+
+    def draw(depth):
+        return _random_formula(rng, depth, 3, sugared)
+
+    lines = []
+    for i in range(1024):
+        frame = frozenset(c for b, c in enumerate(conditions) if (i >> b) & 1)
+        premises = [draw(rng.randrange(1, 4)) for _ in range(rng.randrange(3))]
+        if i % 2:
+            conclusion = draw(rng.randrange(1, 5))
+        else:
+            n = rng.choice((2, 3))
+            rel = rng.choice(_relations(n, frame_mask(frame)))
+            val = rng.randrange(1 << (3 * n))
+            model = KripkeModel(n, relation_from_bits(n, rel), valuation_from_bits(n, ("a0", "a1", "a2"), val))
+            premises = [p for p in premises if holds_globally(model, desugar(p))]
+            described = _description(n, 3, rel, val)
+            if holds_globally(model, described):
+                premises.append(described)
+            conclusion = draw(4)
+            while holds_globally(model, desugar(conclusion)):
+                conclusion = draw(4)
+        own = tuple(sorted(set().union(*(atoms_of(f) for f in [*premises, conclusion]))))
+        atoms = (("a0", "a1"), own, (), ("a2", "a0"))[(i >> 5) & 3]
+        w = find_countermodel(premises, conclusion, frame, EnumerationBudget(3, atoms))
+        if w is None:
+            lines.append("None")
+            continue
+        m = w.model
+        valuation = [(a, sorted(ws)) for a, ws in m.valuation.items()]
+        lines.append(f"{m.world_count} {sorted(m.access)} {valuation} {w.world}")
+    return lines
+
+
+class TestGoldenWitnesses:
+    """The atom order decides the valuation bits and so the first witness;
+    this digest pins it with the enumeration order, under budgets that
+    list all of the formulas' atoms, some or none of them, or list them
+    out of sorted order."""
+
+    # 695 one-world, 168 two-world and 47 three-world witnesses, 114 None
+    DIGEST = "a29487136ece6d1eefe97cb138d9b433a3284cc4e06248bdfacb6d8193ba98f4"
+
+    def test_witnesses_unchanged(self):
+        lines = _golden_witness_lines()
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
