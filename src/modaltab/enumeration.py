@@ -179,15 +179,18 @@ def _reverify(
     conclusion: Formula,
     frame: FrameClass,
 ) -> CountermodelWitness:
+    """``witness`` itself, once checked against the reference semantics:
+    the frame's conditions hold, every premise holds globally and the
+    conclusion fails at the witness's world; AssertionError otherwise."""
     model = witness.model
     for cond in frame:
         if not frame_satisfies(model, cond):
-            raise AssertionError(f"kernel witness violates frame condition {cond.value}")
+            raise AssertionError(f"witness violates frame condition {cond.value}")
     for p in premises:
         if not holds_globally(model, p):
-            raise AssertionError("kernel witness violates a premise")
+            raise AssertionError("witness violates a premise")
     if evaluate(model, witness.world, conclusion):
-        raise AssertionError("kernel witness does not refute the conclusion")
+        raise AssertionError("witness does not refute the conclusion")
     return witness
 
 

@@ -148,13 +148,6 @@ class KripkeModel:
         # a mapping proxy does not pickle: rebuild through the constructor
         return KripkeModel, (self.world_count, self.access, dict(self.valuation))
 
-    def successors(self, w: int) -> frozenset[int]:
-        s = self._succ[w]
-        return frozenset(j for j in range(self.world_count) if (s >> j) & 1)
-
-    def atom_true_at(self, name: str, w: int) -> bool:
-        return w in self.valuation.get(name, frozenset())
-
 
 def _extension(model: KripkeModel, f: Formula) -> int:
     """Mask of the worlds where the sugar-free ``f`` holds."""

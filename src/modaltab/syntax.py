@@ -199,13 +199,19 @@ class FormulaSyntaxError(ValueError):
 # of a desugared parsed formula and of its negation, and hence every
 # formula a proof records, parses again.  The desugared formula itself
 # need not: ``desugar`` makes each ``|>`` four levels deep
-# (``~<>(a & ~b)``).  Each nesting level costs the parser six stack
-# frames and the transforms, printer, evaluator and compiler at most
-# three, which keeps all of them well under the default recursion limit
-# of 1000.
+# (``~<>(a & ~b)``).  Each nesting level costs the parser, the
+# transforms, printer, evaluator and compiler at most three stack frames,
+# which keeps all of them well under the default recursion limit of 1000.
 MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
+
+# spelling -> class of each unary connective; spelling -> (class,
+# precedence) of each binary one
+_UNARY = {a: c for c, (a, _, _) in _CONNECTIVES.items() if issubclass(c, _Unary)}
+_BINARY = {a: (c, prec) for c, (a, _, prec) in _CONNECTIVES.items() if issubclass(c, _Binary)}
+_DOUBLE_DEPTH = (Iff, StrictImplies)  # the connectives NNF expands by one extra level
+_STARTS = (*_UNARY, "(", "identifier")  # the tokens that can start a formula
 
 # longest first, so that ``<->`` is not read as ``<`` and ``|>`` not as ``|``
 _PUNCT = sorted([a for a, _, _ in _CONNECTIVES.values()] + ["(", ")"], key=len, reverse=True)
@@ -238,24 +244,21 @@ def _tokenize(text: str) -> Iterator[_Token]:
         elif group == 3:
             yield ("ident", spelling, m.start())
         else:
-            raise FormulaSyntaxError(text, m.start(), ("~", "[]", "<>", "(", "identifier"))
+            raise FormulaSyntaxError(text, m.start(), _STARTS)
     yield ("eof", "", len(text))
 
 
-_UNARY = {a: c for c, (a, _, _) in _CONNECTIVES.items() if issubclass(c, _Unary)}
-
-
 class _Parser:
-    """Recursive descent over the grammar:
+    """Operator precedence over binary connectives, recursive descent below:
 
-    formula := iff ; iff := imp ("<->" imp)* ;
-    imp := or (("->" | "|>") imp)? ;
-    or := and ("|" and)* ; and := unary ("&" unary)* ;
-    unary := ("~" | "[]" | "<>")* primary ;
+    formula := unary (BINARY unary)* ;
+    unary := UNARY* primary ;
     primary := IDENT | "(" formula ")"
 
-    ``<->`` associates to the left, ``->``/``|>`` to the right.  Only
-    parentheses recurse; every rule returns its formula with its depth.
+    The connectives and their precedences come from ``_CONNECTIVES``; the
+    binary level ``_PREC_IMP`` associates to the right, every other to
+    the left.  Only parentheses recurse; every rule returns its formula
+    with its depth.
     """
 
     def __init__(self, text: str):
@@ -286,44 +289,27 @@ class _Parser:
         return f, depth
 
     def formula(self) -> tuple[Formula, int]:
-        f, d = self.imp()
-        while self.peek()[0] == "<->":
-            tok = self.take("<->")
-            g, e = self.imp()
-            f, d = self.node(tok, Iff(f, g), 2 + max(d, e))
-        return f, d
+        operands = [self.unary()]
+        pending: list[_Token] = []  # connectives still waiting for their right operand
+        while (tok := self.peek())[0] in _BINARY:
+            prec = _BINARY[tok[0]][1]
+            # a pending connective that binds more tightly, or as tightly on a
+            # left-associative level, has its right operand complete
+            while pending and _BINARY[pending[-1][0]][1] >= prec + (prec == _PREC_IMP):
+                self.apply(pending.pop(), operands)
+            pending.append(self.take(tok[0]))
+            operands.append(self.unary())
+        while pending:
+            self.apply(pending.pop(), operands)
+        return operands[0]
 
-    def imp(self) -> tuple[Formula, int]:
-        operands = [self.disj()]
-        arrows = []
-        while self.peek()[0] in ("->", "|>"):
-            arrows.append(self.take(self.peek()[0]))
-            operands.append(self.disj())
+    def apply(self, tok: _Token, operands: list[tuple[Formula, int]]) -> None:
+        """Replace the last two operands by connective ``tok`` over them."""
+        g, e = operands.pop()
         f, d = operands.pop()
-        while arrows:  # fold from the right
-            tok = arrows.pop()
-            g, e = operands.pop()
-            if tok[0] == "->":
-                f, d = self.node(tok, Implies(g, f), 1 + max(d, e))
-            else:
-                f, d = self.node(tok, StrictImplies(g, f), 2 + max(d, e))
-        return f, d
-
-    def disj(self) -> tuple[Formula, int]:
-        f, d = self.conj()
-        while self.peek()[0] == "|":
-            tok = self.take("|")
-            g, e = self.conj()
-            f, d = self.node(tok, Or(f, g), 1 + max(d, e))
-        return f, d
-
-    def conj(self) -> tuple[Formula, int]:
-        f, d = self.unary()
-        while self.peek()[0] == "&":
-            tok = self.take("&")
-            g, e = self.unary()
-            f, d = self.node(tok, And(f, g), 1 + max(d, e))
-        return f, d
+        cls = _BINARY[tok[0]][0]
+        step = 2 if cls in _DOUBLE_DEPTH else 1
+        operands.append(self.node(tok, cls(f, g), step + max(d, e)))
 
     def unary(self) -> tuple[Formula, int]:
         ops = []
@@ -349,7 +335,7 @@ class _Parser:
             self.take(")")
             self.nesting -= 1
             return result
-        raise FormulaSyntaxError(self.text, tok[2], ("identifier", "(", "~", "[]", "<>"))
+        raise FormulaSyntaxError(self.text, tok[2], _STARTS)
 
 
 def parse(text: str) -> Formula:

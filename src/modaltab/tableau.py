@@ -61,17 +61,10 @@ import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
+from . import enumeration
 from ._kernel_py import FRAME_EUCLIDEAN, FRAME_REFLEXIVE, FRAME_SERIAL, FRAME_SYMMETRIC, FRAME_TRANSITIVE
 from .enumeration import CountermodelWitness, frame_mask
-from .semantics import (
-    FrameClass,
-    FrameCondition,
-    KripkeModel,
-    evaluate,
-    frame_closure,
-    frame_satisfies,
-    holds_globally,
-)
+from .semantics import FrameClass, FrameCondition, KripkeModel, frame_closure
 from .syntax import (
     And,
     Atom,
@@ -88,7 +81,8 @@ from .syntax import (
     parse,
     print_formula,
 )
-# not called here; verdictbench/spans.py rebinds this name on this module
+# not called here; verdictbench/spans.py rebinds these names on this module
+from .semantics import evaluate, frame_satisfies, holds_globally  # noqa: F401
 from .syntax import nnf  # noqa: F401
 
 __all__ = [
@@ -897,16 +891,9 @@ def extract_countermodel(
             if table.kind[f] == _ATOM:
                 valuation.setdefault(table.name[f], set()).add(i)
     model = KripkeModel(len(unblocked), access, valuation)
-    witness = CountermodelWitness(model, 0)
-    for cond in branch.frame:
-        if not frame_satisfies(model, cond):
-            raise AssertionError(f"extracted model violates {cond.value}")
-    for p in premises:
-        if not holds_globally(model, p):
-            raise AssertionError("extracted model violates a global premise")
-    if evaluate(model, witness.world, conclusion):
-        raise AssertionError("extracted model fails to refute the conclusion")
-    return witness
+    # a module attribute lookup, so that a tracer rebinding
+    # enumeration._reverify sees this call
+    return enumeration._reverify(CountermodelWitness(model, 0), premises, conclusion, branch.frame)
 
 
 def _seeded(branch_type: type, frame: FrameClass, premises: Sequence[Formula], conclusion: Formula, *args):

@@ -167,6 +167,129 @@ class TestTokenizer:
             assert e.value.offset == 1
 
 
+class _ReferenceParser:
+    """Reference for ``parse``: recursive descent with one method per
+    precedence level, each stating its connectives and associativity by
+    hand:
+
+    formula := iff ; iff := imp ("<->" imp)* ;
+    imp := or (("->" | "|>") imp)? ;
+    or := and ("|" and)* ; and := unary ("&" unary)* ;
+    unary := ("~" | "[]" | "<>")* primary ;
+    primary := IDENT | "(" formula ")"
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = list(_tokenize(text))
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise FormulaSyntaxError(self.text, tok[2], (kind,))
+        self.pos += 1
+        return tok
+
+    def too_deep(self, tok):
+        return FormulaSyntaxError(
+            self.text, tok[2], (), f"formula nested deeper than {MAX_DEPTH} levels"
+        )
+
+    def node(self, tok, f, depth):
+        if depth > MAX_DEPTH:
+            raise self.too_deep(tok)
+        return f, depth
+
+    def formula(self):
+        f, d = self.imp()
+        while self.peek()[0] == "<->":
+            tok = self.take("<->")
+            g, e = self.imp()
+            f, d = self.node(tok, Iff(f, g), 2 + max(d, e))
+        return f, d
+
+    def imp(self):
+        operands = [self.disj()]
+        arrows = []
+        while self.peek()[0] in ("->", "|>"):
+            arrows.append(self.take(self.peek()[0]))
+            operands.append(self.disj())
+        f, d = operands.pop()
+        while arrows:  # fold from the right
+            tok = arrows.pop()
+            g, e = operands.pop()
+            if tok[0] == "->":
+                f, d = self.node(tok, Implies(g, f), 1 + max(d, e))
+            else:
+                f, d = self.node(tok, StrictImplies(g, f), 2 + max(d, e))
+        return f, d
+
+    def disj(self):
+        f, d = self.conj()
+        while self.peek()[0] == "|":
+            tok = self.take("|")
+            g, e = self.conj()
+            f, d = self.node(tok, Or(f, g), 1 + max(d, e))
+        return f, d
+
+    def conj(self):
+        f, d = self.unary()
+        while self.peek()[0] == "&":
+            tok = self.take("&")
+            g, e = self.unary()
+            f, d = self.node(tok, And(f, g), 1 + max(d, e))
+        return f, d
+
+    def unary(self):
+        ops = []
+        while self.peek()[0] in ("~", "[]", "<>"):
+            ops.append(self.take(self.peek()[0]))
+        f, d = self.primary()
+        for tok in reversed(ops):
+            literal = tok[0] == "~" and isinstance(f, Atom)  # adds no depth
+            cls = {"~": Not, "[]": Box, "<>": Diamond}[tok[0]]
+            f, d = self.node(tok, cls(f), d if literal else d + 1)
+        return f, d
+
+    def primary(self):
+        tok = self.peek()
+        if tok[0] == "ident":
+            self.take("ident")
+            return Atom(tok[1]), 0
+        if tok[0] == "(":
+            self.take("(")
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise self.too_deep(tok)
+            result = self.formula()
+            self.take(")")
+            self.nesting -= 1
+            return result
+        raise FormulaSyntaxError(self.text, tok[2], ("identifier", "(", "~", "[]", "<>"))
+
+
+def reference_parse(text):
+    parser = _ReferenceParser(text)
+    f, _ = parser.formula()
+    parser.take("eof")
+    return f
+
+
+def _formula_or_error(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except FormulaSyntaxError as e:
+        return e.offset, e.expected, str(e)
+
+
+PARSE_TOKENS = ["p", "q", "r", "~", "[]", "<>", "&", "|", "->", "|>", "<->", "(", ")"]
+
+
 # shape -> (text with k nesting steps, depth each step adds)
 NESTED = {
     "parentheses": (lambda k: "(" * k + "p" + ")" * k, 1),
@@ -200,6 +323,39 @@ class TestDepthBound:
             assert parse(print_formula(g)) == g
 
 
+
+class TestAgainstReferenceParser:
+    """The precedence loop returns the recursive-descent reference's
+    formula, or raises at the same byte offset with the same expected set
+    and message."""
+
+    @given(st.lists(st.sampled_from(PARSE_TOKENS), min_size=1, max_size=13),
+           st.lists(st.sampled_from(["", " "]), min_size=13, max_size=13))
+    @settings(max_examples=1000)
+    def test_random_token_strings(self, tokens, gaps):
+        text = "".join(t + gap for t, gap in zip(tokens, gaps))
+        assert _formula_or_error(parse, text) == _formula_or_error(reference_parse, text)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED))
+    def test_at_and_past_the_depth_bound(self, shape):
+        build, step = NESTED[shape]
+        for k in (MAX_DEPTH // step, MAX_DEPTH // step + 1):
+            text = build(k)
+            assert _formula_or_error(parse, text) == _formula_or_error(reference_parse, text)
+
+    @pytest.mark.parametrize("text", [
+        "p" + " -> p & p | p" * 98,
+        "p" + " -> p & p | p" * 99,
+        "p" + " & p <-> p |> p" * 30,
+        "[]" * 60 + "(p -> q)" + " <-> ~p" * 25,
+        "(" * 40 + "p" + " | q)" * 40 + " -> " + "<>" * 70 + "p",
+        "(p |> " * 50 + "p" + ")" * 50 + " & q",
+        "q & " + "(p |> " * 50 + "p" + ")" * 50 + " <-> q",
+    ], ids=["implications-98", "implications-99", "strict-in-iff", "boxes-then-iffs",
+            "disjunctions-then-diamonds", "strict-nest-and", "and-strict-nest-iff"])
+    def test_deep_mixed_chains(self, text):
+        assert _formula_or_error(parse, text) == _formula_or_error(reference_parse, text)
+
 ONE_WORLD = KripkeModel(1, frozenset(), {"p": frozenset({0})})
 
 # name -> (call, stack frames allowed per nesting level, sugar-free input only)
@@ -217,8 +373,8 @@ PER_LEVEL = {
 
 class TestFramesPerLevel:
     """``MAX_DEPTH`` promises at most three stack frames per nesting level
-    to the transforms, the printer and the evaluator; the rebuilding
-    transforms take two and ``subformulas`` none."""
+    to the parser, the transforms, the printer and the evaluator; the
+    rebuilding transforms take two and ``subformulas`` none."""
 
     @pytest.mark.parametrize("shape,name", [
         (shape, name)
@@ -230,12 +386,12 @@ class TestFramesPerLevel:
         build, step = NESTED[shape]
         f = parse(build(MAX_DEPTH // step))  # fresh nodes: no text cached yet
         call, frames, _ = PER_LEVEL[name]
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(stack_depth() + int(frames * MAX_DEPTH) + 50)
-        try:
-            call(f)
-        finally:
-            sys.setrecursionlimit(limit)
+        call_within(frames, call, f)
+
+    def test_parse_at_the_nesting_bound(self):
+        # only parentheses recurse in the parser: formula, unary, primary
+        build, _ = NESTED["parentheses"]
+        call_within(3, parse, build(MAX_DEPTH))
 
 
 class TestPrint:
@@ -285,6 +441,17 @@ def stack_depth():
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+def call_within(frames, call, arg):
+    """``call(arg)`` under a recursion limit of ``frames`` per nesting
+    level up to ``MAX_DEPTH``, above the current stack."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + int(frames * MAX_DEPTH) + 50)
+    try:
+        call(arg)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 ALL_CONNECTIVES = "~[]p -> <>(p & ~q) | q <-> (p |> []q)"

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from modaltab import tableau
+from modaltab import enumeration, tableau
 from modaltab.arguments import builtin_corpus, eder_ramharter_manual
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import (
@@ -168,6 +168,30 @@ class TestExtractCountermodel:
             model_to_json(witness.model)
             == '{"access":[[0,1],[1,1]],"valuation":{"g":[1]},"worlds":2}'
         )
+
+    def test_reverified_through_the_enumerator_module(self, monkeypatch):
+        # a module attribute call, which a tracer rebinding
+        # enumeration._reverify sees
+        calls = []
+        real = enumeration._reverify
+
+        def counting(witness, premises, conclusion, frame):
+            calls.append((tuple(premises), conclusion))
+            return real(witness, premises, conclusion, frame)
+
+        monkeypatch.setattr(enumeration, "_reverify", counting)
+        branch = hand_branch(K, [{Box(Atom("p")), Not(Atom("p"))}], [])
+        extract_countermodel(branch, [None], (), parse("[]p -> p"))
+        assert calls == [((), parse("[]p -> p"))]
+
+    @pytest.mark.parametrize("premises,conclusion,message", [
+        ((Atom("p"),), parse("[]p -> p"), "witness violates a premise"),
+        ((), Not(Atom("p")), "witness does not refute the conclusion"),
+    ])
+    def test_failed_reverification_raises(self, premises, conclusion, message):
+        branch = hand_branch(K, [{Box(Atom("p")), Not(Atom("p"))}], [])
+        with pytest.raises(AssertionError, match=message):
+            extract_countermodel(branch, [None], premises, conclusion)
 
     def test_not_saturated_when_closed(self):
         branch = hand_branch(K, [{Atom("p"), Not(Atom("p"))}], [])
