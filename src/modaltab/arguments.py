@@ -18,6 +18,7 @@ from functools import cache, cached_property
 from itertools import groupby
 from operator import itemgetter
 
+from . import enumeration
 from .enumeration import CountermodelWitness, minimize_countermodel
 from .semantics import LOGICS, FrameClass, FrameCondition, KripkeModel, frame_satisfies
 from .syntax import (
@@ -26,6 +27,7 @@ from .syntax import (
     Formula,
     Implies,
     atoms_of,
+    desugar,
     fresh_atom,
     parse,
     print_formula,
@@ -80,8 +82,19 @@ class AnalysisReport:
 
     ``verdict`` and ``verdict_without_frame`` decide their frame class at
     most once between them, so an argument whose stated frame is empty is
-    decided once.  ``minimal_frames`` starts from the verdicts already read
-    and from the countermodels given to ``add_countermodel``.
+    decided once.  ``triviality`` and ``minimal_frames`` start from the
+    countermodels the report holds: those given to ``add_countermodel``,
+    then the witnesses of the Invalid verdicts already read.
+
+    ``triviality`` decides the schema only when no held countermodel's
+    frame satisfies every stated condition.  When one does, the schema is
+    Invalid, and that model with premise 2's atom renamed to the schema's
+    fresh atom is a witness, re-verified before it is returned.  In it
+    premise 1 and ``<>a`` hold globally and the conclusion fails at the
+    witness's world; after renaming ``a`` to the fresh ``x``, premise 1'
+    holds globally, ``<>x`` holds at every world, and so
+    ``<>x -> conclusion'`` fails at that world.  This witness need not be
+    the one ``decide`` would extract, and no label ceiling applies to it.
     """
 
     def __init__(self, argument: Argument):
@@ -114,10 +127,26 @@ class AnalysisReport:
     @cached_property
     def triviality(self) -> Verdict | None:
         """None when the argument shape does not fit the schema."""
+        a = self.argument
         try:
-            return triviality_check(self.argument)
+            premises, conclusion = _triviality_query(a)
         except ShapeError:
             return None
+        for witness in _held_countermodels(self._verdicts, self._countermodels):
+            model = witness.model
+            if all(frame_satisfies(model, c) for c in a.frame):
+                subject = a.premises[1][1].operand.name
+                fresh = conclusion.left.operand.name  # the conclusion is <>fresh -> ...
+                valuation = {n: ws for n, ws in model.valuation.items() if n != subject}
+                valuation[fresh] = model.valuation.get(subject, frozenset())
+                renamed = KripkeModel(model.world_count, model.access, valuation)
+                # a module attribute lookup, so that a tracer rebinding
+                # enumeration._reverify sees this call
+                return Invalid(enumeration._reverify(
+                    CountermodelWitness(renamed, witness.world),
+                    [desugar(p) for p in premises], desugar(conclusion), a.frame,
+                ))
+        return triviality_check(a)
 
     @cached_property
     def minimal_frames(self) -> tuple[FrameClass, ...]:
@@ -276,11 +305,10 @@ def frame_requirement_search(
     """
     premises = a.premise_formulas()
     verdicts = dict(known)
-    witnesses = [*countermodels, *(v.witness for v in verdicts.values() if isinstance(v, Invalid))]
     minimal: list[FrameClass] = []
     # the conditions each countermodel's frame satisfies; a known Invalid
     # class is among its own, so the lookup below finds only Valid ones
-    refuted = [_conditions_satisfied(w.model) for w in witnesses]
+    refuted = [_conditions_satisfied(w.model) for w in _held_countermodels(verdicts, countermodels)]
     for subset in _SUBSETS:
         if any(m <= subset for m in minimal) or any(subset <= r for r in refuted):
             continue
@@ -292,6 +320,13 @@ def frame_requirement_search(
         else:
             refuted.append(_conditions_satisfied(verdict.witness.model))
     return minimal
+
+
+def _held_countermodels(
+    verdicts: dict[FrameClass, Verdict], countermodels: Iterable[CountermodelWitness],
+) -> list[CountermodelWitness]:
+    """The given countermodels, then the witnesses of the Invalid verdicts."""
+    return [*countermodels, *(v.witness for v in verdicts.values() if isinstance(v, Invalid))]
 
 
 def _conditions_satisfied(model: KripkeModel) -> FrameClass:

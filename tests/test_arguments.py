@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from modaltab import arguments
+from modaltab import arguments, enumeration
 from modaltab.arguments import (
     AnalysisReport,
     Argument,
@@ -21,7 +21,17 @@ from modaltab.arguments import (
     triviality_lifted,
 )
 from modaltab.enumeration import EnumerationBudget, find_countermodel, minimize_countermodel
-from modaltab.semantics import FrameCondition, evaluate, frame_satisfies, holds_globally, model_to_json
+from modaltab.enumeration import CountermodelWitness
+from modaltab.semantics import (
+    LOGICS,
+    FrameCondition,
+    KripkeModel,
+    evaluate,
+    frame_class,
+    frame_satisfies,
+    holds_globally,
+    model_to_json,
+)
 from modaltab.syntax import (
     And,
     Atom,
@@ -41,6 +51,7 @@ from modaltab.tableau import Invalid, ResourceLimit, Valid, decide, prove_valid
 K = frozenset()
 SYM = frozenset({FrameCondition.SYMMETRIC})
 EUCL = frozenset({FrameCondition.EUCLIDEAN})
+REFL = frozenset({FrameCondition.REFLEXIVE})
 
 
 @pytest.fixture
@@ -204,6 +215,136 @@ class TestTriviality:
         # confirmed by brute force
         lifted = parse("(p0 -> []p0) -> (<>p0 -> p0)")
         assert find_countermodel([], lifted, SYM, EnumerationBudget(3, ("p0",))) is not None
+
+
+class TestDerivedTriviality:
+    """``AnalysisReport.triviality`` reads an Invalid schema off a held
+    countermodel in the stated class instead of deciding it."""
+
+    # Invalid over reflexive frames, and so is its schema
+    GAP = Argument(
+        name="reflexive_gap",
+        premises=(("P1", parse("a -> []b")), ("P2", parse("<>a"))),
+        frame=REFL,
+        conclusion=parse("[]b"),
+    )
+
+    # one or two conditions, or a logic alias other than K
+    FRAMES = [
+        *([c.value] for c in FrameCondition),
+        *([a.value, b.value] for i, a in enumerate(FrameCondition) for b in list(FrameCondition)[i + 1:]),
+        *([name] for name in LOGICS if name != "K"),
+    ]
+
+    @staticmethod
+    def assert_refutes_the_schema(a, witness):
+        """Check the witness against the reference semantics."""
+        (premise,), conclusion = arguments._triviality_query(a)
+        model = witness.model
+        assert all(frame_satisfies(model, c) for c in a.frame)
+        assert holds_globally(model, desugar(premise))
+        assert not evaluate(model, witness.world, desugar(conclusion))
+
+    @staticmethod
+    def in_stated_class(a, verdict):
+        return isinstance(verdict, Invalid) and all(
+            frame_satisfies(verdict.witness.model, c) for c in a.frame)
+
+    @pytest.mark.parametrize("first", ["verdict", "verdict_without_frame"])
+    @pytest.mark.parametrize("name", [a.name for a in builtin_corpus()])
+    def test_corpus_agrees_with_the_decided_schema(self, name, first):
+        a = corpus_entry(name)
+        report = analyze(a)
+        getattr(report, first)
+        assert report.triviality.answer == triviality_check(a).answer
+
+    def test_random_arguments_agree_with_the_decided_schema(self):
+        """Seeded (P1, <>a) arguments over one or two conditions or a
+        logic alias, read in ``check``'s order and in ``--no-frame``'s."""
+        rng = random.Random(20261020)
+        compared = derived = 0
+        for _ in range(330):
+            a = Argument(
+                name="random",
+                premises=(("P1", _random_formula(rng, rng.randrange(1, 4))), ("P2", parse("<>a"))),
+                frame=frame_class(rng.choice(self.FRAMES)),
+                conclusion=_random_conclusion(rng),
+            )
+            try:
+                expected = triviality_check(a)
+                for first in ("verdict", "verdict_without_frame"):
+                    report = analyze(a)
+                    held = getattr(report, first)
+                    triviality = report.triviality
+                    assert triviality.answer == expected.answer, (a, first)
+                    if self.in_stated_class(a, held):
+                        self.assert_refutes_the_schema(a, triviality.witness)
+                        derived += 1
+            except ResourceLimit:
+                continue
+            compared += 1
+        assert compared >= 300
+        assert derived >= 100
+
+    def test_an_invalid_verdict_settles_the_schema(self, decided):
+        report = analyze(self.GAP)
+        assert isinstance(report.verdict, Invalid)
+        assert isinstance(report.triviality, Invalid)
+        assert decided == [REFL]
+        self.assert_refutes_the_schema(self.GAP, report.triviality.witness)
+
+    def test_a_valid_verdict_leaves_the_schema_to_decide(self, decided):
+        report = analyze(corpus_entry("eder_ramharter"))
+        assert isinstance(report.verdict, Valid)
+        assert isinstance(report.triviality, Valid)
+        assert decided == [SYM, SYM]
+
+    @pytest.mark.parametrize("name", [a.name for a in builtin_corpus()])
+    def test_a_countermodel_outside_the_stated_class_settles_nothing(self, decided, name):
+        a = corpus_entry(name)
+        report = analyze(a)
+        assert not self.in_stated_class(a, report.verdict_without_frame)
+        assert isinstance(report.triviality, Valid)
+        assert decided == [K, a.frame]
+
+    def test_a_given_countermodel_settles_the_schema(self, decided):
+        a = self.GAP
+        given = find_countermodel(a.premise_formulas(), a.conclusion, a.frame, EnumerationBudget(3, ("a", "b")))
+        report = analyze(a)
+        report.add_countermodel(given)
+        witness = report.triviality.witness
+        assert decided == []
+        # the given model, with a renamed to the schema's fresh atom
+        assert witness.world == given.world
+        assert witness.model.access == given.model.access
+        assert dict(witness.model.valuation) == {
+            "b": given.model.valuation["b"], "p0": given.model.valuation["a"]}
+
+    def test_the_derived_witness_is_reverified_once(self, monkeypatch):
+        a = self.GAP
+        report = analyze(a)
+        assert isinstance(report.verdict, Invalid)
+        calls = []
+        real = enumeration._reverify
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_reverify", counting)
+        witness = report.triviality.witness
+        (premise,), conclusion = arguments._triviality_query(a)
+        assert len(calls) == 1
+        assert calls[0] == (witness, [desugar(premise)], desugar(conclusion), a.frame)
+
+    def test_a_false_countermodel_fails_reverification(self, decided):
+        # its frame is reflexive, but P1 fails at w0
+        bogus = CountermodelWitness(KripkeModel(1, {(0, 0)}, {"a": {0}}), 0)
+        report = analyze(self.GAP)
+        report.add_countermodel(bogus)
+        with pytest.raises(AssertionError, match="premise"):
+            report.triviality
+        assert decided == []
 
 
 class TestFrameRequirementSearch:

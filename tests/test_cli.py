@@ -99,6 +99,20 @@ class TestCheck:
         assert len(seen) == calls
         assert len({(tuple(p), c, f) for p, c, f in seen}) == len(seen)  # none decided twice
 
+    def test_an_invalid_argument_file_decides_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({
+            "name": "reflexive_gap",
+            "premises": [{"name": "P1", "formula": "a -> []b"}, {"name": "P2", "formula": "<>a"}],
+            "frame": ["reflexive"],
+            "conclusion": "[]b",
+        }))
+        # the main verdict; its countermodel settles the triviality schema
+        assert len(self._decides(capsys, monkeypatch, ["check", str(path)])) == 1
+        code, out, _ = run(capsys, "check", str(path), "--json", "--stable")
+        assert code == 1
+        assert json.loads(out)["triviality"] == "invalid"
+
     @staticmethod
     def _decides(capsys, monkeypatch, argv):
         """The arguments of each ``arguments.decide`` call one command makes."""
