@@ -33,7 +33,9 @@ from .syntax import (
     print_formula,
     substitute,
 )
-from .tableau import Invalid, Valid, Verdict, decide, prove_valid
+from .tableau import Invalid, Valid, Verdict, decide
+# not called here; verdictbench/spans.py rebinds these names on this module
+from .tableau import prove_valid  # noqa: F401
 
 __all__ = [
     "Argument",
@@ -47,7 +49,6 @@ __all__ = [
     "corpus_entry",
     "analyze",
     "triviality_check",
-    "triviality_lifted",
     "frame_requirement_search",
     "axiom_correspondence_suite",
     "corpus_suite",
@@ -241,14 +242,6 @@ def triviality_check(a: Argument) -> Verdict:
     """
     premises, conclusion = _triviality_query(a)
     return decide(premises, conclusion, a.frame)
-
-
-def triviality_lifted(a: Argument) -> Verdict:
-    """Alternative reading of the triviality schema as one lifted formula
-    valid over the frame class, rather than a global consequence.  Offered
-    for comparison; no built-in suite asserts its outcome."""
-    (p1,), conclusion = _triviality_query(a)
-    return prove_valid(Implies(p1, conclusion), a.frame)
 
 
 def _triviality_query(a: Argument) -> tuple[list[Formula], Formula]:

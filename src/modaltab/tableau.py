@@ -8,7 +8,9 @@ label receives the premises again, box formulas propagate along edges,
 diamonds spawn successors, and the edge set is kept closed under the
 frame class's Horn conditions (reflexive, symmetric, transitive,
 Euclidean) at all times; seriality adds successors to successor-less
-labels.  A branch closes on a complementary literal pair at one label.
+labels.  A branch closes on a complementary literal pair at one label:
+the literal that completes the pair triggers a closure step, which has
+the highest priority of all queued steps and ends the branch.
 
 Termination comes from anywhere-blocking: a label subsumed by an earlier
 unblocked label spawns no successors.  Subsumption is by subset of
@@ -101,8 +103,8 @@ DEFAULT_MAX_LABELS = 10_000
 
 
 class ResourceLimit(RuntimeError):
-    """Node ceiling exceeded; at the intended problem scale this signals a
-    bug rather than a hard query."""
+    """Label or step ceiling exceeded; at the intended problem scale this
+    signals a bug rather than a hard query."""
 
 
 class NotSaturated(ValueError):
@@ -191,8 +193,9 @@ Verdict = Valid | Invalid
 
 # Rule priority per queued step; lower fires first, ties broken by the
 # step's target label (a box step's destination, any other step's first
-# label), then by arrival.
-_PRIORITY = {"alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
+# label), then by arrival.  A closure fires before anything else; all the
+# literals one step adds go to one label, so the first clash to arrive wins.
+_PRIORITY = {"closure": -1, "alpha": 0, "box": 1, "frame-closure": 2, "beta": 3, "diamond": 4, "serial": 5}
 # Rules that spawn a successor; a step names only the parent label.
 _SPAWNING = frozenset({"diamond", "serial"})
 
@@ -341,9 +344,11 @@ class _Table:
 class _Budget:
     """Work limits shared across all branches of one decide call.
 
-    The step ceiling catches exponential branching storms that create few
-    labels; both limits are far above anything the intended problem scale
-    needs, so tripping one signals a malformed or out-of-scope query.
+    The step ceiling counts every step popped from a queue, closure steps
+    included, fired or not; it catches exponential branching storms that
+    create few labels.  Both limits are far above anything the intended
+    problem scale needs, so tripping one signals a malformed or
+    out-of-scope query.
     """
 
     __slots__ = ("labels_created", "steps_taken", "max_labels", "max_steps")
@@ -371,7 +376,7 @@ class _Branch:
     may license, handed to ``emit``), licence (:meth:`licensed`, which also
     gives a licensed step's dependency mask) and effect (:meth:`fire`).
     Shared by the search, proof replay and the saturation check, so it
-    enqueues no work and detects no closure.
+    enqueues no work.
 
     The branch holds formula ids of one per-query ``table``: each label
     set maps ids to masks, a step's formula is an id, and ``premises``
@@ -434,8 +439,15 @@ class _Branch:
             emit(("frame-closure", (label, label), None))
 
     def formula_steps(self, label: int, f: int, emit) -> None:
-        kind = self.table.kind[f]
-        if kind == _AND:
+        t = self.table
+        kind = t.kind[f]
+        if kind == _ATOM:
+            if t.negated[f] in self.label_sets[label]:
+                emit(("closure", (label,), f))
+        elif kind == _LITERAL:
+            if t.left[f] in self.label_sets[label]:
+                emit(("closure", (label,), t.left[f]))
+        elif kind == _AND:
             emit(("alpha", (label,), f))
         elif kind == _OR:
             emit(("beta", (label,), f))
@@ -445,7 +457,7 @@ class _Branch:
             for m in self.out_edges[label]:
                 # K-arrival of the operand plus possible transfer of f itself
                 if kind == _BOX:
-                    emit(("box", (label, m), self.table.left[f]))
+                    emit(("box", (label, m), t.left[f]))
                 emit(("box", (label, m), f))
             if self.mask & FRAME_EUCLIDEAN:
                 # backward transfer is only ever licensed on Euclidean frames
@@ -598,9 +610,10 @@ class _Branch:
 
 
 class _State(_Branch):
-    """One tableau branch under search: the step queue, closure detection,
-    blocking, the number of beta splits open above it (``depth``), and the
-    budget and proof record shared by every branch."""
+    """One tableau branch under search: the step queue, whether a closure
+    step has fired (``closed``), blocking, the number of beta splits open
+    above it (``depth``), and the budget and proof record shared by every
+    branch."""
 
     __slots__ = (
         "heap",
@@ -618,7 +631,7 @@ class _State(_Branch):
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.queued: set[tuple] = set()
-        self.closed: tuple[int, int] | None = None  # (label, atom id)
+        self.closed = False
         # (step, dependency mask, search id of a spawn's new label or None)
         # per fired step, in firing order; see _run
         self.proof: list[tuple] = []
@@ -668,14 +681,6 @@ class _State(_Branch):
         if not super().add_formula(label, f, deps):
             return False
         self._blocked = None
-        kind = self.table.kind[f]
-        if kind == _ATOM:
-            if self.table.negated[f] in self.label_sets[label] and self.closed is None:
-                self.closed = (label, f)
-        elif kind == _LITERAL:
-            atom = self.table.left[f]
-            if atom in self.label_sets[label] and self.closed is None:
-                self.closed = (label, atom)
         self.formula_steps(label, f, self.enqueue)
         return True
 
@@ -706,8 +711,9 @@ class _State(_Branch):
 def _dispatch(state: _State, step: tuple) -> _State | None:
     """Fire one queued step if the branch licenses it and, for a spawn, its
     label is unblocked, and record it with the dependency mask its licence
-    gives; a beta step returns the right branch of its split.  A beta
-    step's disjuncts depend on its split too, bit ``1 << depth``."""
+    gives; a closure ends the branch, and a beta step returns the right
+    branch of its split.  A beta step's disjuncts depend on its split too,
+    bit ``1 << depth``."""
     state.budget.count_step()
     rule, labels, f = step
     deps = state.licensed(rule, labels, f)
@@ -721,6 +727,9 @@ def _dispatch(state: _State, step: tuple) -> _State | None:
         state.depth += 1
     child = len(state.label_sets) if spawns else None
     state.proof.append((step, deps, child))
+    if rule == "closure":
+        state.closed = True
+        return None
     right = state.fire(rule, labels, f, deps)
     if spawns:
         state.label_steps(child, state.enqueue)
@@ -737,21 +746,15 @@ def _audit(state: _State) -> bool:
 
 def _expand_segment(state: _State) -> _State | None:
     """Run queued steps until the branch closes, splits, or saturates.
-    Returns a split's right branch; None once the branch is closed (its
-    closure recorded) or open."""
+    Returns a split's right branch; None once the branch is closed or open."""
     while True:
-        while state.heap and state.closed is None:
+        while state.heap and not state.closed:
             _, _, _, step = heapq.heappop(state.heap)
             state.queued.discard(step)
             split = _dispatch(state, step)
             if split is not None:
                 return split
-        if state.closed is not None:
-            label, atom = state.closed
-            step = ("closure", (label,), atom)
-            state.proof.append((step, state.licensed(*step), None))
-            return None
-        if not _audit(state):
+        if state.closed or not _audit(state):
             return None
 
 
@@ -789,7 +792,7 @@ def _run(state: _State) -> _State | None:
         if right is not None:
             splits.append((right, len(proof) - 1, None, None))
             continue
-        if state.closed is None:
+        if not state.closed:
             return state
         deps = proof[-1][1]
         while splits:
@@ -831,22 +834,16 @@ def _renumber(entries: list[tuple], table: _Table) -> tuple[tuple, ...]:
 
 
 def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
-    """Raise NotSaturated if the branch is closed or a rule still applies: a
-    licensed non-spawning step that a label, formula or edge triggers, or a
+    """Raise NotSaturated if a rule still applies: a licensed non-spawning
+    step (a closure too) that a label, formula or edge triggers, or a
     spawning step owed by an unblocked label (``blocked``: blocked_by per label)."""
-    sets = branch.label_sets
-    for lid, s in enumerate(sets):
-        for f in s:
-            if branch.licensed("closure", (lid,), f) is not None:
-                name = branch.table.name[f]
-                raise NotSaturated(f"branch is closed: {name} and ~{name} at label {lid}")
 
     def emit(step: tuple) -> None:
         rule, labels, f = step
         if rule not in _SPAWNING and branch.licensed(rule, labels, f) is not None:
             raise NotSaturated(f"{rule} rule applicable at label {labels[0]}")
 
-    for lid, s in enumerate(sets):
+    for lid, s in enumerate(branch.label_sets):
         branch.label_steps(lid, emit)
         for f in s:
             branch.formula_steps(lid, f, emit)

@@ -207,6 +207,7 @@ class TestExtractCountermodel:
         ("beta", K, [{Or(Atom("p"), Atom("q"))}], [], 0),
         ("box", K, [{Box(Atom("p"))}, set()], [(0, 1)], 0),
         ("diamond", K, [{Diamond(Atom("p"))}], [], 0),
+        ("closure", K, [{Atom("p"), Not(Atom("p"))}], [], 0),
         ("serial", SERIAL, [{Atom("p")}], [], 0),
         # one Horn closure step short: (0, 0); (1, 0); (0, 2); and (1, 2),
         # the only pair missing from the Euclidean closure of these edges
@@ -243,9 +244,40 @@ class TestEuclideanTransfers:
         assert _expand_segment(state) is None and box not in state.label_sets[1]
         state.add_edge(1, 0)
         assert ("box", (0, 1), box) in state.queued
-        assert _expand_segment(state) is None and state.closed is None
+        assert _expand_segment(state) is None and not state.closed
         _check_branch_saturated(state, state.blocking())
         assert all(box in s and p in s for s in state.label_sets)
+
+
+class TestClosureStep:
+    """Closure is a queued step: the literal that completes a complementary
+    pair triggers it, and it fires before any other step."""
+
+    def test_a_clash_in_the_seeds_is_the_only_step(self):
+        verdict, popped = _counting_popped(lambda: decide([Atom("p")], Atom("p"), K))
+        assert popped == 1
+        assert verdict.proof.nodes == (("closure", (0,), Atom("p")),)
+
+    @pytest.mark.parametrize("first,second", [("p", "q"), ("q", "p")])
+    def test_an_alpha_step_closes_on_the_literal_it_adds_first(self, first, second):
+        # ~(first & second) negated is first & second; both components clash
+        # with a premise, and the first one added closes the branch
+        conjunction = And(Atom(first), Atom(second))
+        premises = [Not(Atom("p")), Not(Atom("q"))]
+        verdict = decide(premises, Not(conjunction), K)
+        assert verdict.proof.nodes == (("alpha", (0,), conjunction), ("closure", (0,), Atom(first)))
+        assert check_proof(verdict.proof, premises, Not(conjunction), K)
+
+    def test_a_premise_at_a_spawned_child_closes_at_the_child(self):
+        # the negated conclusion <>p spawns a child holding p, then the
+        # premise ~p arrives there
+        premises, conclusion = [Not(Atom("p"))], Box(Not(Atom("p")))
+        verdict = decide(premises, conclusion, K)
+        assert verdict.proof.nodes == (
+            ("diamond", (0,), Diamond(Atom("p"))),
+            ("closure", (1,), Atom("p")),
+        )
+        assert check_proof(verdict.proof, premises, conclusion, K)
 
 
 class ReferenceTable:
@@ -1271,13 +1303,13 @@ class TestGoldenOutcomes:
     # the 810 Valid lines
     PROOFS_DIGEST = "9f73e1511f55c4c56fcb6a868e19ea0821014e21f1d70f83bc0a48f38cd1c7a0"
     # steps popped over all 2,384 queries
-    POPPED_STEPS = 15_693
+    POPPED_STEPS = 16_998
     # the 792 deep queries' Invalid lines (none raises)
     DEEP_DIGEST = "82bc0f158d5b03ef33b0dcff06734ee2793cbcab44d750d1c9a34685be917721"
     # the 208 deep queries' Valid lines
     DEEP_PROOFS_DIGEST = "a4ca50b4c7d8027ac233e7f8f25ae38be8f97d67dfc106ec4c0af8b75ff6a440"
     # steps popped over all 1,000 deep queries
-    DEEP_POPPED_STEPS = 31_144
+    DEEP_POPPED_STEPS = 32_180
 
     def test_outcomes_unchanged(self):
         assert _digest(False) == self.DIGEST
