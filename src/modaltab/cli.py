@@ -11,7 +11,11 @@ internal error (any other exception, such as a countermodel that fails
 its re-verification) is reported as one ``error: internal error: ...``
 line, not as a traceback with exit 1, which would read as "invalid".
 ``--json`` reports are byte-deterministic for fixed inputs once
-``--stable`` zeroes the timing fields.
+``--stable`` zeroes the timing fields.  Their bytes are those of
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline;
+``_json_text`` prints them itself, with the C string escaper of the
+``json`` module, since an indent sends ``json.dumps`` down its
+pure-Python encoder.
 
 The timing field ``elapsed_ms`` covers the deciding a command prints.
 For ``check`` and ``countermodel`` that is the main verdict, the
@@ -27,6 +31,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import stat
 import sys
@@ -172,8 +177,75 @@ def _verdict_dict(verdict: Verdict, witness: CountermodelWitness | None) -> dict
     }
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# the C escaper when the ``_json`` accelerator is built, as it is in CPython
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc: object) -> str:
+    """``doc`` as a JSON report: byte-equal to ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"``, which leaves the C encoder for the
+    pure-Python one once an indent is given.  What ``json.dumps`` refuses
+    raises too: TypeError for a value or key of another type (with
+    ``json``'s message for a value), RecursionError for a cycle, which no
+    report holds."""
+    out: list[str] = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``newline`` is the line
+    break and indent of ``o``'s own level."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(f"{sep}{_escape(key if isinstance(key, str) else _scalar_text(key))}: ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_scalar_text(o))
+
+
+def _scalar_text(o) -> str:
+    """JSON text of ``None``, a bool, an int or a float, spelled as
+    ``json`` spells it (``NaN``, ``Infinity``); also the text of such a
+    dictionary key before it is quoted."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _emit(out: str) -> None:

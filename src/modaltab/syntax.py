@@ -199,155 +199,158 @@ class FormulaSyntaxError(ValueError):
 # of a desugared parsed formula and of its negation, and hence every
 # formula a proof records, parses again.  The desugared formula itself
 # need not: ``desugar`` makes each ``|>`` four levels deep
-# (``~<>(a & ~b)``).  Each nesting level costs the parser, the
-# transforms, printer, evaluator and compiler at most three stack frames,
-# which keeps all of them well under the default recursion limit of 1000.
+# (``~<>(a & ~b)``).  The parser keeps its own stack and recurses
+# nowhere; each nesting level costs the transforms, printer, evaluator
+# and compiler at most three stack frames, which keeps all of them well
+# under the default recursion limit of 1000.
 MAX_DEPTH = 100
 
 _Token = tuple[str, str, int]  # (kind, spelling, char position)
 
-# spelling -> class of each unary connective; spelling -> (class,
-# precedence) of each binary one
-_UNARY = {a: c for c, (a, _, _) in _CONNECTIVES.items() if issubclass(c, _Unary)}
-_BINARY = {a: (c, prec) for c, (a, _, prec) in _CONNECTIVES.items() if issubclass(c, _Binary)}
 _DOUBLE_DEPTH = (Iff, StrictImplies)  # the connectives NNF expands by one extra level
-_STARTS = (*_UNARY, "(", "identifier")  # the tokens that can start a formula
+
+# Each spelling, ASCII or glyph, of a unary connective -> its class, and
+# of a binary one -> (precedence, class, depth the connective adds).
+_UNARY = {
+    s: c for c, (a, u, _) in _CONNECTIVES.items() if issubclass(c, _Unary) for s in (a, u)
+}
+_BINARY = {
+    s: (prec, c, 1 + (c in _DOUBLE_DEPTH))
+    for c, (a, u, prec) in _CONNECTIVES.items() if issubclass(c, _Binary) for s in (a, u)
+}
+# the tokens that can start a formula
+_STARTS = (*(s for s in _UNARY if s.isascii()), "(", "identifier")
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH} levels"
 
 # longest first, so that ``<->`` is not read as ``<`` and ``|>`` not as ``|``
 _PUNCT = sorted([a for a, _, _ in _CONNECTIVES.values()] + ["(", ")"], key=len, reverse=True)
 
-# One alternative per token class, tried in order at each position:
-# skipped whitespace and ``#`` comments (no group), then group 1 a
-# connective or parenthesis, 2 a Unicode glyph, 3 an identifier, and 4
-# any other character, which is an error.  Every character starts some
-# alternative, so the matches cover the text without gaps.
+# Skipped whitespace and ``#`` comments match outside the one group;
+# every other match is a token, its spelling in group 1: a connective or
+# parenthesis, a Unicode glyph, an identifier, or any other character,
+# which is an error.  Every character starts some alternative, so the
+# matches cover the text without gaps, and ``findall`` lists the tokens
+# with an empty string for each skipped stretch.
 _TOKEN_RE = re.compile(
     "[ \t\r\n]+|#[^\n]*\n?"
-    f"|({'|'.join(map(re.escape, _PUNCT))})"
-    f"|([{''.join(_UNICODE_ALIASES)}])"
-    f"|({_IDENT_RE.pattern})"
-    "|(.)",
+    f"|({'|'.join(map(re.escape, _PUNCT))}"
+    f"|[{''.join(_UNICODE_ALIASES)}]"
+    f"|{_IDENT_RE.pattern}"
+    "|.)",
     re.DOTALL,
 )
+# the characters an identifier starts with, which no other token does
+_IDENT_START = frozenset(c for c in map(chr, range(128)) if _IDENT_RE.match(c))
+_END = " "  # stands for the end of input in ``parse``'s token list: never a token
 
 
 def _tokenize(text: str) -> Iterator[_Token]:
+    """Each token of ``text`` with its kind (glyphs under their ASCII
+    spelling) and character position, then ``eof``; raises at the first
+    character that starts no token."""
     for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group is None:
+        s = m.group(1)
+        if not s:
             continue
-        spelling = m.group(group)
-        if group == 1:
-            yield (spelling, spelling, m.start())
-        elif group == 2:
-            yield (_UNICODE_ALIASES[spelling], _UNICODE_ALIASES[spelling], m.start())
-        elif group == 3:
-            yield ("ident", spelling, m.start())
+        s = _UNICODE_ALIASES.get(s, s)
+        if s in _PUNCT:
+            yield (s, s, m.start())
+        elif s[0] in _IDENT_START:
+            yield ("ident", s, m.start())
         else:
             raise FormulaSyntaxError(text, m.start(), _STARTS)
     yield ("eof", "", len(text))
 
 
-class _Parser:
-    """Operator precedence over binary connectives, recursive descent below:
-
-    formula := unary (BINARY unary)* ;
-    unary := UNARY* primary ;
-    primary := IDENT | "(" formula ")"
-
-    The connectives and their precedences come from ``_CONNECTIVES``; the
-    binary level ``_PREC_IMP`` associates to the right, every other to
-    the left.  Only parentheses recurse; every rule returns its formula
-    with its depth.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.nesting = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise FormulaSyntaxError(self.text, tok[2], (kind,))
-        self.pos += 1
-        return tok
-
-    def too_deep(self, tok: _Token) -> FormulaSyntaxError:
-        return FormulaSyntaxError(
-            self.text, tok[2], (), f"formula nested deeper than {MAX_DEPTH} levels"
-        )
-
-    def node(self, tok: _Token, f: Formula, depth: int) -> tuple[Formula, int]:
-        """``f`` built at operator ``tok``, with its depth, if not too deep."""
-        if depth > MAX_DEPTH:
-            raise self.too_deep(tok)
-        return f, depth
-
-    def formula(self) -> tuple[Formula, int]:
-        operands = [self.unary()]
-        pending: list[_Token] = []  # connectives still waiting for their right operand
-        while (tok := self.peek())[0] in _BINARY:
-            prec = _BINARY[tok[0]][1]
-            # a pending connective that binds more tightly, or as tightly on a
-            # left-associative level, has its right operand complete
-            while pending and _BINARY[pending[-1][0]][1] >= prec + (prec == _PREC_IMP):
-                self.apply(pending.pop(), operands)
-            pending.append(self.take(tok[0]))
-            operands.append(self.unary())
-        while pending:
-            self.apply(pending.pop(), operands)
-        return operands[0]
-
-    def apply(self, tok: _Token, operands: list[tuple[Formula, int]]) -> None:
-        """Replace the last two operands by connective ``tok`` over them."""
-        g, e = operands.pop()
-        f, d = operands.pop()
-        cls = _BINARY[tok[0]][0]
-        step = 2 if cls in _DOUBLE_DEPTH else 1
-        operands.append(self.node(tok, cls(f, g), step + max(d, e)))
-
-    def unary(self) -> tuple[Formula, int]:
-        ops = []
-        while self.peek()[0] in _UNARY:
-            ops.append(self.take(self.peek()[0]))
-        f, d = self.primary()
-        for tok in reversed(ops):
-            literal = tok[0] == "~" and isinstance(f, Atom)  # adds no depth
-            f, d = self.node(tok, _UNARY[tok[0]](f), d if literal else d + 1)
-        return f, d
-
-    def primary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok[0] == "ident":
-            self.take("ident")
-            return Atom(tok[1]), 0
-        if tok[0] == "(":
-            self.take("(")
-            self.nesting += 1
-            if self.nesting > MAX_DEPTH:
-                raise self.too_deep(tok)
-            result = self.formula()
-            self.take(")")
-            self.nesting -= 1
-            return result
-        raise FormulaSyntaxError(self.text, tok[2], _STARTS)
+def _error(
+    text: str, index: int, expected: tuple[str, ...], reason: str | None = None
+) -> FormulaSyntaxError:
+    """The error at token ``index`` of ``text`` (``eof`` counted), placed
+    at that token's position, which only the error path computes.  A
+    character that starts no token is reported instead, wherever it is:
+    the tokenizer's error wins over any syntax error."""
+    tokens = list(_tokenize(text))  # raises the tokenizer's error
+    return FormulaSyntaxError(text, tokens[index][2], expected, reason)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a Formula; whitespace and comments ignored.
 
+    Operator precedence over binary connectives, with unary connectives
+    and parentheses below::
+
+        formula := unary (BINARY unary)* ;
+        unary := UNARY* primary ;
+        primary := IDENT | "(" formula ")"
+
+    The connectives and their precedences come from ``_CONNECTIVES``; the
+    binary level ``_PREC_IMP`` associates to the right, every other to
+    the left.  One loop walks the token list that ``_TOKEN_RE.findall``
+    gives, and an open parenthesis saves its level's state on a stack
+    instead of recursing.  Every operand carries its depth.
+
     Raises FormulaSyntaxError on malformed input and on input deeper than
     ``MAX_DEPTH``.
     """
-    parser = _Parser(text)
-    f, _ = parser.formula()
-    parser.take("eof")
-    return f
+    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    end = len(tokens)
+    tokens.append(_END)
+    saved = []  # per open parenthesis: its level's operands, pending and prefixes
+    operands = []  # (formula, depth) of each left operand still waiting at this level
+    pending = []  # (precedence, class, depth step, token index) of each waiting connective
+    i = 0
+    while True:
+        first = i  # the unary prefixes are tokens[first:i]
+        while tokens[i] in _UNARY:
+            i += 1
+        s = tokens[i]
+        if s == "(":
+            if len(saved) == MAX_DEPTH:
+                raise _error(text, i, (), _TOO_DEEP)
+            saved.append((operands, pending, first, i))
+            operands, pending = [], []
+            i += 1
+            continue
+        if s[0] not in _IDENT_START:
+            raise _error(text, i, _STARTS)
+        f, d = Atom(s), 0
+        last = i
+        i += 1
+        while True:
+            # the prefixes tokens[first:last], innermost first; a negated
+            # atom adds no depth
+            for j in range(last - 1, first - 1, -1):
+                cls = _UNARY[tokens[j]]
+                if cls is not Not or type(f) is not Atom:
+                    d += 1
+                    if d > MAX_DEPTH:
+                        raise _error(text, j, (), _TOO_DEEP)
+                f = cls(f)
+            binary = _BINARY.get(tokens[i])
+            # a waiting connective that binds more tightly, or as tightly on a
+            # left-associative level, has its right operand (f, d) complete;
+            # at the end of a level every one has
+            bound = 0 if binary is None else binary[0] + (binary[0] == _PREC_IMP)
+            while pending and pending[-1][0] >= bound:
+                _, cls, step, j = pending.pop()
+                g, e = operands.pop()
+                d = (e if e > d else d) + step
+                if d > MAX_DEPTH:
+                    raise _error(text, j, (), _TOO_DEEP)
+                f = cls(g, f)
+            if binary is not None:
+                operands.append((f, d))
+                pending.append((*binary, i))
+                i += 1
+                break
+            if not saved:
+                if i != end:
+                    raise _error(text, i, ("eof",))
+                return f
+            if tokens[i] != ")":
+                raise _error(text, i, (")",))
+            i += 1
+            operands, pending, first, last = saved.pop()
 
 
 def _connective(f: Formula) -> tuple[str, str, int]:
@@ -370,6 +373,8 @@ def print_formula(f: Formula, unicode: bool = False) -> str:
     again, or a formula that shares subtrees with one already printed,
     reuses it; Unicode output is never cached.
     """
+    if not unicode and (text := f._text) is not None:
+        return text  # printed before: no renderer is built
     column = 1 if unicode else 0
 
     def wrap(g: Formula, limit: int) -> str:

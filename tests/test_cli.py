@@ -539,6 +539,65 @@ class TestDeterminism:
         assert first == second
 
 
+# JSON documents for ``_json_text``: strings with quotes, backslashes,
+# control, non-ASCII and astral characters and lone surrogates; ints past
+# 64 bits; json's special floats; tuples; empty and nested containers
+JSON_STRINGS = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\U0001f600\ud800\udc80\udfff') | st.characters(),
+    max_size=10,
+)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf")])
+    | JSON_STRINGS
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda docs: st.lists(docs, max_size=4) | st.lists(docs, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, docs, max_size=4),
+    max_leaves=30,
+)
+
+
+def stdlib_json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonText:
+    """Reports are printed by ``cli._json_text``, which must give the
+    bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``."""
+
+    @given(JSON_DOCS)
+    @settings(max_examples=600)
+    def test_equals_the_stdlib_encoding(self, doc):
+        assert cli._json_text(doc) == stdlib_json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), "", None, True, False, 0, 2**64, -2**100, -0.0, 5e-324, 1e300,
+        float("nan"), float("inf"), -float("inf"), "\ud800", "\U0001f600", '"\\\x00\x1f\x7f é',
+        {"b": [(), {}, [[]]], "a": {"c": (1, "x")}},
+        {2: "two", 10: "ten", -1: "minus one"}, {2.5: 0, -0.0: 1, float("inf"): 2},
+        {None: 0}, {True: 0, False: 1},
+    ])
+    def test_edge_values(self, doc):
+        assert cli._json_text(doc) == stdlib_json_text(doc)
+
+    @pytest.mark.parametrize("doc", [object(), {"a": {1, 2}}, [b"bytes"], {"k": [1, 2j]}])
+    def test_an_unsupported_value_raises_type_error(self, doc):
+        with pytest.raises(TypeError) as expected:
+            stdlib_json_text(doc)
+        with pytest.raises(TypeError) as raised:
+            cli._json_text(doc)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 3}, {"a": 1, 2: 3}])
+    def test_an_unsupported_key_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            stdlib_json_text(doc)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
 # sha256 of the `--json --stable` output of each command.  Formula hashes
 # differ from one process to the next, so a digest that changes between
 # runs exposes output that depends on hash or set order.

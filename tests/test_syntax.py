@@ -181,7 +181,7 @@ class _ReferenceParser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = list(_tokenize(text))
+        self.tokens = list(reference_tokenize(text))
         self.pos = 0
         self.nesting = 0
 
@@ -329,11 +329,28 @@ class TestAgainstReferenceParser:
     formula, or raises at the same byte offset with the same expected set
     and message."""
 
-    @given(st.lists(st.sampled_from(PARSE_TOKENS), min_size=1, max_size=13),
+    @given(st.lists(st.sampled_from(PARSE_TOKENS) | st.sampled_from(TEXT_PIECES),
+                    min_size=1, max_size=13),
            st.lists(st.sampled_from(["", " "]), min_size=13, max_size=13))
     @settings(max_examples=1000)
     def test_random_token_strings(self, tokens, gaps):
+        # glyphs, comments, stray and non-ASCII characters and surrogates
+        # among the tokens: ``parse`` finds positions only when it raises
         text = "".join(t + gap for t, gap in zip(tokens, gaps))
+        assert _formula_or_error(parse, text) == _formula_or_error(reference_parse, text)
+
+    @pytest.mark.parametrize("text,offset", [
+        ("p q !", 4),  # a stray token first, then a bad character
+        ("(p & q é", 7),  # an unclosed parenthesis
+        ("-> p $", 5),  # no operand
+        ("~" * (MAX_DEPTH + 1) + "[]" * MAX_DEPTH + "p\x00", 3 * MAX_DEPTH + 2),  # too deep
+        ("p\n# comment\n) ¬ \udc80", 17),
+    ], ids=["stray-token", "unclosed", "no-operand", "too-deep", "after-comment"])
+    def test_a_bad_character_wins_over_an_earlier_syntax_error(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as e:
+            parse(text)
+        assert e.value.offset == offset
+        assert e.value.expected == ("(", "<>", "[]", "identifier", "~")
         assert _formula_or_error(parse, text) == _formula_or_error(reference_parse, text)
 
     @pytest.mark.parametrize("shape", sorted(NESTED))
@@ -389,9 +406,9 @@ class TestFramesPerLevel:
         call_within(frames, call, f)
 
     def test_parse_at_the_nesting_bound(self):
-        # only parentheses recurse in the parser: formula, unary, primary
+        # the parser keeps its own stack: no frame per parenthesis
         build, _ = NESTED["parentheses"]
-        call_within(3, parse, build(MAX_DEPTH))
+        call_within(0, parse, build(MAX_DEPTH))
 
 
 class TestPrint:
@@ -537,6 +554,16 @@ class TestTextCache:
         assert f._text is None  # unicode output never writes the cache
         object.__setattr__(f, "_text", "bogus")
         assert print_formula(f, unicode=True) == "□(p ∧ q)"  # nor reads it
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
+    @settings(max_examples=150)
+    def test_a_printed_node_returns_its_cached_text(self, f):
+        node = rebuild(f)
+        text = print_formula(node)
+        assert node._text is text
+        assert print_formula(node) is text  # read back, not rendered again
+        assert print_formula(rebuild(f)) == text
+        assert print_formula(node, unicode=True) == print_formula(rebuild(f), unicode=True)
 
     @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
     @settings(max_examples=150)
