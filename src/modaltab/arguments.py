@@ -8,6 +8,11 @@ triviality schema showing the first premise already collapses the
 argument to "possibility implies (necessary) existence", minimal frame
 requirement search, the standard-axiom correspondence suite, a step-wise
 derivation replay, and the modal modus-tollens checks.
+
+The triviality schema of premises ``P1, <>a`` and conclusion ``C`` is the
+query ``[P1] => <>a -> C`` on the argument's own atoms.  A countermodel of
+the argument whose frame meets the stated conditions refutes it as it
+stands, so an analysis that holds one returns it without a ``decide``.
 """
 
 from __future__ import annotations
@@ -21,18 +26,7 @@ from operator import itemgetter
 from . import enumeration
 from .enumeration import CountermodelWitness, minimize_countermodel
 from .semantics import LOGICS, FrameClass, FrameCondition, KripkeModel, frame_satisfies
-from .syntax import (
-    Atom,
-    Diamond,
-    Formula,
-    Implies,
-    atoms_of,
-    desugar,
-    fresh_atom,
-    parse,
-    print_formula,
-    substitute,
-)
+from .syntax import Atom, Diamond, Formula, Implies, desugar, parse, print_formula
 from .tableau import Invalid, Valid, Verdict, decide
 # not called here; verdictbench/spans.py rebinds these names on this module
 from .tableau import prove_valid  # noqa: F401
@@ -87,15 +81,14 @@ class AnalysisReport:
     countermodels the report holds: those given to ``add_countermodel``,
     then the witnesses of the Invalid verdicts already read.
 
-    ``triviality`` decides the schema only when no held countermodel's
-    frame satisfies every stated condition.  When one does, the schema is
-    Invalid, and that model with premise 2's atom renamed to the schema's
-    fresh atom is a witness, re-verified before it is returned.  In it
-    premise 1 and ``<>a`` hold globally and the conclusion fails at the
-    witness's world; after renaming ``a`` to the fresh ``x``, premise 1'
-    holds globally, ``<>x`` holds at every world, and so
-    ``<>x -> conclusion'`` fails at that world.  This witness need not be
-    the one ``decide`` would extract, and no label ceiling applies to it.
+    ``triviality`` decides the schema ``[premise 1] => <>a -> conclusion``
+    only when no held countermodel's frame satisfies every stated
+    condition.  When one does, the schema is Invalid, and that countermodel
+    is returned as it is, re-verified against the schema: premise 1 and
+    ``<>a`` hold at every one of its worlds and the conclusion fails at the
+    witness's world, so ``<>a -> conclusion`` fails there.  This witness
+    need not be the one ``decide`` would extract, and no label ceiling
+    applies to it.
     """
 
     def __init__(self, argument: Argument):
@@ -134,19 +127,11 @@ class AnalysisReport:
         except ShapeError:
             return None
         for witness in _held_countermodels(self._verdicts, self._countermodels):
-            model = witness.model
-            if all(frame_satisfies(model, c) for c in a.frame):
-                subject = a.premises[1][1].operand.name
-                fresh = conclusion.left.operand.name  # the conclusion is <>fresh -> ...
-                valuation = {n: ws for n, ws in model.valuation.items() if n != subject}
-                valuation[fresh] = model.valuation.get(subject, frozenset())
-                renamed = KripkeModel(model.world_count, model.access, valuation)
+            if all(frame_satisfies(witness.model, c) for c in a.frame):
                 # a module attribute lookup, so that a tracer rebinding
                 # enumeration._reverify sees this call
                 return Invalid(enumeration._reverify(
-                    CountermodelWitness(renamed, witness.world),
-                    [desugar(p) for p in premises], desugar(conclusion), a.frame,
-                ))
+                    witness, [desugar(p) for p in premises], desugar(conclusion), a.frame))
         return triviality_check(a)
 
     @cached_property
@@ -236,29 +221,23 @@ def triviality_check(a: Argument) -> Verdict:
     implies the conclusion"?
 
     The argument must consist of exactly two premises with the second a
-    bare possibility claim.  Both premise 1 and the conclusion are
-    schematized by a fresh atom, and the check is the global consequence
-    premise1' => (<>p -> conclusion') over the argument's frame class.
+    bare possibility claim ``<>a``.  The check is the global consequence
+    premise1 => (<>a -> conclusion) over the argument's frame class, on
+    the argument's own atoms: renaming ``a`` everywhere in the query could
+    not change its answer (uniform substitution).
     """
     premises, conclusion = _triviality_query(a)
     return decide(premises, conclusion, a.frame)
 
 
 def _triviality_query(a: Argument) -> tuple[list[Formula], Formula]:
-    """The triviality schema as a query: ([premise1'], <>fresh -> conclusion'),
-    where the primes rename the second premise's atom to a fresh one."""
+    """The triviality schema as a query: ([premise1], premise2 -> conclusion)."""
     if len(a.premises) != 2:
         raise ShapeError(f"{a.name!r} must have exactly two premises")
-    second = a.premises[1][1]
+    (_, first), (_, second) = a.premises
     if not (isinstance(second, Diamond) and isinstance(second.operand, Atom)):
         raise ShapeError(f"{a.name!r}: second premise must be a bare possibility claim")
-    avoid = set().union(*(atoms_of(f) for _, f in a.premises)) | atoms_of(a.conclusion)
-    fresh = Atom(fresh_atom(avoid))
-    subject = second.operand.name
-    return (
-        [substitute(a.premises[0][1], subject, fresh)],
-        Implies(Diamond(fresh), substitute(a.conclusion, subject, fresh)),
-    )
+    return [first], Implies(second, a.conclusion)
 
 
 # all five conditions, in the name order used for sorted output

@@ -40,7 +40,9 @@ from modaltab.syntax import (
     Implies,
     Not,
     Or,
+    atoms_of,
     desugar,
+    fresh_atom,
     parse,
     print_formula,
     substitute,
@@ -180,15 +182,41 @@ class TestTriviality:
     def test_alt_symmetric_variants_also_trivial(self, name):
         assert isinstance(triviality_check(corpus_entry(name)), Valid)
 
-    def test_schema_uses_fresh_atom(self):
-        # renaming is stable even when p0 is taken
-        a = Argument(
-            name="occupied",
-            premises=(("P1", parse("p0 -> []p0")), ("P2", parse("<>p0"))),
-            frame=SYM,
-            conclusion=parse("p0"),
-        )
+    OCCUPIED = Argument(
+        name="occupied",
+        premises=(("P1", parse("p0 -> []p0")), ("P2", parse("<>p0"))),
+        frame=SYM,
+        conclusion=parse("p0"),
+    )
+
+    @pytest.mark.parametrize("a", [*builtin_corpus(), OCCUPIED], ids=lambda a: a.name)
+    def test_schema_is_the_arguments_own_query(self, a):
+        # no atom is renamed, not even where the old fresh atom p0 is taken
+        (_, p1), (_, p2) = a.premises
+        assert arguments._triviality_query(a) == ([p1], Implies(p2, a.conclusion))
         assert isinstance(triviality_check(a), Valid)
+
+    def test_renaming_the_possible_atom_changes_no_verdict(self):
+        """The schema on the argument's own atoms and the reference's renamed
+        copy give one answer, one proof up to the renamed atom, and one
+        countermodel frame: the corpus, and seeded (P1, <>a) arguments
+        over one or two conditions or a logic alias."""
+        rng = random.Random(20261021)
+        cases = builtin_corpus() + [
+            Argument(
+                name="random",
+                premises=(("P1", _random_formula(rng, rng.randrange(1, 4))), ("P2", parse("<>a"))),
+                frame=frame_class(rng.choice(TestDerivedTriviality.FRAMES)),
+                conclusion=_random_conclusion(rng),
+            )
+            for _ in range(330)
+        ]
+        compared = 0
+        for a in cases:
+            own = _search_shape(*arguments._triviality_query(a), a.frame)
+            assert own == _search_shape(*renamed_schema(a), a.frame), a
+            compared += own != "limit"
+        assert compared >= 308
 
     def test_shape_error_premise_count(self):
         a = Argument(
@@ -312,11 +340,10 @@ class TestDerivedTriviality:
         report.add_countermodel(given)
         witness = report.triviality.witness
         assert decided == []
-        # the given model, with a renamed to the schema's fresh atom
+        # the given model itself
         assert witness.world == given.world
         assert witness.model.access == given.model.access
-        assert dict(witness.model.valuation) == {
-            "b": given.model.valuation["b"], "p0": given.model.valuation["a"]}
+        assert report.triviality.witness is given
 
     def test_the_derived_witness_is_reverified_once(self, monkeypatch):
         a = self.GAP
@@ -482,6 +509,31 @@ def exhaustive_frame_search(a):
             valid.append(subset)
     minimal = [s for s in valid if not any(t < s for t in valid)]
     return sorted(minimal, key=lambda s: (len(s), sorted(c.value for c in s)))
+
+
+def renamed_schema(a):
+    """The reference: the triviality query with premise 2's atom renamed to
+    a fresh one in premise 1 and the conclusion, ([P1'], <>fresh -> C')."""
+    avoid = set().union(*(atoms_of(f) for _, f in a.premises)) | atoms_of(a.conclusion)
+    fresh = Atom(fresh_atom(avoid))
+    subject = a.premises[1][1].operand.name
+    return (
+        [substitute(a.premises[0][1], subject, fresh)],
+        Implies(Diamond(fresh), substitute(a.conclusion, subject, fresh)),
+    )
+
+
+def _search_shape(premises, conclusion, frame):
+    """What ``decide`` found, with no atom named: a proof's (rule, labels)
+    steps, a countermodel's worlds, access and world, or "limit"."""
+    try:
+        verdict = decide(premises, conclusion, frame)
+    except ResourceLimit:
+        return "limit"
+    if isinstance(verdict, Valid):
+        return "valid", [(rule, labels) for rule, labels, _ in verdict.proof.nodes]
+    model = verdict.witness.model
+    return "invalid", model.world_count, model.access, verdict.witness.world
 
 
 # T, D, B, 4 and 5, so that about half the random conclusions need a

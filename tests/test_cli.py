@@ -633,6 +633,7 @@ GOLDEN_OUTPUT_DIGESTS = {
 }
 
 
+@pytest.mark.golden
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv", sorted(GOLDEN_OUTPUT_DIGESTS))
     def test_output_digest_unchanged(self, capsys, argv):

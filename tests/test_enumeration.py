@@ -668,6 +668,7 @@ def _golden_witness_lines():
     return lines
 
 
+@pytest.mark.golden
 class TestGoldenWitnesses:
     """The atom order decides the valuation bits and so the first witness;
     this digest pins it with the enumeration order, under budgets that
