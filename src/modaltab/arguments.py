@@ -240,15 +240,22 @@ def _triviality_query(a: Argument) -> tuple[list[Formula], Formula]:
     return [first], Implies(second, a.conclusion)
 
 
-# all five conditions, in the name order used for sorted output
+# all five conditions, in the name order used for sorted output; bit i of
+# a condition mask stands for _ALL_CONDITIONS[i]
 _ALL_CONDITIONS = tuple(sorted(FrameCondition, key=lambda c: c.value))
 
-# all 32 condition subsets in output order: by size, then by condition names
-_SUBSETS = tuple(sorted(
-    (frozenset(c for i, c in enumerate(_ALL_CONDITIONS) if (mask >> i) & 1)
-     for mask in range(1 << len(_ALL_CONDITIONS))),
-    key=lambda s: (len(s), sorted(c.value for c in s)),
-))
+_MASKS = range(1 << len(_ALL_CONDITIONS))
+
+# the condition set of each mask
+_CLASSES = tuple(frozenset(c for i, c in enumerate(_ALL_CONDITIONS) if m >> i & 1) for m in _MASKS)
+
+# all 32 condition masks in output order: by size, then by condition names
+_SUBSETS = tuple(sorted(_MASKS, key=lambda m: (len(_CLASSES[m]), sorted(c.value for c in _CLASSES[m]))))
+
+# bit s of _ABOVE[m] is set when mask s includes mask m, and bit s of
+# _BELOW[m] when mask m includes mask s
+_ABOVE = tuple(sum(1 << s for s in _MASKS if s & m == m) for m in _MASKS)
+_BELOW = tuple(sum(1 << s for s in _MASKS if s & m == s) for m in _MASKS)
 
 
 def frame_requirement_search(
@@ -267,6 +274,12 @@ def frame_requirement_search(
     proper subset of a visited set comes earlier, so a set found valid is
     minimal.
 
+    The search runs on 5-bit condition masks.  The masks whose answer is
+    implied are the bits of one int: each minimal valid set adds the
+    masks above it (``_ABOVE``) and each countermodel the masks below the
+    conditions its frame satisfies (``_BELOW``), so a subset is skipped
+    on one bit test.
+
     ``known`` holds verdicts of this argument over some frame classes,
     and ``countermodels`` further verified countermodels of it.  They
     count as if the search had found them: a known Valid class is not
@@ -278,19 +291,23 @@ def frame_requirement_search(
     premises = a.premise_formulas()
     verdicts = dict(known)
     minimal: list[FrameClass] = []
-    # the conditions each countermodel's frame satisfies; a known Invalid
-    # class is among its own, so the lookup below finds only Valid ones
-    refuted = [_conditions_satisfied(w.model) for w in _held_countermodels(verdicts, countermodels)]
-    for subset in _SUBSETS:
-        if any(m <= subset for m in minimal) or any(subset <= r for r in refuted):
+    # a known Invalid class is among its own witness's satisfied
+    # conditions, so the lookup below finds only Valid ones
+    implied = 0
+    for witness in _held_countermodels(verdicts, countermodels):
+        implied |= _BELOW[_conditions_satisfied(witness.model)]
+    for mask in _SUBSETS:
+        if implied >> mask & 1:
             continue
+        subset = _CLASSES[mask]
         verdict = verdicts.get(subset)
         if verdict is None:
             verdict = decide(premises, a.conclusion, subset)
         if isinstance(verdict, Valid):
             minimal.append(subset)
+            implied |= _ABOVE[mask]
         else:
-            refuted.append(_conditions_satisfied(verdict.witness.model))
+            implied |= _BELOW[_conditions_satisfied(verdict.witness.model)]
     return minimal
 
 
@@ -301,9 +318,9 @@ def _held_countermodels(
     return [*countermodels, *(v.witness for v in verdicts.values() if isinstance(v, Invalid))]
 
 
-def _conditions_satisfied(model: KripkeModel) -> FrameClass:
-    """The conditions the model's frame satisfies."""
-    return frozenset(c for c in _ALL_CONDITIONS if frame_satisfies(model, c))
+def _conditions_satisfied(model: KripkeModel) -> int:
+    """The mask of the conditions the model's frame satisfies."""
+    return sum(1 << i for i, c in enumerate(_ALL_CONDITIONS) if frame_satisfies(model, c))
 
 
 def analyze(a: Argument) -> AnalysisReport:

@@ -17,6 +17,13 @@ line, not as a traceback with exit 1, which would read as "invalid".
 ``json`` module, since an indent sends ``json.dumps`` down its
 pure-Python encoder.
 
+Every command line goes through argparse.  When ``argv[0]`` names a
+subcommand, ``argv[1:]`` goes straight to that subcommand's parser: the
+full parser would hand it exactly those words, after a generic pass of
+its own over all of them.  The full parser runs when ``argv[0]`` names
+no subcommand or the subcommand's parser leaves words over, so help,
+``--version``, usage lines and error texts are argparse's own.
+
 The timing field ``elapsed_ms`` covers the deciding a command prints.
 For ``check`` and ``countermodel`` that is the main verdict, the
 triviality schema, the minimisation of the main countermodel (which the
@@ -81,15 +88,27 @@ def load_argument_file(path: str | Path) -> Argument:
     formulas, a frame list (condition names or logic aliases), and a
     conclusion."""
     try:
-        # non-blocking, so that opening a FIFO returns before its refusal
-        with open(path, "rb", opener=lambda p, flags: os.open(p, flags | _NONBLOCK)) as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        # non-blocking, so that opening a FIFO returns before its refusal;
+        # unbuffered, so that one read of the size fstat gives reads it all
+        with open(path, "rb", buffering=0,
+                  opener=lambda p, flags: os.open(p, flags | _NONBLOCK)) as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
                 raise CliError(f"{path}: not a regular file")
-            blob = fh.read(_MAX_ARGUMENT_FILE_BYTES + 1)
+            size = min(info.st_size, _MAX_ARGUMENT_FILE_BYTES)
+            blob = fh.read(size + 1)
+            # longer than fstat said (it grew, or it is a /proc file, which
+            # reports 0 bytes): read on until its end or one byte past the cap
+            while size < len(blob) <= _MAX_ARGUMENT_FILE_BYTES:
+                more = fh.read(_MAX_ARGUMENT_FILE_BYTES + 1 - len(blob))
+                if not more:
+                    break
+                blob += more
         if len(blob) > _MAX_ARGUMENT_FILE_BYTES:
             raise CliError(f"{path}: larger than {_MAX_ARGUMENT_FILE_BYTES} bytes")
         raw = blob.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    # ValueError: a NUL byte in the path (UnicodeDecodeError is one too)
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read {path}: {e}") from None
     try:
         data = json.loads(raw)
@@ -290,9 +309,10 @@ def _maybe_write_dot(args, witness: CountermodelWitness | None) -> None:
     if witness is None:
         print("note: verdict is valid; no countermodel to export", file=sys.stderr)
         return
+    text = export_dot(witness)
     try:
-        Path(args.dot).write_text(export_dot(witness))
-    except OSError as e:
+        Path(args.dot).write_text(text)
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise CliError(f"cannot write {args.dot}: {e}") from None
 
 
@@ -488,10 +508,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help=f"world budget for enumeration cross-checks, 1..{MAX_WORLDS} (default 3)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused; each
     subcommand's ``func`` looks up what it calls at call time."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="modaltab",
         description="Propositional modal logic: tableau prover, Kripke countermodels, argument analysis.",
@@ -534,12 +559,27 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(func=cmd_suite, suite_name=name)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same result, output
+    and exit.  The full parser hands every word after a subcommand's name
+    to that subcommand's parser, so that parser reads them here directly.
+    The full parser runs when ``argv[0]`` names no subcommand or words are
+    left over, and then prints its own usage and error."""
+    parser, subparsers = _parsers()
+    subparser = subparsers.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extra = subparser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (CliError, ResourceLimit) as e:

@@ -485,6 +485,15 @@ class TestFrameRequirementSearch:
         assert exhaustive_frame_search(a) == expected
         assert frame_requirement_search(a) == expected
 
+    def test_mask_tables_agree_with_set_inclusion(self):
+        classes = arguments._CLASSES
+        assert len(classes) == len(set(classes)) == 32
+        assert sorted(arguments._SUBSETS) == list(range(32))
+        for m in range(32):
+            for s in range(32):
+                assert (arguments._ABOVE[m] >> s & 1) == (classes[m] <= classes[s]), (m, s)
+                assert (arguments._BELOW[m] >> s & 1) == (classes[s] <= classes[m]), (m, s)
+
     # decide calls per search, against 32 for the exhaustive sweep
     DECIDES = {
         "eder_ramharter": 4, "kane": 4, "malcolm": 3, "malcolm_alt": 3,

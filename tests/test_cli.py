@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -681,6 +682,67 @@ class TestParserReuse:
         assert text.startswith("kane:\n") and untimed(text) != text  # neither --json nor --stable
 
 
+class TestArgvReachesArgparse:
+    """``main`` gives the words after a subcommand's name to that
+    subcommand's parser and falls back to the full parser; each command
+    line below gives the exit (a ``SystemExit`` code included), output
+    and namespace that ``build_parser().parse_args`` gives."""
+
+    ARGV = [
+        ("check", "kane", "--no-such-flag"),
+        ("check", "kane", "--min"),
+        ("check", "kane", "--m"),
+        ("check", "kane", "--max-worlds=2", "--json", "--stable"),
+        ("check", "kane", "--max-worlds", "9"),
+        ("check", "--", "kane"),
+        ("check", "-h"),
+        ("prove", "-h"),
+        ("check", "kane", "--version"),
+        ("check", "--version"),
+        ("--version",),
+        ("-h",),
+        (),
+        ("nosuch", "kane"),
+        ("check", "kane", "stray"),
+        ("check",),
+        ("prove", "p", "--logic", "K", "--frame", "reflexive"),
+        ("prove", "p", "--logic", "S5", "--stable"),
+        ("countermodel", "kane", "--json", "--stable"),
+        ("corpus", "--json", "x"),
+        ("corpus", "--stable"),
+        ("--json", "check", "kane"),
+    ]
+
+    @staticmethod
+    def outcome(capsys, monkeypatch, argv, parse):
+        parsed = []
+
+        def recording(words):
+            parsed.append(vars(parse(words)))
+            return argparse.Namespace(**parsed[-1])
+
+        monkeypatch.setattr(cli, "_parse_args", recording)
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        untimed = re.sub(r"\(\d+\.\d ms\)", "(ms)", captured.out)
+        return code, untimed, captured.err, parsed
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, argv):
+        fast = self.outcome(capsys, monkeypatch, argv, cli._parse_args)
+        full = self.outcome(capsys, monkeypatch, argv, lambda words: cli.build_parser().parse_args(words))
+        assert fast == full
+        code, _, err, parsed = fast
+        assert code in (0, 1, 2)
+        if parsed:
+            assert parsed[0]["command"] == argv[0]
+        elif code == 2:
+            assert err.startswith("usage: modaltab")
+
+
 class TestUnwritableOutput:
     """A report that cannot be written is an error (exit 2), never a
     traceback with exit 1, which means "invalid"."""
@@ -758,6 +820,12 @@ class TestDot:
         assert code == 2
         assert err.startswith("error: cannot write ")
 
+    def test_dot_path_with_a_nul_byte_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "prove", "[]p -> p", "--logic", "K", "--dot", "a\x00.dot")
+        assert code == 2
+        assert out.startswith("[]p -> p\n  Invalid under {}\n")
+        assert err == "error: cannot write a\x00.dot: embedded null byte\n"
+
 
 class TestArgumentFileLoader:
     def test_round_trip(self, tmp_path):
@@ -795,6 +863,36 @@ class TestArgumentFileLoader:
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: larger than {cli._MAX_ARGUMENT_FILE_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("reported", [0, 1])
+    def test_file_longer_than_fstat_reports_is_read_to_its_end(self, monkeypatch, tmp_path, reported):
+        # as a file that grew after its fstat, or a /proc file, which reports 0 bytes
+        fstat = os.fstat
+
+        def shrunk(fd):
+            info = list(fstat(fd))
+            info[stat.ST_SIZE] = reported
+            return os.stat_result(info)
+
+        small = tmp_path / "arg.json"
+        small.write_text(json.dumps(VALID_ARGUMENT))
+        large = self.padded(tmp_path, cli._MAX_ARGUMENT_FILE_BYTES + 1)
+        monkeypatch.setattr(os, "fstat", shrunk)
+        assert load_argument_file(small).name == "fuzz"
+        with pytest.raises(cli.CliError, match=f"larger than {cli._MAX_ARGUMENT_FILE_BYTES} bytes"):
+            load_argument_file(large)
+
+    def test_input_errors(self, capsys, tmp_path):
+        directory, empty, missing = tmp_path / "x.json", tmp_path / "empty.json", tmp_path / "missing.json"
+        directory.mkdir()
+        empty.write_bytes(b"")
+        for path, err in [
+            (directory, f"error: cannot read {directory}: [Errno 21] Is a directory: '{directory}'\n"),
+            (empty, f"error: {empty}: not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+            (missing, f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"),
+            ("a\x00.json", "error: cannot read a\x00.json: embedded null byte\n"),
+        ]:
+            assert run(capsys, "check", str(path)) == (2, "", err)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_fifo_without_a_writer_is_an_input_error(self, tmp_path):
