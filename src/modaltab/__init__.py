@@ -50,7 +50,6 @@ from .syntax import (
 )
 from .tableau import (
     Invalid,
-    NotSaturated,
     ProofObject,
     ResourceLimit,
     Valid,
@@ -79,5 +78,5 @@ __all__ = [
     "find_countermodel", "minimize_countermodel",
     # tableau
     "Valid", "Invalid", "Verdict", "ProofObject", "decide", "prove_valid",
-    "check_proof", "ResourceLimit", "NotSaturated",
+    "check_proof", "ResourceLimit",
 ]

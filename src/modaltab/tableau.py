@@ -12,7 +12,7 @@ labels.  A branch closes on a complementary literal pair at one label:
 the literal that completes the pair triggers a closure step, which has
 the highest priority of all queued steps and ends the branch.
 
-Termination comes from anywhere-blocking: a label subsumed by an earlier
+Anywhere-blocking bounds the search: a label subsumed by an earlier
 unblocked label spawns no successors.  Subsumption is by subset of
 formula sets, strengthened to set equality whenever the frame class
 contains a symmetric or Euclidean condition; with plain subset blocking
@@ -23,10 +23,17 @@ and equalizes box/diamond formulas across edges between non-root labels
 under Euclideanness; each extra propagation is truth-preserving in every
 model of its frame condition.
 
+Blocking does not yet guarantee termination on symmetric frames: sets
+grow by back-propagation, so a label can spawn children before equality
+blocking catches it, and ``blocking()`` never looks at a label's
+ancestors, so those children keep spawning.  Such a search runs until
+the label ceiling stops it with ``ResourceLimit`` (direction 1 of
+ROADMAP.md: indirect blocking).
+
 Each rule's triggers (the steps a new label, formula or edge may
 license) and its licence are written once, in ``_Branch``: the search
-fires the licensed steps its triggers queue, replay fires only licensed
-steps, and extraction refuses a branch where a trigger yields one.
+fires the licensed steps its triggers queue and leaves a branch open
+only when none is left; replay fires only licensed steps.
 
 Every rule adds only a component, an operand or a premise, so every
 formula a branch holds is a subformula of the NNF of the negated
@@ -51,8 +58,9 @@ the facts it read (``_Branch.licensed``), so a step depends on exactly
 the facts that replay checks for it.
 
 Valid verdicts carry a replayable proof object, invalid verdicts a
-countermodel extracted from the first open saturated branch; both are
-re-checkable without trusting the search.
+countermodel extracted from the first open branch and re-verified
+against the reference semantics; both are re-checkable without trusting
+the search.
 """
 
 from __future__ import annotations
@@ -93,7 +101,6 @@ __all__ = [
     "Verdict",
     "ProofObject",
     "ResourceLimit",
-    "NotSaturated",
     "decide",
     "prove_valid",
     "check_proof",
@@ -105,11 +112,6 @@ DEFAULT_MAX_LABELS = 10_000
 class ResourceLimit(RuntimeError):
     """Label or step ceiling exceeded; at the intended problem scale this
     signals a bug rather than a hard query."""
-
-
-class NotSaturated(ValueError):
-    """Countermodel extraction was asked for a branch that is closed or
-    still has applicable rules."""
 
 
 _STEP_KEYS = frozenset({"rule", "labels", "formula"})  # of one step's JSON object
@@ -346,9 +348,11 @@ class _Budget:
 
     The step ceiling counts every step popped from a queue, closure steps
     included, fired or not; it catches exponential branching storms that
-    create few labels.  Both limits are far above anything the intended
-    problem scale needs, so tripping one signals a malformed or
-    out-of-scope query.
+    create few labels.  Both limits are far above anything a search that
+    blocking ends needs at the intended problem scale, so tripping one
+    signals a malformed or out-of-scope query, or a search that blocking
+    does not end: on symmetric frames even a small query can keep
+    spawning labels (see the module docstring).
     """
 
     __slots__ = ("labels_created", "steps_taken", "max_labels", "max_steps")
@@ -375,8 +379,7 @@ class _Branch:
     rule's triggers (``*_steps``: each step a new label, formula or edge
     may license, handed to ``emit``), licence (:meth:`licensed`, which also
     gives a licensed step's dependency mask) and effect (:meth:`fire`).
-    Shared by the search, proof replay and the saturation check, so it
-    enqueues no work.
+    Shared by the search and proof replay, so it enqueues no work.
 
     The branch holds formula ids of one per-query ``table``: each label
     set maps ids to masks, a step's formula is an id, and ``premises``
@@ -465,24 +468,9 @@ class _Branch:
                     emit(("box", (label, k), f))
 
     def edge_steps(self, a: int, b: int, emit) -> None:
-        self.closure_steps(a, b, emit)
-        self.transfer_steps(a, b, emit)
-
-    def transfer_steps(self, a: int, b: int, emit) -> None:
-        """Box steps across edge (a, b): forward, and backward on Euclidean frames."""
-        kind, operand = self.table.kind, self.table.left
-        for f in self.label_sets[a]:
-            if kind[f] == _BOX:
-                emit(("box", (a, b), operand[f]))
-            if kind[f] in _MODAL:
-                emit(("box", (a, b), f))
-        if self.mask & FRAME_EUCLIDEAN:
-            for f in self.label_sets[b]:
-                if kind[f] in _MODAL:
-                    emit(("box", (b, a), f))
-
-    def closure_steps(self, a: int, b: int, emit) -> None:
-        """The Horn closure products of edge (a, b) with the edges present."""
+        """The Horn closure products of edge (a, b) with the edges present,
+        then the box steps across it: forward, and backward on Euclidean
+        frames."""
         if self.mask & FRAME_SYMMETRIC:
             emit(("frame-closure", (b, a), None))
         if self.mask & FRAME_TRANSITIVE:
@@ -494,6 +482,16 @@ class _Branch:
             for c in self.out_edges[a]:
                 emit(("frame-closure", (b, c), None))
                 emit(("frame-closure", (c, b), None))
+        kind, operand = self.table.kind, self.table.left
+        for f in self.label_sets[a]:
+            if kind[f] == _BOX:
+                emit(("box", (a, b), operand[f]))
+            if kind[f] in _MODAL:
+                emit(("box", (a, b), f))
+        if self.mask & FRAME_EUCLIDEAN:
+            for f in self.label_sets[b]:
+                if kind[f] in _MODAL:
+                    emit(("box", (b, a), f))
 
     def licensed(self, rule: str, labels: Sequence[int], f: int | None) -> int | None:
         """None unless the step applies to this branch and would change it;
@@ -591,22 +589,6 @@ class _Branch:
             for p in self.premises:
                 self.add_formula(child, p, deps)
         return None
-
-    def obligations(self, blocked: list[int | None]) -> list[tuple]:
-        """The diamond and serial steps owed by unblocked labels, per label
-        in formula insertion order, serial last; ``blocked`` is the branch's
-        blocked_by per label."""
-        kind = self.table.kind
-        owed: list[tuple] = []
-        for lid, s in enumerate(self.label_sets):
-            if blocked[lid] is not None:
-                continue
-            for f in s:
-                if kind[f] == _DIAMOND and self.licensed("diamond", (lid,), f) is not None:
-                    owed.append(("diamond", (lid,), f))
-            if self.licensed("serial", (lid,), None) is not None:
-                owed.append(("serial", (lid,), None))
-        return owed
 
 
 class _State(_Branch):
@@ -737,11 +719,20 @@ def _dispatch(state: _State, step: tuple) -> _State | None:
 
 
 def _audit(state: _State) -> bool:
-    """Re-enqueue obligations of unblocked labels; True if any were found."""
-    owed = state.obligations(state.blocking())
-    for step in owed:
-        state.enqueue(step)
-    return bool(owed)
+    """Enqueue the diamond and serial steps owed by unblocked labels, per
+    label in formula insertion order, serial last; True if any were owed."""
+    blocked, kind, owed = state.blocking(), state.table.kind, False
+    for lid, s in enumerate(state.label_sets):
+        if blocked[lid] is not None:
+            continue
+        for f in s:
+            if kind[f] == _DIAMOND and state.licensed("diamond", (lid,), f) is not None:
+                state.enqueue(("diamond", (lid,), f))
+                owed = True
+        if state.licensed("serial", (lid,), None) is not None:
+            state.enqueue(("serial", (lid,), None))
+            owed = True
+    return owed
 
 
 def _expand_segment(state: _State) -> _State | None:
@@ -833,34 +824,16 @@ def _renumber(entries: list[tuple], table: _Table) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def _check_branch_saturated(branch: _Branch, blocked: list[int | None]) -> None:
-    """Raise NotSaturated if a rule still applies: a licensed non-spawning
-    step (a closure too) that a label, formula or edge triggers, or a
-    spawning step owed by an unblocked label (``blocked``: blocked_by per label)."""
-
-    def emit(step: tuple) -> None:
-        rule, labels, f = step
-        if rule not in _SPAWNING and branch.licensed(rule, labels, f) is not None:
-            raise NotSaturated(f"{rule} rule applicable at label {labels[0]}")
-
-    for lid, s in enumerate(branch.label_sets):
-        branch.label_steps(lid, emit)
-        for f in s:
-            branch.formula_steps(lid, f, emit)
-        for b in branch.out_edges[lid]:
-            branch.closure_steps(lid, b, emit)
-    for rule, (lid,), _ in branch.obligations(blocked):
-        raise NotSaturated(f"{rule} rule applicable at label {lid}")
-
-
 def extract_countermodel(
     branch: _Branch,
     blocked: list[int | None],
     premises: tuple[Formula, ...],
     conclusion: Formula,
 ) -> CountermodelWitness:
-    """Loop-back model from a saturated open branch.
+    """Loop-back model from an open branch on which no rule applies.
 
+    The search leaves a branch open only then; this is not checked again
+    here, since a wrong countermodel fails the re-verification.
     ``blocked`` is the branch's blocked_by per label; ``premises`` and
     ``conclusion`` are the query's, desugared, for re-verification.  Atom
     names come from the branch's table.
@@ -870,7 +843,6 @@ def extract_countermodel(
     positive literal is in its label.  The witness is re-verified against
     the reference semantics before being returned.
     """
-    _check_branch_saturated(branch, blocked)
     unblocked = [lid for lid, b in enumerate(blocked) if b is None]
     index = {lid: i for i, lid in enumerate(unblocked)}
     base_edges = {

@@ -21,7 +21,7 @@ from modaltab.cli import export_dot, load_argument_file, main
 from modaltab.enumeration import CountermodelWitness, EnumerationBudget, find_countermodel
 from modaltab.semantics import LOGICS, FrameCondition, KripkeModel
 from modaltab.syntax import MAX_DEPTH, parse, print_formula
-from modaltab.tableau import NotSaturated, ProofObject
+from modaltab.tableau import ProofObject
 
 from conftest import formula_strategy
 
@@ -485,7 +485,7 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("error", [
         AssertionError("extracted model violates a global premise"),
-        NotSaturated("beta rule applicable at label 0\nand more"),
+        ValueError("beta rule applicable at label 0\nand more"),
     ])
     def test_reported_as_one_line_with_exit_2(self, capsys, monkeypatch, error):
         def failing(*args):
