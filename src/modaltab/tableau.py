@@ -44,7 +44,7 @@ walk over the formulas as parsed, which carries the polarity and expands
 built first.  Branches, queued steps and licences hold ids.  A proof's
 formulas are built from their ids (``_Table.formula``), replay maps them
 back (``_Table.find``), and only the re-verification of a countermodel
-desugars the query.
+desugars the query, when it holds a ``|>``.
 
 The search backjumps (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", JLC 1999): every label, formula and edge
@@ -60,7 +60,10 @@ the facts that replay checks for it.
 Valid verdicts carry a replayable proof object, invalid verdicts a
 countermodel extracted from the first open branch and re-verified
 against the reference semantics; both are re-checkable without trusting
-the search.
+the search.  A proof's JSON holds each distinct subformula of its steps
+once, in a table of connectives and child ids that steps name by id, so
+writing and reading it print and parse no formula text, and its size
+grows with the number of distinct subformulas, not with their trees.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from ._kernel_py import FRAME_EUCLIDEAN, FRAME_REFLEXIVE, FRAME_SERIAL, FRAME_SY
 from .enumeration import CountermodelWitness, frame_mask
 from .semantics import FrameClass, FrameCondition, KripkeModel, frame_closure
 from .syntax import (
+    MAX_DEPTH,
     And,
     Atom,
     Box,
@@ -87,13 +91,14 @@ from .syntax import (
     Or,
     StrictImplies,
     _Binary,
+    _CONNECTIVES,
+    _DOUBLE_DEPTH,
+    _IDENT_RE,
     desugar,
-    parse,
-    print_formula,
 )
 # not called here; verdictbench/spans.py rebinds these names on this module
 from .semantics import evaluate, frame_satisfies, holds_globally  # noqa: F401
-from .syntax import nnf  # noqa: F401
+from .syntax import nnf, parse, print_formula  # noqa: F401
 
 __all__ = [
     "Valid",
@@ -114,7 +119,19 @@ class ResourceLimit(RuntimeError):
     signals a bug rather than a hard query."""
 
 
+_PROOF_KEYS = frozenset({"formulas", "nodes"})  # of a proof's JSON object
 _STEP_KEYS = frozenset({"rule", "labels", "formula"})  # of one step's JSON object
+
+# the C escaper when the ``json`` accelerator is built, as it is in CPython
+_escape = json.encoder.encode_basestring_ascii
+# Each connective's formula-table entry in proof JSON: the text that opens
+# it, ``["<ASCII spelling>",``, and per spelling its class, its number of
+# child ids and the depth it adds as ``parse`` counts it (one more for a
+# ``<->`` or ``|>``; a negated atom adds none).
+_ENTRY_OPEN = {c: f'["{a}",' for c, (a, _, _) in _CONNECTIVES.items()}
+_ENTRY_KINDS = {
+    a: (c, 1 + issubclass(c, _Binary), 1 + (c in _DOUBLE_DEPTH)) for c, (a, _, _) in _CONNECTIVES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -125,57 +142,137 @@ class ProofObject:
 
     Each step is ``(rule, labels, formula)``; ``formula`` is a
     :class:`Formula` (a closure's clashing ``Atom``; None for
-    ``frame-closure`` and ``serial``), and only the JSON holds its text.
-    A spawning step (``diamond``, ``serial``) names only its parent label:
-    its child is the next new label.  The order gives the tree: a ``beta``
-    step's left branch follows it, and each ``closure`` ends a branch, after
-    which the most recent open beta's right branch starts.  Replaying the
-    steps from the seeded root (see :func:`check_proof`) reconstructs the
-    closed tableau without rerunning any search.  The list is also the wire
-    format: proofs can be thousands of steps long, and a nested encoding
-    would overflow recursive encoders.
+    ``frame-closure`` and ``serial``).  A spawning step (``diamond``,
+    ``serial``) names only its parent label: its child is the next new
+    label.  The order gives the tree: a ``beta`` step's left branch follows
+    it, and each ``closure`` ends a branch, after which the most recent
+    open beta's right branch starts.  Replaying the steps from the seeded
+    root (see :func:`check_proof`) reconstructs the closed tableau without
+    rerunning any search.  The list is also the wire format: proofs can be
+    thousands of steps long, and a nested encoding would overflow
+    recursive encoders.
+
+    The JSON is ``{"formulas": [...], "nodes": [{"formula", "labels",
+    "rule"}, ...]}``, one node per step.  ``formulas`` is a table of the
+    distinct subformulas of the steps' formulas: an atom is its name, any
+    other formula ``[spelling, child id]`` or ``[spelling, left id, right
+    id]``, the spelling being the connective's ASCII one in
+    ``syntax._CONNECTIVES``.  Ids run in post-order, in order of first use
+    by the steps, so every child id is below its entry's own.  Equal
+    formulas share an entry, so equal proofs give equal bytes and a
+    formula that reads its operands twice (the NNF of a ``<->``) costs one
+    entry per distinct subformula.  A node's ``formula`` is an id, or null.
+    No formula is printed or parsed on the way.
     """
 
     nodes: tuple[tuple[str, tuple[int, ...], Formula | None], ...]
 
     def to_json(self) -> str:
-        table = {"nodes": [{"rule": r, "labels": l, "formula": f} for r, l, f in self.nodes]}
-        return json.dumps(table, sort_keys=True, separators=(",", ":"), default=print_formula)
+        """The proof's JSON, byte-equal to ``json.dumps(doc, sort_keys=True,
+        separators=(",", ":"))`` of its document; written here, each string
+        through ``json``'s C escaper.  Labels are ints."""
+        ids: dict[str, int] = {}  # entry text -> id: equal formulas share one entry
+        seen: dict[int, int] = {}  # id(node) -> its entry's id; ``self.nodes`` keeps every node alive
+        entries: list[str] = []
+
+        def number(f: Formula) -> int:
+            """The id of ``f``'s entry, its children's entries added first."""
+            t = type(f)
+            if t is Atom:
+                text = _escape(f.name)
+            elif isinstance(f, _Binary):
+                a = seen.get(id(f.left))
+                if a is None:
+                    a = number(f.left)
+                b = seen.get(id(f.right))
+                if b is None:
+                    b = number(f.right)
+                text = f"{_ENTRY_OPEN[t]}{a},{b}]"
+            else:
+                a = seen.get(id(f.operand))
+                if a is None:
+                    a = number(f.operand)
+                text = f"{_ENTRY_OPEN[t]}{a}]"
+            i = ids.get(text)
+            if i is None:
+                i = ids[text] = len(entries)
+                entries.append(text)
+            seen[id(f)] = i
+            return i
+
+        label_texts: dict[tuple[int, ...], str] = {}
+        nodes = []
+        for rule, labels, f in self.nodes:
+            if f is None:
+                i = "null"
+            else:
+                i = seen.get(id(f))
+                if i is None:
+                    i = number(f)
+            text = label_texts.get(labels)
+            if text is None:
+                text = label_texts[labels] = ",".join(map(str, labels))
+            nodes.append(f'{{"formula":{i},"labels":[{text}],"rule":{_escape(rule)}}}')
+        return f'{{"formulas":[{",".join(entries)}],"nodes":[{",".join(nodes)}]}}'
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProofObject":
-        """The steps of ``data``.  Raises ValueError on any malformed table.
-
-        Every node is checked before any text is parsed.  The distinct
-        formula texts are then parsed longest first, and each subtree of a
-        parse is kept under its printed text: ``parse(print_formula(g)) ==
-        g``, so a shorter text that a longer one printed is looked up, not
-        parsed again."""
-        entries = data.get("nodes") if type(data) is dict else None
-        if type(entries) is not list or not all(type(e) is dict for e in entries):
-            raise ValueError("proof table is not an object with a list of node objects")
-        for i, e in enumerate(entries):
-            rule, labels, text = map(e.get, ("rule", "labels", "formula"))
-            typed = type(rule) is str and type(labels) is list and type(text) in (str, type(None))
-            if e.keys() != _STEP_KEYS or not (typed and all(type(lab) is int for lab in labels)):
-                raise ValueError(f"proof node {i} is malformed")
-        parsed: dict[str | None, Formula | None] = {None: None}
-        texts = dict.fromkeys(e["formula"] for e in entries if e["formula"] is not None)
-        for text in sorted(texts, key=len, reverse=True):
-            if text in parsed:
+        """The steps of ``data``, checked in one pass that builds each
+        formula entry once, from the entries before it.  Raises ValueError
+        on a missing or extra key; an atom name that is not an identifier;
+        an unknown spelling or a wrong number of child ids; a child id that
+        is not an int (a bool is refused) below its entry's own id; an
+        entry nested deeper than ``MAX_DEPTH``, as ``parse`` counts depth;
+        and a node whose ``formula`` is neither null nor an entry's id."""
+        if type(data) is not dict or data.keys() != _PROOF_KEYS:
+            raise ValueError("proof is malformed: not an object with exactly the keys formulas and nodes")
+        table, entries = data["formulas"], data["nodes"]
+        if type(table) is not list or type(entries) is not list:
+            raise ValueError("proof is malformed: its formulas or its nodes are not a list")
+        formulas: list[Formula] = []
+        depths: list[int] = []
+        for i, e in enumerate(table):
+            if type(e) is str:
+                if _IDENT_RE.fullmatch(e) is None:
+                    raise ValueError(f"proof formula {i} is malformed: {e!r} is no atom name")
+                formulas.append(Atom(e))
+                depths.append(0)
                 continue
-            f = parsed[text] = parse(text)
-            print_formula(f)  # caches the text of every subtree on it
-            stack = [f]
-            while stack:
-                g = stack.pop()
-                if parsed.setdefault(g._text, g) is not g:
-                    continue  # stored before, with its subtrees
-                if isinstance(g, _Binary):
-                    stack += (g.right, g.left)
-                elif type(g) is not Atom:
-                    stack.append(g.operand)
-        return cls(tuple([(e["rule"], tuple(e["labels"]), parsed[e["formula"]]) for e in entries]))
+            kind = _ENTRY_KINDS.get(e[0]) if type(e) is list and e and type(e[0]) is str else None
+            if kind is None or len(e) != kind[1] + 1:
+                raise ValueError(f"proof formula {i} is malformed: no connective with its children")
+            constructor, arity, step = kind
+            a, b = e[1], e[-1]  # one id twice for a unary entry
+            if type(a) is not int or type(b) is not int or not (0 <= a < i and 0 <= b < i):
+                raise ValueError(f"proof formula {i} is malformed: a child id is not an earlier entry's")
+            if arity == 1:
+                operand = formulas[a]
+                depth = depths[a] + (constructor is not Not or type(operand) is not Atom)
+                f = constructor(operand)
+            else:
+                depth = (depths[a] if depths[a] > depths[b] else depths[b]) + step
+                f = constructor(formulas[a], formulas[b])
+            if depth > MAX_DEPTH:
+                raise ValueError(f"proof formula {i} is nested deeper than {MAX_DEPTH} levels")
+            formulas.append(f)
+            depths.append(depth)
+        count = len(formulas)
+        steps = []
+        for i, e in enumerate(entries):
+            if type(e) is not dict or e.keys() != _STEP_KEYS:
+                raise ValueError(f"proof node {i} is malformed")
+            rule, labels, f = e["rule"], e["labels"], e["formula"]
+            if type(rule) is not str or type(labels) is not list:
+                raise ValueError(f"proof node {i} is malformed")
+            for label in labels:
+                if type(label) is not int:
+                    raise ValueError(f"proof node {i} is malformed: a label is not an int")
+            if f is not None:
+                if type(f) is not int or not 0 <= f < count:
+                    raise ValueError(f"proof node {i} is malformed: its formula is no entry's id")
+                f = formulas[f]
+            steps.append((rule, tuple(labels), f))
+        return cls(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -231,11 +328,12 @@ class _Table:
     ``boxed`` the id of its box, ``negated`` (for an atom) the id of its
     negation and ``name`` (for an atom) its name; -1 (None for ``name``)
     where there is none.  -1 is never in a label set, so ``boxed[f] in s``
-    asks whether []f is in s.  ``roots`` holds the seeds' ids in order.
+    asks whether []f is in s.  ``roots`` holds the seeds' ids in order, and
+    ``strict`` whether the walk met a ``|>``.
     :meth:`formula` builds the NNF formula of an id when a proof needs it,
     and :meth:`find` maps a formula back to its id."""
 
-    __slots__ = ("kind", "left", "right", "boxed", "negated", "name", "roots", "_ids", "_formulas")
+    __slots__ = ("kind", "left", "right", "boxed", "negated", "name", "roots", "strict", "_ids", "_formulas")
 
     def __init__(self, seeds: Sequence[tuple[Formula, bool]]):
         self.kind: list[int] = []
@@ -246,6 +344,7 @@ class _Table:
         self.name: list[str | None] = []
         self._ids: dict = {}  # hash-cons key -> id: an atom's name, else (kind, left, right)
         self._formulas: list[Formula | None] = []
+        self.strict = False
         memo: dict[tuple[int, bool], int] = {}
         self.roots = tuple([self._compile(f, negated, memo) for f, negated in seeds])
 
@@ -302,6 +401,7 @@ class _Table:
             i = entry(_OR if negated else _AND, x, y)
         elif t is StrictImplies:
             # [](~a | b), or its negation <>(a & ~b)
+            self.strict = True
             a, b = compile_(g.left, not negated, memo), compile_(g.right, negated, memo)
             i = entry(_DIAMOND if negated else _BOX, entry(_AND if negated else _OR, a, b))
         else:
@@ -890,12 +990,13 @@ def decide(
     open_branch = _run(state)
     if open_branch is None:
         return Valid(ProofObject(_renumber(state.proof, state.table)))
-    # only re-verification needs the desugared query; a module-global
-    # lookup, so that a tracer rebinding tableau.extract_countermodel sees
-    # this call
-    return Invalid(extract_countermodel(
-        open_branch, open_branch.blocking(), tuple(desugar(p) for p in premises), desugar(conclusion)
-    ))
+    # only re-verification needs the desugared query, and only a query with
+    # a |> differs from it; a module-global lookup, so that a tracer
+    # rebinding tableau.extract_countermodel sees this call
+    premises = tuple(premises)
+    if state.table.strict:
+        premises, conclusion = tuple([desugar(p) for p in premises]), desugar(conclusion)
+    return Invalid(extract_countermodel(open_branch, open_branch.blocking(), premises, conclusion))
 
 
 def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LABELS) -> Verdict:

@@ -292,9 +292,10 @@ def test_criterion_09_proof_replay(computed):
     for proof, premises, conclusion, frame in pool:
         assert check_proof(proof, premises, conclusion, frame)
     proof, premises, conclusion, frame = pool[0]
-    nodes = json.loads(proof.to_json())["nodes"]
+    doc = json.loads(proof.to_json())
+    nodes = doc["nodes"]
     victim = next(i for i, e in enumerate(nodes) if e["rule"] == "closure")  # the first closure
-    pruned = {"nodes": nodes[:victim] + nodes[victim + 1:]}
+    pruned = {**doc, "nodes": nodes[:victim] + nodes[victim + 1:]}
     assert not check_proof(ProofObject.from_json_dict(pruned), premises, conclusion, frame)
     report(9, True, f"{len(pool)} proofs replayed, mutated proof rejected")
 

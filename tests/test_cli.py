@@ -601,20 +601,21 @@ class TestJsonText:
 
 # sha256 of the `--json --stable` output of each command.  Formula hashes
 # differ from one process to the next, so a digest that changes between
-# runs exposes output that depends on hash or set order.
+# runs exposes output that depends on hash or set order.  The check
+# reports carry a proof id, so a change of the proof's JSON moves them.
 GOLDEN_OUTPUT_DIGESTS = {
     "axioms": "731d31fa401d87fd7e0de21fa5e6c953859b21f69441e9d81be7d50bcbc775a8",
     "corpus": "27395b1b2727e910d83190aac05047d6c68151d94c46550f4dcc209e01933767",
     "jacquette": "dd6020e922997335f3197b8be0b5b001105e10bad0f8e55e44777e2a69aa56fb",
     "steps": "ee1a905c157f606a4f2f6de4a782d3c2a9d6f631171f0cefc905f981de996563",
-    "check adams": "2b609cf5fd1e538f2e95719da22c43b5c41ce7f016874b151f025cbab531bb02",
-    "check adams_alt": "276720c670b04facc0d726a5a3ab9f8fddc0f827805bbe9f056d09bdba46eabe",
-    "check eder_ramharter": "744c8e69d81c5d5f4599fc8e0e09d671ffdbb0c9726868a0f0e67f112a9e7491",
-    "check hartshorne": "de112c80ea71a850e29ae1acb3b91a67df004cbe627cc2544e6f4205e7e7c54b",
-    "check hartshorne_alt": "c3f628de06ae91c3fa15eae0e23f83bbb167fcd95265c21a4049d6d1720a0f62",
-    "check kane": "20ed23692ba1417c3fed057db6de49b97e61ea7ed5e4b467619964b6add67cbe",
-    "check malcolm": "b7585886bdeef6b9c612280dfe96d2e8fce8bb6536fba5987cb1b85338b23b42",
-    "check malcolm_alt": "0ce63a74f4a74b911332f6f070de8bf565a40ee766335162c445b613a8935bc3",
+    "check adams": "037274889ba8c90d913290a85f22c5b17825033e79ebead78ee388789c77eb38",
+    "check adams_alt": "b9b765fc00283c6b654da24513f0cbb00748b266f25d50e8b8a1c56d7054761d",
+    "check eder_ramharter": "6bbc4054e310a47e6d54de55f2c4cd5f4661e52977c537960520dcf824528ee8",
+    "check hartshorne": "5b208cd2f966ced10a173955a614b40070c63308bc4d9fdbf60f713ccbb1dbc2",
+    "check hartshorne_alt": "e8d829c6c9b2e1bd63e45e0fa203bc6287fa530f76a85d7f62db41325cb4a3af",
+    "check kane": "88660959e4b02aa94d12572b1aab14a2c70a6ddd379ddef7652de08784839f60",
+    "check malcolm": "94e72e5575a06213aa0b5ce112529e64e6eee1a10a4b0febbf9d0eed07a02930",
+    "check malcolm_alt": "c32a1e0b1fe93fb38d871ce06aa18fbaf7a9c4885c1bc05eba43a2d483eac19a",
     "countermodel adams": "b8f3e138bce33201db3d6516cc75991c50c092b96cf86555f63f48122130f6a7",
     "countermodel adams_alt": "261315cc246a561e0325d0a8bdc029e4f00f21209e7c3d2284f8ce12b8fef252",
     "countermodel eder_ramharter": "c1c57ec17106efbc0d9b840268008d5c998d818db4aca975f261d4792c29dad9",
@@ -623,14 +624,14 @@ GOLDEN_OUTPUT_DIGESTS = {
     "countermodel kane": "441af34ac6ab1bb479ba7e7a290a137f0542e4d2a759f942f9dbc0f135cf8640",
     "countermodel malcolm": "6d773cbcbc4b050f6a2e9baaacfc5cedf87f7c9f49df88e31d4df3d02305617c",
     "countermodel malcolm_alt": "a3d057e1b0d465114a25e258a8b928c93ecad040e32b6fca762cf26cb6f6ed22",
-    "check adams --minimal-frames": "de09b48266bbf7654dac2c1b2db1084adfe0a385a96eae8a46605ae01889cf06",
-    "check adams_alt --minimal-frames": "2870afa64da37f1e42914f335dfd68b193509aa48a00e6afe4992047a04e6b70",
-    "check eder_ramharter --minimal-frames": "eac6bb8d63197678938790cc225238f200fbdd24bcc195a872fac15d2813aa3d",
-    "check hartshorne --minimal-frames": "5fd0a771e2a361231849703e9ad196419f6244ea2b09d0d46861134e5732e7a4",
-    "check hartshorne_alt --minimal-frames": "65f19e7a83375ef6bd54d540e843674ca72f50ed96606b584b1d6afdc7a49d56",
-    "check kane --minimal-frames": "200e91e4b15f498de85acc59c33e64d39876eee09c5c7e5d65a22242628f259b",
-    "check malcolm --minimal-frames": "85f784b4317cd278f6a3468ede4ca870f3e5d4b25579cf5cfcf5c588d8ce3952",
-    "check malcolm_alt --minimal-frames": "9aeae369160d607dc50e403f2f9570134c80dc56d0b01f273a25367d67046c63",
+    "check adams --minimal-frames": "b8b55332b30ea6353c52ea2409ce87ea0f2681da2027eafd0783dd3b53683915",
+    "check adams_alt --minimal-frames": "f027579c9cb7565ebd11f06fe5ccdc048d6d70e3ad9c0acb97c5c8d72d1c1945",
+    "check eder_ramharter --minimal-frames": "095d0869581c19a86eeddf82ec6a246a56db3994ad103f7ad4d66a559e46f824",
+    "check hartshorne --minimal-frames": "9396890149e9472517cc6de3d1def8140f9d668eaeadd569349e7e319f6ee2f8",
+    "check hartshorne_alt --minimal-frames": "f9760fa53c855bdf9fe691c1314d23fc854ede989cc8d6db4b04a521c0fe1ca8",
+    "check kane --minimal-frames": "3712582d970ee0c114639ea74fa3d7ddf3ad0bffbade0ef8a74e3994da1406d9",
+    "check malcolm --minimal-frames": "b32940915870ab5cea40ad27905974a1346d7b82f27e074f2997a40fc17a8f2f",
+    "check malcolm_alt --minimal-frames": "d96d41e08cdcf04a8e7d7e0a057218e4c35babaab26b4342be5d03d06cdb2576",
 }
 
 

@@ -4,10 +4,11 @@ import json
 import operator
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from modaltab import enumeration, tableau
+from modaltab import cli, enumeration, syntax, tableau
 from modaltab.arguments import builtin_corpus, eder_ramharter_manual
 from modaltab.enumeration import EnumerationBudget, find_countermodel
 from modaltab.semantics import (
@@ -25,6 +26,7 @@ from modaltab.syntax import (
     Atom,
     Box,
     Diamond,
+    FormulaSyntaxError,
     Implies,
     Not,
     Or,
@@ -101,6 +103,33 @@ class TestDecide:
 
     def test_sugar_accepted(self):
         assert isinstance(decide([parse("g |> []g"), parse("<>g")], parse("g"), SYM), Valid)
+
+    def test_a_query_without_strict_implication_is_not_desugared(self, monkeypatch):
+        # desugar returns such a formula as it is, so its countermodel is
+        # re-verified against the query itself
+        calls = []
+        monkeypatch.setattr(tableau, "desugar", lambda f: calls.append(f) or desugar(f))
+        assert isinstance(decide(ER_PREMISES, parse("g"), K), Invalid)
+        assert isinstance(decide([parse("(p <-> q) -> r")], parse("~[](p -> <>q)"), S5), Invalid)
+        assert calls == []
+
+    @pytest.mark.parametrize("premises,conclusion", [
+        (["g |> []g", "<>g"], "g"),
+        (["<>g"], "g |> []g"),
+        (["p -> (q |> ~~p)"], "~q"),
+    ])
+    def test_a_strict_implication_query_is_reverified_desugared(self, monkeypatch, premises, conclusion):
+        reverified = []
+        real = enumeration._reverify
+
+        def recording(witness, premises, conclusion, frame):
+            reverified.append((premises, conclusion))
+            return real(witness, premises, conclusion, frame)
+
+        monkeypatch.setattr(enumeration, "_reverify", recording)
+        premises, conclusion = [parse(p) for p in premises], parse(conclusion)
+        assert isinstance(decide(premises, conclusion, K), Invalid)
+        assert reverified == [(tuple(desugar(p) for p in premises), desugar(conclusion))]
 
 
 class TestProveValid:
@@ -389,6 +418,14 @@ class TestTable:
     def test_seeds_outside_nnf_and_with_sugar(self):
         self.check([(parse("~[]p"), False), (parse("p |> ~~q"), True), (parse("(p <-> q) -> r"), False)])
 
+    @pytest.mark.parametrize("seeds,strict", [
+        ([("p -> q", False), ("[](p <-> q)", True)], False),
+        ([("p -> q", False), ("~(q |> p)", True)], True),
+        ([("<>(p & (q |> r))", False)], True),
+    ])
+    def test_strict_says_whether_a_seed_holds_strict_implication(self, seeds, strict):
+        assert _Table([(parse(text), negated) for text, negated in seeds]).strict is strict
+
     def test_refuses_a_non_formula(self):
         with pytest.raises(TypeError, match="not a formula"):
             _Table([("[]p", False)])  # text, not a formula
@@ -424,29 +461,94 @@ def _edit_node(doc, index, **fields):
         {k: v for k, v in {**e, **fields}.items() if v is not ...} if i == index else e
         for i, e in enumerate(doc["nodes"])
     ]
-    return {"nodes": edited}
+    return {**doc, "nodes": edited}
+
+
+def encode(steps):
+    """The proof document of ``(rule, labels, formula text or None)`` steps,
+    as ``to_json`` writes it."""
+    return json.loads(ProofObject(tuple(
+        (rule, tuple(labels), None if text is None else parse(text)) for rule, labels, text in steps
+    )).to_json())
+
+
+def _edit_formula(doc, index, text):
+    """``doc`` with the formula of its node at ``index`` replaced by the
+    formula ``text`` spells, written again as ``to_json`` writes it."""
+    steps = list(ProofObject.from_json_dict(doc).nodes)
+    rule, labels, _ = steps[index]
+    steps[index] = (rule, labels, parse(text))
+    return json.loads(ProofObject(tuple(steps)).to_json())
+
+
+def _edit_entry(doc, index, entry):
+    """``doc`` with its formula entry at ``index`` replaced by ``entry``."""
+    formulas = list(doc["formulas"])
+    formulas[index] = entry
+    return {**doc, "formulas": formulas}
+
+
+def text_encoding(proof):
+    """The proof's JSON in the earlier text format: ``{"nodes": [...]}``
+    with each step's formula as its printed ASCII text.  Kept as a test
+    reference: the golden proof ids and proof digests are hashes of it,
+    so they show that no step moved when only the encoding changed."""
+    doc = {"nodes": [{"rule": r, "labels": l, "formula": f} for r, l, f in proof.nodes]}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=print_formula)
 
 
 # each table is refused where it is read, before any replay: without the
-# type checks the ``true`` label would alias label 1, and the number
-# formula would load a proof that replays False.  A node holds exactly
-# rule, labels and formula, so an ``id`` or ``children`` field, which the
-# order of the nodes makes redundant, is refused whatever its value
+# type checks the ``true`` label would alias label 1, and a ``true``
+# formula would name entry 1.  A node holds exactly rule, labels and
+# formula, so an ``id`` or ``children`` field, which the order of the
+# nodes makes redundant, is refused whatever its value
 MALFORMED_TABLES = {
     "empty object": lambda doc: {},
     "top-level list": lambda doc: doc["nodes"],
-    "nodes not a list": lambda doc: {"nodes": 5},
-    "node not an object": lambda doc: {"nodes": [5]},
+    "without formulas": lambda doc: {"nodes": doc["nodes"]},
+    "without nodes": lambda doc: {"formulas": doc["formulas"]},
+    "extra key": lambda doc: {**doc, "version": 2},
+    "formulas not a list": lambda doc: {**doc, "formulas": {}},
+    "nodes not a list": lambda doc: {**doc, "nodes": 5},
+    "node not an object": lambda doc: {**doc, "nodes": [5]},
     "node without rule": lambda doc: _edit_node(doc, 1, rule=...),
     "node without formula": lambda doc: _edit_node(doc, 1, formula=...),
+    "rule not a string": lambda doc: _edit_node(doc, 1, rule=["alpha"]),
     "labels not a list": lambda doc: _edit_node(doc, 1, labels=5),
     "list label": lambda doc: _edit_node(doc, 1, labels=[[0]]),
     "true as label": lambda doc: _edit_node(doc, 1, labels=[True]),
     "list id": lambda doc: _edit_node(doc, 1, id=[1]),
     "list child": lambda doc: _edit_node(doc, 0, children=[[1]]),
     "true as id": lambda doc: _edit_node(doc, 1, id=True),
-    "number formula": lambda doc: _edit_node(doc, 1, formula=7),
-    "unparsable formula": lambda doc: _edit_node(doc, 1, formula="p &"),
+    # a node's formula names an entry by its id
+    "text formula": lambda doc: _edit_node(doc, 1, formula="p"),
+    "formula past the table": lambda doc: _edit_node(doc, 1, formula=len(doc["formulas"])),
+    "negative formula": lambda doc: _edit_node(doc, 1, formula=-1),
+    "true as formula": lambda doc: _edit_node(doc, 1, formula=True),
+    "float formula": lambda doc: _edit_node(doc, 1, formula=1.0),
+    # an atom entry is an identifier
+    "atom name with a space": lambda doc: _edit_entry(doc, 0, "p q"),
+    "atom name with a digit first": lambda doc: _edit_entry(doc, 0, "1p"),
+    "empty atom name": lambda doc: _edit_entry(doc, 0, ""),
+    "atom name with a newline": lambda doc: _edit_entry(doc, 0, "p\n"),
+    "formula text as an atom": lambda doc: _edit_entry(doc, 0, "p & q"),
+    # any other entry is an ASCII spelling and its child ids
+    "unknown spelling": lambda doc: _edit_entry(doc, 1, ["^", 0]),
+    "Unicode spelling": lambda doc: _edit_entry(doc, 1, ["¬", 0]),
+    "unary spelling with two children": lambda doc: _edit_entry(doc, 1, ["~", 0, 0]),
+    "binary spelling with one child": lambda doc: _edit_entry(doc, 1, ["&", 0]),
+    "spelling alone": lambda doc: _edit_entry(doc, 1, ["~"]),
+    "empty entry": lambda doc: _edit_entry(doc, 1, []),
+    "number entry": lambda doc: _edit_entry(doc, 1, 5),
+    "null entry": lambda doc: _edit_entry(doc, 1, None),
+    "number spelling": lambda doc: _edit_entry(doc, 1, [0, 0]),
+    "text child": lambda doc: _edit_entry(doc, 1, ["~", "0"]),
+    "float child": lambda doc: _edit_entry(doc, 1, ["~", 0.0]),
+    "false as child": lambda doc: _edit_entry(doc, 1, ["~", False]),
+    "true as right child": lambda doc: _edit_entry(doc, 1, ["&", 0, True]),
+    "its own id as child": lambda doc: _edit_entry(doc, 1, ["~", 1]),
+    "later id as child": lambda doc: _edit_entry(doc, 1, ["&", 0, 2]),
+    "negative child": lambda doc: _edit_entry(doc, 1, ["~", -1]),
 }
 
 # decide([g -> []g], [](g -> []g), K) as the id-keyed table of the previous
@@ -493,15 +595,17 @@ class TestProofObjects:
         # the first closure dropped: its branch runs on into the steps of
         # the next one, and no branch ends where it should
         verdict = decide(ER_PREMISES, parse("g"), SYM)
-        nodes = json.loads(verdict.proof.to_json())["nodes"]
+        doc = json.loads(verdict.proof.to_json())
+        nodes = doc["nodes"]
         victim = next(i for i, e in enumerate(nodes) if e["rule"] == "closure")
-        mutated = ProofObject.from_json_dict({"nodes": nodes[:victim] + nodes[victim + 1:]})
+        mutated = ProofObject.from_json_dict({**doc, "nodes": nodes[:victim] + nodes[victim + 1:]})
         assert not check_proof(mutated, ER_PREMISES, parse("g"), SYM)
 
     def test_step_after_the_last_closure_rejected(self):
-        nodes = json.loads(prove_valid(parse(K_AXIOM), K).proof.to_json())["nodes"]
+        doc = json.loads(prove_valid(parse(K_AXIOM), K).proof.to_json())
+        nodes = doc["nodes"]
         for extra in (nodes[-1], nodes[0]):
-            padded = ProofObject.from_json_dict({"nodes": [*nodes, extra]})
+            padded = ProofObject.from_json_dict({**doc, "nodes": [*nodes, extra]})
             assert not check_proof(padded, [], parse(K_AXIOM), K)
 
     def test_unclosed_right_branch_rejected(self):
@@ -509,7 +613,7 @@ class TestProofObjects:
         doc = _proof_doc("corpus/malcolm")
         rules = [e["rule"] for e in doc["nodes"]]
         assert "beta" in rules and rules[-1] == "closure"
-        truncated = ProofObject.from_json_dict({"nodes": doc["nodes"][:-1]})
+        truncated = ProofObject.from_json_dict({**doc, "nodes": doc["nodes"][:-1]})
         assert not check_proof(truncated, *GOLDEN_QUERIES["corpus/malcolm"])
 
     def test_old_format_table_refused(self):
@@ -519,15 +623,13 @@ class TestProofObjects:
         # without ids and child lists, its two-label spawns and its
         # global-premise steps are each refused on replay; with both
         # rewritten, the same proof replays and is the search's own
-        bare = [
-            {k: e[k] for k in ("rule", "labels", "formula")} for e in OLD_FORMAT_TABLE["nodes"]
-        ]
+        bare = [(e["rule"], e["labels"], e["formula"]) for e in OLD_FORMAT_TABLE["nodes"]]
         for one_label, no_premise_steps in [(False, False), (True, False), (False, True), (True, True)]:
             steps = [
-                {**e, "labels": e["labels"][:1]} if one_label and e["rule"] == "diamond" else e
-                for e in bare if not (no_premise_steps and e["rule"] == "global-premise")
+                (rule, labels[:1] if one_label and rule == "diamond" else labels, text)
+                for rule, labels, text in bare if not (no_premise_steps and rule == "global-premise")
             ]
-            proof = ProofObject.from_json_dict({"nodes": steps})
+            proof = ProofObject.from_json_dict(encode(steps))
             assert check_proof(proof, *query) == (one_label and no_premise_steps)
         # the search's own proof is the left branch of the root's split, on
         # which no closure depends, without that split
@@ -539,6 +641,15 @@ class TestProofObjects:
         again = ProofObject.from_json_dict(doc)
         assert again.to_json() == verdict.proof.to_json()
         assert check_proof(again, [], parse("[](p -> q) -> ([]p -> []q)"), K)
+
+    def test_text_format_refused(self):
+        # the earlier format wrote each formula as its text; a text is
+        # neither an entry's id nor, without a formula table, read at all
+        proof = prove_valid(parse(K_AXIOM), K).proof
+        text_doc = json.loads(text_encoding(proof))
+        for doc in (text_doc, {"formulas": [], **text_doc}, {**json.loads(proof.to_json()), **text_doc}):
+            with pytest.raises(ValueError, match="malformed"):
+                ProofObject.from_json_dict(doc)
 
     def test_rule_names_lowercase(self):
         verdict = decide(ER_PREMISES, parse("g"), SYM)
@@ -569,7 +680,7 @@ class TestProofObjects:
     def test_malformed_table_raises_value_error(self, name):
         doc = json.loads(prove_valid(parse(K_AXIOM), K).proof.to_json())
         assert check_proof(ProofObject.from_json_dict(doc), [], parse(K_AXIOM), K)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed"):
             ProofObject.from_json_dict(MALFORMED_TABLES[name](doc))
 
     def test_proof_at_the_depth_bound_replays(self):
@@ -609,8 +720,8 @@ def _golden_queries():
 
 GOLDEN_QUERIES = _golden_queries()
 
-# sha256 of ProofObject.to_json(); the CLI's proof_id is a prefix of it,
-# so a refactor of the search or of replay must leave these unchanged
+# sha256 of each proof's text_encoding, so a refactor of the search, of
+# replay or of the proof's JSON must leave these unchanged
 GOLDEN_PROOF_IDS = {
     "corpus/eder_ramharter": "4c60179d5d3bdc53cd55def3fa9d69fd85503291a3cc17390cc654f4d6331b2b",
     "corpus/kane": "adb3643bfaac51337e20bbcf322c163b653cc2a4a26c4a36660aeaea22a20b6f",
@@ -634,16 +745,42 @@ GOLDEN_PROOF_IDS = {
     "decide-mix/453": "2357f6e973725894f1fc7b22983a664428ba1645e52b39f9373a3e8967cbc8a0",
 }
 
+# sha256 of ProofObject.to_json(); the CLI's proof_id is a prefix of it
+GOLDEN_TABLE_PROOF_IDS = {
+    "corpus/eder_ramharter": "bb272166dc2d1779dbaf31f5ccfc3c5ac335ac7cbd3eb24961851e3d3783eb00",
+    "corpus/kane": "71988a4d459fae73d11b8f0c94938123fde8546ae85e25912fbdd53af0e3f93d",
+    "corpus/malcolm": "bedd49702c16129c63871a262f408e33e62c1f3ba49df8d8e92ab1ad50e5164e",
+    "corpus/malcolm_alt": "63f86cf2cfe89362921e422fa567102c82a761dd93f69b78566170204e305108",
+    "corpus/adams": "5fd2b8571adecaad045e521cea0e4b4ff279e5f7d2eabf061f5a6247d92fbcaa",
+    "corpus/adams_alt": "a48bff648465bc4c1eaaf47054eef8c67c01737067f20ae776b544b208e3cdc6",
+    "corpus/hartshorne": "71988a4d459fae73d11b8f0c94938123fde8546ae85e25912fbdd53af0e3f93d",
+    "corpus/hartshorne_alt": "5fd2b8571adecaad045e521cea0e4b4ff279e5f7d2eabf061f5a6247d92fbcaa",
+    "axiom/K": "b005667bd284990846d221169869748ba205d3510cd87eaff005b2506f2b397e",
+    "axiom/T": "b7211942510a1fdae1983661f1ce1f8a894edcba006b240c92e67391838c5043",
+    "axiom/D": "270deaf58ce0fbed885130d32a65cf945f3c4d18056b107c51e72d40699799fe",
+    "axiom/B": "0f552d8ec4ac6b3d09123b44268cf1e1c50c884263f23236748be67466cf5721",
+    "axiom/4": "87f05f8ef82a01306c6e8facf0257c624c33d6cb0a42ce0abc26a1fb5dea0a26",
+    "axiom/5": "9179dcb918e59af64700bce59aa998f9b73c620bbeacd510aab60cbe00b1dbd1",
+    "step/step1": "539cda461937df42890a43ce542d632ae45d112fc8d5b5ce33fbf0ce8aa039aa",
+    "step/step2": "d3698f751e647a59cc6a99730bdc1335ce0d19a8e177bac50e7f80b3e47a84b4",
+    "step/step3": "e9cb9d4f9b6f70c5e1820c246a5ef8c669904489bd21613653218f4a7898fba3",
+    "step/step4": "59557be63b5ec461c5ddfa4228d647e7e753dec2ba5688dac40517242a19a7a6",
+    "step/step5": "ec2208d28698c763bc71868cd0bdcf11fd4aa9b635b67acc7158afdc843c1693",
+    "decide-mix/453": "6722f26703412b07e51148594a58ab86847d39c7f6769f83655278b74591f4a1",
+}
+
 UNARY_RULES = ("alpha", "box", "frame-closure", "diamond", "serial")
 
 
 def linear_proof(steps, label, atom):
     """(rule, labels, formula text) steps ending in one closure of ``atom``
     at ``label``, read through the JSON reader."""
-    rows = [*steps, ("closure", [label], atom)]
-    return ProofObject.from_json_dict({"nodes": [
-        {"rule": rule, "labels": labels, "formula": formula} for rule, labels, formula in rows
-    ]})
+    return ProofObject.from_json_dict(encode([*steps, ("closure", [label], atom)]))
+
+
+def roundtrip(proof):
+    """``proof`` through its JSON text and the reader."""
+    return ProofObject.from_json_dict(json.loads(proof.to_json()))
 
 
 def _proof_doc(name):
@@ -653,23 +790,27 @@ def _proof_doc(name):
 
 
 class TestTextAtTheBoundary:
-    """Proof nodes hold formulas; only the JSON encoding prints them."""
+    """Proof nodes hold formulas, and the JSON holds a table of them:
+    neither deciding nor the certified round trip prints or parses one."""
 
-    def test_decide_prints_nothing(self, monkeypatch):
-        printed = []
-        real = tableau.print_formula
+    def test_decide_and_the_round_trip_print_and_parse_nothing(self, monkeypatch):
+        calls = []
 
-        def counting(f, *args, **kwargs):
-            printed.append(f)
-            return real(f, *args, **kwargs)
+        def counting(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-        monkeypatch.setattr(tableau, "print_formula", counting)
-        valid = decide(ER_PREMISES, parse("g"), SYM)
-        invalid = decide(ER_PREMISES, parse("g"), K)
+        for module in (tableau, syntax):
+            for name in ("parse", "print_formula"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        conclusion = Atom("g")
+        valid = decide(ER_PREMISES, conclusion, SYM)
+        invalid = decide(ER_PREMISES, conclusion, K)
         assert isinstance(valid, Valid) and isinstance(invalid, Invalid)
-        assert printed == []
-        valid.proof.to_json()
-        assert printed
+        proof = ProofObject.from_json_dict(json.loads(valid.proof.to_json()))
+        assert check_proof(proof, ER_PREMISES, conclusion, SYM)
+        assert calls == []
+        # print_formula keeps each text it makes on the node: none was made
+        assert all(f is None or f._text is None for _, _, f in valid.proof.nodes)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
     def test_json_round_trip_is_lossless(self, name):
@@ -683,8 +824,17 @@ class TestGoldenProofs:
     def test_proof_id_unchanged(self, name):
         verdict = decide(*GOLDEN_QUERIES[name])
         assert isinstance(verdict, Valid)
-        assert hashlib.sha256(verdict.proof.to_json().encode()).hexdigest() == GOLDEN_PROOF_IDS[name]
+        assert hashlib.sha256(text_encoding(verdict.proof).encode()).hexdigest() == GOLDEN_PROOF_IDS[name]
         assert check_proof(verdict.proof, *GOLDEN_QUERIES[name])
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TABLE_PROOF_IDS))
+    def test_table_proof_id_unchanged(self, name):
+        text = decide(*GOLDEN_QUERIES[name]).proof.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLE_PROOF_IDS[name]
+        assert check_proof(ProofObject.from_json_dict(json.loads(text)), *GOLDEN_QUERIES[name])
+
+    def test_every_golden_query_has_both_ids(self):
+        assert GOLDEN_TABLE_PROOF_IDS.keys() == GOLDEN_PROOF_IDS.keys()
 
     def test_every_rule_is_covered(self):
         rules = {e["rule"] for name in GOLDEN_QUERIES for e in _proof_doc(name)["nodes"]}
@@ -709,8 +859,8 @@ class TestGoldenProofs:
 
     def test_text_seen_before_is_still_licensed_per_step(self):
         # (p & q) -> []q is invalid over K.  "p & q" is licensed at the
-        # root, which holds it; replay parses that text once, but reusing
-        # it at label 1, which does not hold it, must still be refused
+        # root, which holds it; the proof holds that formula once, but
+        # naming it at label 1, which does not hold it, must still be refused
         conclusion = parse("p & q -> []q")
         steps = [
             ("alpha", [0], "p & q & <>~q"),
@@ -750,67 +900,147 @@ class TestGoldenProofs:
 
 
 def _parsed_one_by_one(doc):
-    """The steps of a proof table, each formula text parsed alone."""
+    """The steps of a text-format proof document, each formula text parsed
+    alone."""
     return tuple(
         (e["rule"], tuple(e["labels"]), None if e["formula"] is None else parse(e["formula"]))
         for e in doc["nodes"]
     )
 
 
+def reference_table(proof):
+    """The formula table and node ids that the JSON of ``proof`` should
+    hold, found by a second route: formulas compared by equality, not by
+    their children's ids, and numbered in post-order as the steps first
+    use them."""
+    ids, table = {}, []
+
+    def add(f):
+        if f not in ids:
+            if isinstance(f, Atom):
+                entry = f.name
+            elif isinstance(f, syntax._Binary):
+                entry = [syntax._CONNECTIVES[type(f)][0], add(f.left), add(f.right)]
+            else:
+                entry = [syntax._CONNECTIVES[type(f)][0], add(f.operand)]
+            ids[f] = len(table)
+            table.append(entry)
+        return ids[f]
+
+    return table, [None if f is None else add(f) for _, _, f in proof.nodes]
+
+
+def steps_strategy():
+    """Proof steps of random rules, labels and formulas, or no formula."""
+    return st.lists(st.tuples(
+        st.sampled_from(["alpha", "beta", "box", "closure", "diamond", "frame-closure", "serial", "x\"y"]),
+        st.lists(st.integers(0, 2**40)).map(tuple),
+        st.none() | formula_strategy(atoms=("p", "q", "r_1", "Q"), max_leaves=12),
+    ), max_size=8).map(tuple)
+
+
+def _unshared(f):
+    """A copy of ``f`` that shares no node with it or with itself."""
+    if isinstance(f, Atom):
+        return Atom(f.name)
+    if isinstance(f, syntax._Binary):
+        return type(f)(_unshared(f.left), _unshared(f.right))
+    return type(f)(_unshared(f.operand))
+
+
+_SPELLED = {a: c for c, (a, _, _) in syntax._CONNECTIVES.items()}
+
+
+def _nested(spellings):
+    """The atom p under each connective of ``spellings`` in turn, as a proof
+    document of one node and as a formula; a binary connective's right
+    operand is p."""
+    table, f = ["p"], Atom("p")
+    for spelling in spellings:
+        cls = _SPELLED[spelling]
+        binary = issubclass(cls, syntax._Binary)
+        table.append([spelling, len(table) - 1, *[0] * binary])
+        f = cls(f, Atom("p")) if binary else cls(f)
+    return {"formulas": table, "nodes": [{"formula": len(table) - 1, "labels": [0], "rule": "alpha"}]}, f
+
+
+# formulas exactly MAX_DEPTH deep as parse counts depth: one level per
+# connective, two per <-> and |>, none for the negation of an atom
+AT_THE_DEPTH_BOUND = {
+    "boxes": ["[]"] * MAX_DEPTH,
+    "boxes on a literal": ["~", *["[]"] * MAX_DEPTH],
+    "boxes on a double negation": ["~", "~", *["[]"] * (MAX_DEPTH - 1)],
+    "biconditionals": ["<->"] * (MAX_DEPTH // 2),
+    "strict implications and disjunctions": ["|>", "|", "->"] * (MAX_DEPTH // 4),
+}
+
+
 class TestProofReader:
-    """``from_json_dict`` parses the longest texts first and looks a
-    shorter text up among the printed subtrees of those parses; the steps
-    it returns are those of parsing each text alone."""
+    """The JSON of a proof is a shared formula table, and its reader
+    refuses every malformed table before any replay."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
-    def test_golden_proofs_read_as_parsed_one_by_one(self, name):
-        doc = _proof_doc(name)
-        assert ProofObject.from_json_dict(doc).nodes == _parsed_one_by_one(doc)
+    def test_golden_table_is_the_reference_table(self, name):
+        proof = decide(*GOLDEN_QUERIES[name]).proof
+        text = proof.to_json()
+        doc = json.loads(text)
+        table, ids = reference_table(proof)
+        assert doc["formulas"] == table and [e["formula"] for e in doc["nodes"]] == ids
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        # the same steps as the text encoding holds
+        assert _parsed_one_by_one(json.loads(text_encoding(proof))) == ProofObject.from_json_dict(doc).nodes
 
-    def test_texts_written_by_hand_read_as_parsed_one_by_one(self):
-        # the same formulas re-spaced, in Unicode glyphs and with redundant
-        # parentheses, each spelling on other nodes: no text is the printed
-        # form of a subtree of another, and the proof still replays
-        spellings = [
-            lambda t: t.replace(" ", ""),
-            lambda t: f"( {t} )",
-            lambda t: t.replace("&", "∧").replace("[]", "□ "),
-            lambda t: t,
-        ]
-        name = "corpus/malcolm"
-        doc = _proof_doc(name)
-        edited = {"nodes": [
-            {**e, "formula": spellings[i % len(spellings)](e["formula"])} if e["formula"] else e
-            for i, e in enumerate(doc["nodes"])
-        ]}
-        assert len({e["formula"] for e in edited["nodes"]}) > len({e["formula"] for e in doc["nodes"]})
-        proof = ProofObject.from_json_dict(edited)
-        assert proof.nodes == _parsed_one_by_one(edited) == ProofObject.from_json_dict(doc).nodes
-        assert check_proof(proof, *GOLDEN_QUERIES[name])
+    @given(steps_strategy())
+    @settings(max_examples=300)
+    def test_round_trip(self, steps):
+        proof = ProofObject(steps)
+        text = proof.to_json()
+        doc = json.loads(text)
+        assert ProofObject.from_json_dict(doc) == proof
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        table, ids = reference_table(proof)
+        assert doc["formulas"] == table and [e["formula"] for e in doc["nodes"]] == ids
 
-    def test_a_printed_subtree_is_not_parsed_again(self, monkeypatch):
-        parsed = []
-        real = tableau.parse
-        monkeypatch.setattr(tableau, "parse", lambda text: parsed.append(text) or real(text))
-        linear_proof(FOUR_TRANSFER, 2, "p")  # every other text is a subtree of the first
-        assert parsed == ["[]p & <><>~p"]
+    @given(steps_strategy())
+    @settings(max_examples=100)
+    def test_shared_and_unshared_nodes_give_equal_bytes(self, steps):
+        copy = ProofObject(tuple((r, l, None if f is None else _unshared(f)) for r, l, f in steps))
+        assert copy.to_json() == ProofObject(steps).to_json()
 
-    def test_a_malformed_text_in_any_node_is_refused(self):
-        doc = _proof_doc("corpus/malcolm")
-        for i, e in enumerate(doc["nodes"]):
-            if e["formula"] is None:
-                continue
-            for bad in (e["formula"] + " &", "(" + e["formula"], e["formula"] + " p"):
-                with pytest.raises(ValueError):
-                    ProofObject.from_json_dict(_edit_node(doc, i, formula=bad))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+    def test_golden_proof_read_from_unshared_nodes(self, name):
+        proof = decide(*GOLDEN_QUERIES[name]).proof
+        copy = ProofObject(tuple((r, l, None if f is None else _unshared(f)) for r, l, f in proof.nodes))
+        assert copy.to_json() == proof.to_json()
+
+    def test_each_entry_is_built_once(self):
+        proof = ProofObject.from_json_dict(_proof_doc("corpus/malcolm"))
+        by_value = {}
+        for _, _, f in proof.nodes:
+            if f is not None:
+                assert by_value.setdefault(f, f) is f
+
+    @pytest.mark.parametrize("name", sorted(AT_THE_DEPTH_BOUND))
+    def test_depth_bound_is_the_parsers(self, name):
+        spellings = AT_THE_DEPTH_BOUND[name]
+        doc, f = _nested(spellings)
+        assert ProofObject.from_json_dict(doc).nodes[0][2] == f == parse(print_formula(f))
+        for more in ("[]", "<->", "~"):
+            doc, f = _nested([*spellings, more])
+            with pytest.raises(ValueError, match=f"deeper than {MAX_DEPTH} levels"):
+                ProofObject.from_json_dict(doc)
+            with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+                parse(print_formula(f))
 
 
 @pytest.mark.golden
 class TestBiconditionalChain:
     """An n-link ``p <-> ... <-> p`` chain.  Its NNF reads both operands
     of every link at both polarities, so as a tree it doubles with each
-    link; compiling, deciding and replaying it must stay linear.  There is
-    no wall-clock assertion: tree walks over 40 links never finish."""
+    link; compiling, deciding, the proof's JSON and replaying it must stay
+    linear.  There is no wall-clock assertion: tree walks over 40 links
+    never finish, and a proof that printed each formula as text ran out of
+    memory there."""
 
     LINKS = 40
 
@@ -825,6 +1055,28 @@ class TestBiconditionalChain:
         verdict = decide([], self.chain(n + 1), K)
         assert isinstance(verdict, Valid)
         assert check_proof(verdict.proof, [], self.chain(n + 1), K)
+
+    @pytest.mark.parametrize("n", [LINKS, LINKS + 1])
+    def test_proof_json_is_linear_and_replays(self, n):
+        # the chain itself when it is valid, else the chain -> p
+        conclusion = self.chain(n) if n % 2 else Implies(self.chain(n), Atom("p"))
+        verdict = decide([], conclusion, K)
+        assert isinstance(verdict, Valid)
+        text = verdict.proof.to_json()
+        assert len(text) <= 500 * n  # 9,034 bytes at 40 links, 16,174 at 41
+        doc = json.loads(text)
+        assert len(doc["formulas"]) <= 6 * n + 3
+        proof = ProofObject.from_json_dict(doc)
+        # as trees the two proofs' formulas are too large to compare
+        assert proof.to_json() == text
+        assert check_proof(proof, [], conclusion, K)
+
+    def test_prove_reports_a_proof_id(self, capsys):
+        code = cli.main(["prove", print_formula(self.chain(self.LINKS + 1)), "--json", "--stable"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["result"]["verdict"] == "valid"
+        text = decide([], self.chain(self.LINKS + 1), K).proof.to_json()
+        assert doc["result"]["proof_id"] == hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @pytest.mark.parametrize("n", [LINKS, LINKS + 1])
     def test_table_is_linear(self, n):
@@ -861,11 +1113,11 @@ class TestForgedProofs:
     """Each proof has one step that the frame it is checked over does not
     license, and the query is invalid there, so replay must refuse it.
     Replay over a frame that does license the step shows that the proof
-    is otherwise well formed."""
+    is otherwise well formed.  Every proof here is read from its JSON."""
 
     FORGERIES = {
         # the reflexive edge (0, 0), which a symmetric frame does not give
-        "symmetric edge": ("[]p -> p", prove_valid(parse("[]p -> p"), REFL).proof, SYM, REFL),
+        "symmetric edge": ("[]p -> p", roundtrip(prove_valid(parse("[]p -> p"), REFL).proof), SYM, REFL),
         # (0, 0) from the single edge (0, 1): transitivity needs (1, 0) too
         "transitive edge": ("(<>q & []p) -> p", linear_proof([
             ("alpha", [0], "<>q & []p & ~p"),
@@ -885,7 +1137,8 @@ class TestForgedProofs:
         # Euclidean frames carry a box forward only from a label with a predecessor
         "Euclidean box transfer from the root": (
             "[]p -> [][]p", linear_proof(FOUR_TRANSFER, 2, "p"), EUCL, TRANS),
-        "serial successor": ("[]p -> <>p", prove_valid(parse("[]p -> <>p"), SERIAL).proof, K, SERIAL),
+        "serial successor": (
+            "[]p -> <>p", roundtrip(prove_valid(parse("[]p -> <>p"), SERIAL).proof), K, SERIAL),
     }
 
     @pytest.mark.parametrize("name", sorted(FORGERIES))
@@ -906,7 +1159,7 @@ class TestForgedProofs:
         conclusion = parse(text)
         doc = json.loads(prove_valid(conclusion, frame).proof.to_json())
         index = next(i for i, e in enumerate(doc["nodes"]) if e["rule"] == rule)
-        forged = _edit_node(doc, index, formula="q & ~q")
+        forged = _edit_formula(doc, index, "q & ~q")
         assert check_proof(ProofObject.from_json_dict(doc), [], conclusion, frame)
         assert not check_proof(ProofObject.from_json_dict(forged), [], conclusion, frame)
 
@@ -922,7 +1175,7 @@ class TestForgedProofs:
         conclusion = parse(text)
         doc = json.loads(prove_valid(conclusion, frame).proof.to_json())
         index = next(i for i, e in enumerate(doc["nodes"]) if e["rule"] == rule)
-        forged = ProofObject.from_json_dict(_edit_node(doc, index, formula=forged_formula))
+        forged = ProofObject.from_json_dict(_edit_formula(doc, index, forged_formula))
         branch = _seeded(_Branch, frame, [], conclusion)
         assert branch.table.find(parse(forged_formula), {}) is None
         assert _replay(branch, forged.nodes) is False
@@ -1241,16 +1494,16 @@ class TestDependencyMasks:
 
 
 def _outcome(decide_fn, *args, **kwargs):
-    """One line per query: the raw countermodel and its world when
-    Invalid, the proof when Valid, the exception's name if one is raised;
-    and whether the line is a proof."""
+    """One outcome per query: the line of the raw countermodel and its
+    world when Invalid, the proof when Valid, the line of the exception's
+    name if one is raised; and whether the outcome is a proof."""
     try:
         verdict = decide_fn(*args, **kwargs)
     except Exception as exc:
         return type(exc).__name__, False
     if isinstance(verdict, Invalid):
         return f"{model_to_json(verdict.witness.model)}@{verdict.witness.world}", False
-    return verdict.proof.to_json(), True
+    return verdict.proof, True
 
 
 def _counting_popped(run):
@@ -1328,10 +1581,12 @@ def _deep_outcomes():
     return _counting_popped(run)
 
 
-def _digest(is_proof, outcomes=None):
+def _digest(is_proof, outcomes=None, encode=text_encoding):
+    """The digest of the lines of the outcomes that are proofs, or of
+    those that are not; ``encode`` makes a proof's line."""
     if outcomes is None:
         outcomes = _golden_outcomes()[0]
-    lines = [line for line, proof in outcomes if proof == is_proof]
+    lines = [encode(line) if proof else line for line, proof in outcomes if proof == is_proof]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -1341,18 +1596,21 @@ class TestGoldenOutcomes:
     proofs and CLI digests see only Valid proofs and minimised witnesses,
     so a refactor of extraction must leave these digests unchanged too.
     The countermodels and exceptions are kept apart from the proofs, so a
-    change of proof encoding leaves their digest where it was."""
+    change of proof encoding leaves their digest where it was; the proof
+    digests are taken over the text encoding, and over the JSON too."""
 
     # the 1,574 Invalid lines (no query raises)
     DIGEST = "00ee463e332ed45716ebefe9ba319f29c717f469217b57753d564e7614ad7df0"
-    # the 810 Valid lines
+    # the 810 Valid lines, in the text encoding and as JSON
     PROOFS_DIGEST = "9f73e1511f55c4c56fcb6a868e19ea0821014e21f1d70f83bc0a48f38cd1c7a0"
+    TABLE_PROOFS_DIGEST = "cec0ea4069dfe939113bbb5fa715ff49d8f247f1dccdba87f5b784b226572a07"
     # steps popped over all 2,384 queries
     POPPED_STEPS = 16_998
     # the 792 deep queries' Invalid lines (none raises)
     DEEP_DIGEST = "82bc0f158d5b03ef33b0dcff06734ee2793cbcab44d750d1c9a34685be917721"
-    # the 208 deep queries' Valid lines
+    # the 208 deep queries' Valid lines, in the text encoding and as JSON
     DEEP_PROOFS_DIGEST = "a4ca50b4c7d8027ac233e7f8f25ae38be8f97d67dfc106ec4c0af8b75ff6a440"
+    DEEP_TABLE_PROOFS_DIGEST = "25b29405a42a237b0f81fa179d4b36be156bb639140724a71c917904c45db305"
     # steps popped over all 1,000 deep queries
     DEEP_POPPED_STEPS = 32_180
 
@@ -1361,6 +1619,7 @@ class TestGoldenOutcomes:
 
     def test_proofs_unchanged(self):
         assert _digest(True) == self.PROOFS_DIGEST
+        assert _digest(True, encode=ProofObject.to_json) == self.TABLE_PROOFS_DIGEST
 
     def test_search_work_unchanged(self):
         # every step popped from a queue, fired or not: the work the
@@ -1372,6 +1631,7 @@ class TestGoldenOutcomes:
 
     def test_deep_proofs_unchanged(self):
         assert _digest(True, _deep_outcomes()[0]) == self.DEEP_PROOFS_DIGEST
+        assert _digest(True, _deep_outcomes()[0], ProofObject.to_json) == self.DEEP_TABLE_PROOFS_DIGEST
 
     def test_deep_search_work_unchanged(self):
         # the deep queries split most, so this pins the work backjumping
