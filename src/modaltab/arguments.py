@@ -24,9 +24,9 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import enumeration
-from .enumeration import CountermodelWitness, minimize_countermodel
+from .enumeration import CountermodelWitness, frame_mask, minimize_countermodel
 from .semantics import LOGICS, FrameClass, FrameCondition, KripkeModel, frame_satisfies
-from .syntax import Atom, Diamond, Formula, Implies, desugar, parse, print_formula
+from .syntax import Atom, Diamond, Formula, Implies, parse, print_formula
 from .tableau import Invalid, Valid, Verdict, decide
 # not called here; verdictbench/spans.py rebinds these names on this module
 from .tableau import prove_valid  # noqa: F401
@@ -130,8 +130,7 @@ class AnalysisReport:
             if all(frame_satisfies(witness.model, c) for c in a.frame):
                 # a module attribute lookup, so that a tracer rebinding
                 # enumeration._reverify sees this call
-                return Invalid(enumeration._reverify(
-                    witness, [desugar(p) for p in premises], desugar(conclusion), a.frame))
+                return Invalid(enumeration._reverify(witness, premises, conclusion, a.frame))
         return triviality_check(a)
 
     @cached_property
@@ -240,14 +239,11 @@ def _triviality_query(a: Argument) -> tuple[list[Formula], Formula]:
     return [first], Implies(second, a.conclusion)
 
 
-# all five conditions, in the name order used for sorted output; bit i of
-# a condition mask stands for _ALL_CONDITIONS[i]
-_ALL_CONDITIONS = tuple(sorted(FrameCondition, key=lambda c: c.value))
-
-_MASKS = range(1 << len(_ALL_CONDITIONS))
+# condition masks are the enumeration kernel's frame masks (frame_mask)
+_MASKS = range(1 << len(FrameCondition))
 
 # the condition set of each mask
-_CLASSES = tuple(frozenset(c for i, c in enumerate(_ALL_CONDITIONS) if m >> i & 1) for m in _MASKS)
+_CLASSES = tuple(frozenset(c for c in FrameCondition if frame_mask({c}) & m) for m in _MASKS)
 
 # all 32 condition masks in output order: by size, then by condition names
 _SUBSETS = tuple(sorted(_MASKS, key=lambda m: (len(_CLASSES[m]), sorted(c.value for c in _CLASSES[m]))))
@@ -320,7 +316,7 @@ def _held_countermodels(
 
 def _conditions_satisfied(model: KripkeModel) -> int:
     """The mask of the conditions the model's frame satisfies."""
-    return sum(1 << i for i, c in enumerate(_ALL_CONDITIONS) if frame_satisfies(model, c))
+    return frame_mask({c for c in FrameCondition if frame_satisfies(model, c)})
 
 
 def analyze(a: Argument) -> AnalysisReport:

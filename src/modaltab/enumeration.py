@@ -17,9 +17,11 @@ relations, so no int exceeds ``max(BLOCK_BITS, V)`` bits.
 
 Each premise and the conclusion is compiled for the kernel in one walk
 over the formula as parsed: ``|>`` compiles in place, nothing is
-desugared first, and the walk indexes the atoms it meets.  Only a hit is
-desugared, to be re-verified against the reference semantics before it
-is returned.
+desugared first, and the walk indexes the atoms it meets.  A hit is
+re-verified against the reference semantics before it is returned, by
+``_reverify``: the one re-verification of every countermodel, the
+tableau's and the triviality schema's too.  It takes the query as
+stated and desugars it itself; a formula without ``|>`` is left as it is.
 """
 
 from __future__ import annotations
@@ -181,15 +183,17 @@ def _reverify(
 ) -> CountermodelWitness:
     """``witness`` itself, once checked against the reference semantics:
     the frame's conditions hold, every premise holds globally and the
-    conclusion fails at the witness's world; AssertionError otherwise."""
+    conclusion fails at the witness's world; AssertionError otherwise.
+    The query is taken as stated and desugared here, since the reference
+    semantics gives ``|>`` no meaning."""
     model = witness.model
     for cond in frame:
         if not frame_satisfies(model, cond):
             raise AssertionError(f"witness violates frame condition {cond.value}")
     for p in premises:
-        if not holds_globally(model, p):
+        if not holds_globally(model, desugar(p)):
             raise AssertionError("witness violates a premise")
-    if evaluate(model, witness.world, conclusion):
+    if evaluate(model, witness.world, desugar(conclusion)):
         raise AssertionError("witness does not refute the conclusion")
     return witness
 
@@ -215,9 +219,7 @@ def find_countermodel(
     model = KripkeModel(
         n, relation_from_bits(n, rel_bits), valuation_from_bits(n, list(atom_index), val_bits)
     )
-    return _reverify(
-        CountermodelWitness(model, world), [desugar(p) for p in premises], desugar(conclusion), frame
-    )
+    return _reverify(CountermodelWitness(model, world), premises, conclusion, frame)
 
 
 def minimize_countermodel(

@@ -44,22 +44,54 @@ __all__ = [
 _set = object.__setattr__  # nodes are frozen: only constructors and the text cache write
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _Node:
     """Shared storage of the formula classes.
 
     ``_hash`` is computed once, when the node is built, from its class and
     its children's stored hashes, so hashing never walks the tree.
-    ``_text`` holds the node's ASCII rendering once :func:`print_formula`
-    has produced it.  Neither takes part in equality, which stays
-    structural.
+    ``_strict`` is likewise set when the node is built: whether it holds a
+    ``|>``.  ``_text`` holds the node's ASCII rendering once
+    :func:`print_formula` has produced it.  None of them takes part in
+    equality, which stays structural.
     """
 
     _hash: int = field(init=False, repr=False, compare=False)
+    _strict: bool = field(init=False, repr=False, compare=False)
     _text: str | None = field(init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality in one walk over pairs of nodes: a pair is
+        entered once, so two formulas built apart that share subtrees
+        compare in time linear in their distinct subtrees, not in their
+        trees.  A different class or stored hash rejects at once."""
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        shown: set[tuple[int, int]] = set()  # id pairs entered; both formulas keep them alive
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            key = (id(a), id(b))
+            if key in shown:
+                continue
+            shown.add(key)
+            if type(a) is Atom:
+                if a.name != b.name:
+                    return False
+            elif isinstance(a, _Unary):
+                stack.append((a.operand, b.operand))
+            else:
+                stack += ((a.left, b.left), (a.right, b.right))
+        return True
 
     def __reduce__(self):
         # rebuild through the constructor: a stored hash is only valid in
@@ -68,35 +100,32 @@ class _Node:
 
 
 # Each constructor below is written out, not generated, because formulas
-# are built on every transform and rule application.  ``__hash__`` is
-# restated in each class so that the dataclass decorator keeps it.
+# are built on every transform and rule application.
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Atom(_Node):
     name: str
 
     def __init__(self, name: str):
         _set(self, "name", name)
         _set(self, "_hash", hash((Atom, name)))
+        _set(self, "_strict", False)
         _set(self, "_text", None)
 
-    __hash__ = _Node.__hash__
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class _Unary(_Node):
     operand: "Formula"
 
     def __init__(self, operand: "Formula"):
         _set(self, "operand", operand)
         _set(self, "_hash", hash((type(self), operand._hash)))
+        _set(self, "_strict", operand._strict)
         _set(self, "_text", None)
 
-    __hash__ = _Node.__hash__
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class _Binary(_Node):
     left: "Formula"
     right: "Formula"
@@ -105,9 +134,8 @@ class _Binary(_Node):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "_hash", hash((type(self), left._hash, right._hash)))
+        _set(self, "_strict", left._strict or right._strict or type(self) is StrictImplies)
         _set(self, "_text", None)
-
-    __hash__ = _Node.__hash__
 
 
 # The connectives inherit fields, constructor, structural equality, repr
@@ -422,7 +450,11 @@ def _rebuild(f: Formula, fn, *args) -> Formula:
 
 
 def desugar(f: Formula) -> Formula:
-    """Replace every ``a |> b`` by ``~<>(a & ~b)``."""
+    """Replace every ``a |> b`` by ``~<>(a & ~b)``; a formula that holds
+    no ``|>`` is returned itself, unwalked, and only the subtrees that
+    hold one are rebuilt."""
+    if not getattr(f, "_strict", True):  # a non-formula reaches _rebuild, which refuses it
+        return f
     if type(f) is StrictImplies:
         return Not(Diamond(And(desugar(f.left), Not(desugar(f.right)))))
     return _rebuild(f, desugar)

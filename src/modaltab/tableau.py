@@ -42,9 +42,9 @@ conclusion or of a premise.  Each query compiles those into one
 walk over the formulas as parsed, which carries the polarity and expands
 ``->``, ``<->`` and ``|>`` in place, so no desugared or NNF formula is
 built first.  Branches, queued steps and licences hold ids.  A proof's
-formulas are built from their ids (``_Table.formula``), replay maps them
-back (``_Table.find``), and only the re-verification of a countermodel
-desugars the query, when it holds a ``|>``.
+formulas are built from their ids (``_Table.formula``), and replay maps
+them back (``_Table.find``).  A countermodel is re-verified against the
+query as stated; ``enumeration._reverify`` desugars it.
 
 The search backjumps (Horrocks & Patel-Schneider, "Optimizing
 description logic subsumption", JLC 1999): every label, formula and edge
@@ -94,11 +94,10 @@ from .syntax import (
     _CONNECTIVES,
     _DOUBLE_DEPTH,
     _IDENT_RE,
-    desugar,
 )
 # not called here; verdictbench/spans.py rebinds these names on this module
 from .semantics import evaluate, frame_satisfies, holds_globally  # noqa: F401
-from .syntax import nnf, parse, print_formula  # noqa: F401
+from .syntax import desugar, nnf, parse, print_formula  # noqa: F401
 
 __all__ = [
     "Valid",
@@ -328,12 +327,11 @@ class _Table:
     ``boxed`` the id of its box, ``negated`` (for an atom) the id of its
     negation and ``name`` (for an atom) its name; -1 (None for ``name``)
     where there is none.  -1 is never in a label set, so ``boxed[f] in s``
-    asks whether []f is in s.  ``roots`` holds the seeds' ids in order, and
-    ``strict`` whether the walk met a ``|>``.
+    asks whether []f is in s.  ``roots`` holds the seeds' ids in order.
     :meth:`formula` builds the NNF formula of an id when a proof needs it,
     and :meth:`find` maps a formula back to its id."""
 
-    __slots__ = ("kind", "left", "right", "boxed", "negated", "name", "roots", "strict", "_ids", "_formulas")
+    __slots__ = ("kind", "left", "right", "boxed", "negated", "name", "roots", "_ids", "_formulas")
 
     def __init__(self, seeds: Sequence[tuple[Formula, bool]]):
         self.kind: list[int] = []
@@ -344,7 +342,6 @@ class _Table:
         self.name: list[str | None] = []
         self._ids: dict = {}  # hash-cons key -> id: an atom's name, else (kind, left, right)
         self._formulas: list[Formula | None] = []
-        self.strict = False
         memo: dict[tuple[int, bool], int] = {}
         self.roots = tuple([self._compile(f, negated, memo) for f, negated in seeds])
 
@@ -401,7 +398,6 @@ class _Table:
             i = entry(_OR if negated else _AND, x, y)
         elif t is StrictImplies:
             # [](~a | b), or its negation <>(a & ~b)
-            self.strict = True
             a, b = compile_(g.left, not negated, memo), compile_(g.right, negated, memo)
             i = entry(_DIAMOND if negated else _BOX, entry(_AND if negated else _OR, a, b))
         else:
@@ -935,7 +931,7 @@ def extract_countermodel(
     The search leaves a branch open only then; this is not checked again
     here, since a wrong countermodel fails the re-verification.
     ``blocked`` is the branch's blocked_by per label; ``premises`` and
-    ``conclusion`` are the query's, desugared, for re-verification.  Atom
+    ``conclusion`` are the query's, as stated, for re-verification.  Atom
     names come from the branch's table.
     Worlds are the unblocked labels; edges into blocked labels are
     redirected to their blockers, the result is re-closed under the frame
@@ -990,13 +986,9 @@ def decide(
     open_branch = _run(state)
     if open_branch is None:
         return Valid(ProofObject(_renumber(state.proof, state.table)))
-    # only re-verification needs the desugared query, and only a query with
-    # a |> differs from it; a module-global lookup, so that a tracer
-    # rebinding tableau.extract_countermodel sees this call
-    premises = tuple(premises)
-    if state.table.strict:
-        premises, conclusion = tuple([desugar(p) for p in premises]), desugar(conclusion)
-    return Invalid(extract_countermodel(open_branch, open_branch.blocking(), premises, conclusion))
+    # a module-global lookup, so that a tracer rebinding
+    # tableau.extract_countermodel sees this call
+    return Invalid(extract_countermodel(open_branch, open_branch.blocking(), tuple(premises), conclusion))
 
 
 def prove_valid(f: Formula, frame: FrameClass, max_labels: int = DEFAULT_MAX_LABELS) -> Verdict:

@@ -524,7 +524,47 @@ class TestNodeHash:
                               check=True, timeout=60).stdout
         f = pickle.loads(data)
         assert f == parse(ALL_CONNECTIVES) and f in {parse(ALL_CONNECTIVES)}
+        assert f._strict and not f.left._strict
         assert print_formula(f) == print_formula(parse(ALL_CONNECTIVES))
+
+
+class TestEquality:
+    def test_a_non_formula_is_not_implemented(self):
+        assert p.__eq__("p") is NotImplemented and Box(p).__eq__(3) is NotImplemented
+        assert p != "p" and Box(p) != 3
+
+    def test_atoms_compare_by_name(self):
+        assert Atom("p") == Atom("p") and Atom("p") != Atom("q")
+        assert Not(p) != p and Box(p) != Diamond(p)
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32),
+           formula_strategy(atoms=("p", "q", "g"), max_leaves=32))
+    @settings(max_examples=150)
+    def test_agrees_with_printed_text(self, a, b):
+        # printing is injective on formulas
+        assert rebuild(a) == a and not rebuild(a) != a
+        assert (rebuild(a) == rebuild(b)) == (print_formula(a) == print_formula(b))
+
+    def test_shared_subtrees_are_compared_once(self, monkeypatch):
+        # the NNF of a 41-link p <-> ... <-> p chain, built twice apart: as
+        # trees the two double with each link, but each shares its subtrees
+        chain = "p" + " <-> p" * 41
+        a, b = nnf(Not(parse(chain))), nnf(Not(parse(chain)))
+        assert a is not b
+        calls = 0
+
+        def counting(real):
+            def eq(self, other):
+                nonlocal calls
+                calls += 1
+                assert calls <= 1000, "equality walks the formulas as trees"
+                return real(self, other)
+            return eq
+
+        for cls in (Atom, Not, And, Or, Box, Diamond):  # the classes an NNF holds
+            monkeypatch.setattr(cls, "__eq__", counting(cls.__eq__))
+        assert a == b
+        assert a != nnf(parse(chain)) and a != nnf(Not(parse("q" + " <-> p" * 41)))
 
 
 class TestTextCache:
@@ -575,6 +615,18 @@ class TestTextCache:
         assert print_formula(first) == print_formula(second) == ascii_text
 
 
+def holds_strict(f):
+    """Whether ``f`` holds a ``|>``, by a walk over its tree."""
+    match f:
+        case Atom():
+            return False
+        case StrictImplies():
+            return True
+        case Not(x) | Box(x) | Diamond(x):
+            return holds_strict(x)
+    return holds_strict(f.left) or holds_strict(f.right)
+
+
 class TestDesugar:
     def test_strict_definition(self):
         assert desugar(StrictImplies(p, q)) == Not(Diamond(And(p, Not(q))))
@@ -594,6 +646,29 @@ class TestDesugar:
     def test_sugar_free_input_is_returned_itself(self, f):
         plain = desugar(f)
         assert desugar(plain) is plain
+
+    @pytest.mark.parametrize("text,strict", [
+        ("p -> q", False),
+        ("~[](p <-> q)", False),
+        ("~(q |> p)", True),
+        ("<>(p & (q |> r))", True),
+    ])
+    def test_returned_itself_exactly_when_it_holds_no_strict_implication(self, text, strict):
+        f = parse(text)
+        assert f._strict is strict
+        assert (desugar(f) is f) is not strict
+
+    @given(formula_strategy(atoms=("p", "q", "g"), max_leaves=32, sugar=True))
+    @settings(max_examples=150)
+    def test_strict_flag_matches_a_walk(self, f):
+        assert f._strict is holds_strict(f)
+        assert desugar(f)._strict is False
+
+    @pytest.mark.parametrize("text", ["p |> q", "[]p & ~q", "<>(p & (q |> r)) | r"])
+    def test_strict_flag_survives_pickle(self, text):
+        f = pickle.loads(pickle.dumps(parse(text)))
+        nodes = (f, f.left, f.right)
+        assert [g._strict for g in nodes] == [holds_strict(g) for g in nodes]
 
     def test_unchanged_subtrees_are_kept(self):
         kept = parse("[]p & ~q")
