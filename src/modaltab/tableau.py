@@ -30,10 +30,13 @@ ancestors, so those children keep spawning.  Such a search runs until
 the label ceiling stops it with ``ResourceLimit`` (direction 1 of
 ROADMAP.md: indirect blocking).
 
-Each rule's triggers (the steps a new label, formula or edge may
-license) and its licence are written once, in ``_Branch``: the search
-fires the licensed steps its triggers queue and leaves a branch open
-only when none is left; replay fires only licensed steps.
+Each rule's triggers and its licence are written once, in ``_Branch``.
+A trigger emits only the steps a new label, formula or edge may license
+that could still fire: none that would add a formula or edge already
+present, and no transfer of a box or diamond itself along an edge on a
+frame that can never license it.  The search fires the licensed steps
+its triggers queue and leaves a branch open only when none is left;
+replay fires only licensed steps.
 
 Every rule adds only a component, an operand or a premise, so every
 formula a branch holds is a subformula of the NNF of the negated
@@ -305,6 +308,12 @@ _CONSTRUCTORS = (Atom, Not, And, Or, Box, Diamond)
 _KINDS = {c: kind for kind, c in enumerate(_CONSTRUCTORS)}
 # Formulas that box steps move along edges.
 _MODAL = (_BOX, _DIAMOND)
+# Per modal kind, the frame conditions under which a box step may carry
+# the formula itself along an edge (transitivity or Euclideanness for a
+# box, Euclideanness for a diamond).  A trigger also queues that transfer
+# wherever the table holds []f, whose K step is the same step: queueing it
+# when the transfer's trigger comes keeps the order in which it fires.
+_MOVES = {_BOX: FRAME_TRANSITIVE | FRAME_EUCLIDEAN, _DIAMOND: FRAME_EUCLIDEAN}
 
 
 class _Table:
@@ -477,6 +486,14 @@ class _Branch:
     gives a licensed step's dependency mask) and effect (:meth:`fire`).
     Shared by the search and proof replay, so it enqueues no work.
 
+    A trigger tests a step's effect before it builds the step: it emits
+    no box step whose formula the destination holds and no
+    ``frame-closure`` whose edge is present (``label_steps`` runs only
+    for a new label, which has no edge to itself).  It emits the
+    transfer of a box or diamond itself only where ``_MOVES`` allows it.
+    Every other licence test is left to :meth:`licensed`, when the step
+    is popped.
+
     The branch holds formula ids of one per-query ``table``: each label
     set maps ids to masks, a step's formula is an id, and ``premises``
     holds the premises' ids.  Each edge (a, b) is stored once per end, as
@@ -553,40 +570,51 @@ class _Branch:
         elif kind in _MODAL:
             if kind == _DIAMOND:
                 emit(("diamond", (label,), f))
+            sets, operand = self.label_sets, t.left[f]
+            moves = self.mask & _MOVES[kind] or t.boxed[f] != -1
             for m in self.out_edges[label]:
-                # K-arrival of the operand plus possible transfer of f itself
-                if kind == _BOX:
-                    emit(("box", (label, m), t.left[f]))
-                emit(("box", (label, m), f))
+                s = sets[m]
+                if kind == _BOX and operand not in s:
+                    emit(("box", (label, m), operand))  # K: the operand across the edge
+                if moves and f not in s:
+                    emit(("box", (label, m), f))  # transfer of f itself
             if self.mask & FRAME_EUCLIDEAN:
                 # backward transfer is only ever licensed on Euclidean frames
                 for k in self.in_edges[label]:
-                    emit(("box", (label, k), f))
+                    if f not in sets[k]:
+                        emit(("box", (label, k), f))
 
     def edge_steps(self, a: int, b: int, emit) -> None:
         """The Horn closure products of edge (a, b) with the edges present,
         then the box steps across it: forward, and backward on Euclidean
         frames."""
-        if self.mask & FRAME_SYMMETRIC:
+        mask, out = self.mask, self.out_edges
+        if mask & FRAME_SYMMETRIC and a not in out[b]:
             emit(("frame-closure", (b, a), None))
-        if self.mask & FRAME_TRANSITIVE:
-            for c in self.out_edges[b]:
-                emit(("frame-closure", (a, c), None))
+        if mask & FRAME_TRANSITIVE:
+            for c in out[b]:
+                if c not in out[a]:
+                    emit(("frame-closure", (a, c), None))
             for c in self.in_edges[a]:
-                emit(("frame-closure", (c, b), None))
-        if self.mask & FRAME_EUCLIDEAN:
-            for c in self.out_edges[a]:
-                emit(("frame-closure", (b, c), None))
-                emit(("frame-closure", (c, b), None))
-        kind, operand = self.table.kind, self.table.left
-        for f in self.label_sets[a]:
-            if kind[f] == _BOX:
+                if b not in out[c]:
+                    emit(("frame-closure", (c, b), None))
+        if mask & FRAME_EUCLIDEAN:
+            for c in out[a]:
+                if c not in out[b]:
+                    emit(("frame-closure", (b, c), None))
+                if b not in out[c]:
+                    emit(("frame-closure", (c, b), None))
+        kind, operand, boxed = self.table.kind, self.table.left, self.table.boxed
+        sa, sb = self.label_sets[a], self.label_sets[b]
+        for f in sa:
+            k = kind[f]
+            if k == _BOX and operand[f] not in sb:
                 emit(("box", (a, b), operand[f]))
-            if kind[f] in _MODAL:
+            if k in _MODAL and f not in sb and (mask & _MOVES[k] or boxed[f] != -1):
                 emit(("box", (a, b), f))
-        if self.mask & FRAME_EUCLIDEAN:
-            for f in self.label_sets[b]:
-                if kind[f] in _MODAL:
+        if mask & FRAME_EUCLIDEAN:
+            for f in sb:
+                if kind[f] in _MODAL and f not in sa:
                     emit(("box", (b, a), f))
 
     def licensed(self, rule: str, labels: Sequence[int], f: int | None) -> int | None:
@@ -702,6 +730,7 @@ class _State(_Branch):
         "budget",
         "depth",
         "_blocked",
+        "_fresh",
     )
 
     def __init__(self, frame: FrameClass, table: _Table, premises: tuple[int, ...], budget: _Budget):
@@ -715,7 +744,10 @@ class _State(_Branch):
         self.proof: list[tuple] = []
         self.budget = budget
         self.depth = 0
-        self._blocked: list[int | None] | None = None  # blocking(), until a formula set changes
+        # blocking(), valid for the labels below _fresh: no formula set
+        # among them has changed since it was computed
+        self._blocked: list[int | None] = []
+        self._fresh = 0
 
     def clone(self) -> "_State":
         other = super().clone()
@@ -726,24 +758,21 @@ class _State(_Branch):
         other.proof = self.proof  # shared: branches run, and record, one at a time
         other.budget = self.budget  # shared: the ceiling spans all branches
         other.depth = self.depth
-        other._blocked = None
+        other._blocked = self._blocked[: self._fresh]
+        other._fresh = self._fresh
         return other
 
     # -- queue ---------------------------------------------------------
 
     def enqueue(self, step: tuple) -> None:
-        """Queue a proof step ``(rule, labels, formula)`` unless it is queued
-        or would add a formula or edge already present: it could never fire."""
-        rule, labels, f = step
-        if rule == "box":
-            if f in self.label_sets[labels[1]]:
-                return
-        elif rule == "frame-closure" and labels[1] in self.out_edges[labels[0]]:
-            return
+        """Queue a proof step ``(rule, labels, formula)`` unless it is
+        queued.  The triggers emit no step whose formula or edge is present
+        or whose frame can never license it, so this tests neither."""
         before = len(self.queued)
         self.queued.add(step)  # one hash of the nested tuple, not two
         if len(self.queued) == before:
             return
+        rule, labels, _ = step
         target = labels[1] if rule == "box" else labels[0]
         heapq.heappush(self.heap, (_PRIORITY[rule], target, self.seq, step))
         self.seq += 1
@@ -752,13 +781,13 @@ class _State(_Branch):
 
     def new_label(self, deps: int = 0) -> int:
         self.budget.count_label()
-        self._blocked = None
         return super().new_label(deps)
 
     def add_formula(self, label: int, f: int, deps: int = 0) -> bool:
         if not super().add_formula(label, f, deps):
             return False
-        self._blocked = None
+        if label < self._fresh:
+            self._fresh = label
         self.formula_steps(label, f, self.enqueue)
         return True
 
@@ -773,16 +802,22 @@ class _State(_Branch):
     def blocking(self) -> list[int | None]:
         """blocked_by per label: the earliest unblocked earlier label whose
         formula set subsumes this one (subset, or equality when the frame
-        has a symmetric or Euclidean condition)."""
-        if self._blocked is not None:
-            return self._blocked
+        has a symmetric or Euclidean condition).
+
+        A label's entry depends only on the sets of the labels up to it, so
+        this recomputes only from the first label whose set changed since
+        the last call.  The list is updated in place: a caller must not
+        hold it across a change to the branch."""
+        sets, result = self.label_sets, self._blocked
+        if self._fresh == len(sets):
+            return result
         subsumed = operator.eq if self.mask & (FRAME_SYMMETRIC | FRAME_EUCLIDEAN) else operator.le
-        sets = self.label_sets
-        result: list[int | None] = []
-        for lid, s in enumerate(sets):
-            blockers = (m for m in range(lid) if result[m] is None and subsumed(s.keys(), sets[m].keys()))
+        del result[self._fresh :]
+        for lid in range(self._fresh, len(sets)):
+            s = sets[lid].keys()
+            blockers = (m for m in range(lid) if result[m] is None and subsumed(s, sets[m].keys()))
             result.append(next(blockers, None))
-        self._blocked = result
+        self._fresh = len(sets)
         return result
 
 

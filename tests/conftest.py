@@ -58,31 +58,46 @@ class NotSaturated(AssertionError):
 
 def check_saturated(branch, blocked):
     """Raise NotSaturated if a rule still applies to ``branch``: a licensed
-    non-spawning step (a closure too) that a label, formula or edge
-    triggers, or a diamond or serial step owed by an unblocked label
-    (``blocked``: blocked_by per label).
+    non-spawning step (a closure too), or a diamond or serial step owed by
+    an unblocked label (``blocked``: blocked_by per label).
 
-    The triggers and licences are the branch's own, which proof replay
-    shares; the owed steps are stated here, not read from the search: a
-    diamond at an unblocked label whose operand no successor holds, and an
-    unblocked label with no successor on a serial frame."""
+    The licences are the branch's own, which proof replay shares; the
+    candidate steps are listed here, not read from the search's triggers,
+    so a trigger that emits too little cannot hide a licensed step:
+    ``frame-closure`` for every pair of labels; ``closure``, ``alpha`` and
+    ``beta`` for every formula a label holds; and ``box`` for every formula
+    a label holds, and a box's operand, across every edge in both
+    directions.  The owed steps are stated here too: a diamond at an
+    unblocked label whose operand no successor holds, and an unblocked
+    label with no successor on a serial frame."""
 
-    def emit(step):
-        rule, labels, f = step
-        if rule not in ("diamond", "serial") and branch.licensed(rule, labels, f) is not None:
+    def check(rule, labels, f):
+        if branch.licensed(rule, labels, f) is not None:
             raise NotSaturated(f"{rule} rule applicable at label {labels[0]}")
 
-    for lid, s in enumerate(branch.label_sets):
-        branch.label_steps(lid, emit)
+    # a step onto a present edge or formula is never licensed, so those
+    # are skipped here without asking
+    table, sets = branch.table, branch.label_sets
+    for a, out in enumerate(branch.out_edges):
+        for b in range(len(sets)):
+            if b not in out:
+                check("frame-closure", (a, b), None)
+    for lid, s in enumerate(sets):
         for f in s:
-            branch.formula_steps(lid, f, emit)
-        for b in branch.out_edges[lid]:
-            branch.edge_steps(lid, b, emit)
-    table, serial = branch.table, FrameCondition.SERIAL in branch.frame
-    for lid, s in enumerate(branch.label_sets):
+            for rule in ("closure", "alpha", "beta"):
+                check(rule, (lid,), f)
+    for a, out in enumerate(branch.out_edges):
+        for b in out:
+            for src, dst in ((a, b), (b, a)):
+                for f in sets[src]:
+                    for g in (f, table.left[f]) if table.kind[f] == tableau._BOX else (f,):
+                        if g not in sets[dst]:
+                            check("box", (src, dst), g)
+    serial = FrameCondition.SERIAL in branch.frame
+    for lid, s in enumerate(sets):
         if blocked[lid] is not None:
             continue
-        successors = [branch.label_sets[m] for m in branch.out_edges[lid]]
+        successors = [sets[m] for m in branch.out_edges[lid]]
         for f in s:
             if table.kind[f] == tableau._DIAMOND and not any(table.left[f] in t for t in successors):
                 raise NotSaturated(f"diamond rule applicable at label {lid}")

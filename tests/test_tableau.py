@@ -276,6 +276,30 @@ class TestExtractCountermodel:
         verdict = decide([], conclusion, TRANS)
         verify_witness(verdict.witness, [], conclusion, TRANS)
 
+    def test_the_oracle_refuses_an_open_branch_a_trigger_left_unsaturated(self, monkeypatch):
+        # a formula_steps that drops a box's transfer of itself: in the open
+        # branch of [](<>p & ~p) over a symmetric, transitive frame, the
+        # beta step at label 1 adds []~p once the edges (1, 0) and (1, 1)
+        # are in place, so only formula_steps could queue its move to 0.
+        # The oracle lists its own candidate steps, so the faulty trigger
+        # cannot hide the licensed one
+        formula_steps = _Branch.formula_steps
+
+        def dropping(branch, label, f, emit):
+            def keep(step):
+                if not (step[0] == "box" and step[2] == f and branch.table.kind[f] == tableau._BOX):
+                    emit(step)
+
+            formula_steps(branch, label, f, keep)
+
+        monkeypatch.setattr(_Branch, "formula_steps", dropping)
+        conclusion, frame = parse("[](<>p & ~p)"), SYM | TRANS
+        with pytest.raises(NotSaturated, match="^box rule applicable at label 1$"):
+            decide([], conclusion, frame)
+        monkeypatch.setattr(_Branch, "formula_steps", formula_steps)
+        verdict = decide([], conclusion, frame)
+        verify_witness(verdict.witness, [], conclusion, frame)
+
 
 class TestEuclideanTransfers:
     def test_an_in_edge_of_the_root_queues_the_box_transfers_it_licenses(self):
@@ -1525,11 +1549,46 @@ def _counting_popped(run):
         tableau._Budget.count_step = count_step
 
 
+def _blocking_from_scratch(state):
+    """blocked_by per label of ``state``, recomputed over every label: the
+    earliest unblocked earlier label whose formula set holds the label's
+    (equals it, on a frame with a symmetric or Euclidean condition)."""
+    equality = state.frame & {FrameCondition.SYMMETRIC, FrameCondition.EUCLIDEAN}
+    subsumed = operator.eq if equality else operator.le
+    sets = [s.keys() for s in state.label_sets]
+    result = []
+    for lid, s in enumerate(sets):
+        result.append(next((m for m in range(lid) if result[m] is None and subsumed(s, sets[m])), None))
+    return result
+
+
+def _checking_blocking(run):
+    """``run()``'s result, and a pair: the number of ``_State.blocking``
+    results while it ran, and the number of those that differ from
+    :func:`_blocking_from_scratch`."""
+    checked = wrong = 0
+    blocking = tableau._State.blocking
+
+    def checking(state):
+        nonlocal checked, wrong
+        result = blocking(state)
+        checked += 1
+        wrong += result != _blocking_from_scratch(state)
+        return result
+
+    tableau._State.blocking = checking
+    try:
+        return run(), (checked, wrong)
+    finally:
+        tableau._State.blocking = blocking
+
+
 @functools.cache
 def _golden_outcomes():
     """The lines of 2,384 queries: every licence formula over every frame
-    subset, then 2,000 seeded random queries; and the number of steps the
-    search popped for them."""
+    subset, then 2,000 seeded random queries; the number of steps the
+    search popped for them; and the number of ``blocking()`` results it
+    used with the number of those a full recomputation disagrees with."""
 
     def run():
         outcomes = [
@@ -1545,7 +1604,8 @@ def _golden_outcomes():
             outcomes.append(_outcome(decide, premises, conclusion, frame, max_labels=500))
         return outcomes
 
-    return _counting_popped(run)
+    (outcomes, popped), blocking = _checking_blocking(lambda: _counting_popped(run))
+    return outcomes, popped, blocking
 
 
 def full_formula(rng, depth, atoms):
@@ -1563,11 +1623,13 @@ def full_formula(rng, depth, atoms):
 def _deep_outcomes():
     """The lines of 1,000 seeded deep queries: a depth-5 conclusion and
     zero or one depth-4 premise over p, q and r, every branch built to full
-    depth, over K, T, D, B, S4 and S5 in turn; and the number of steps the
-    search popped for them.  Deep premises make long proofs with many beta
-    splits, where a reordering of the steps that fire shows up more often
-    than in the shallow golden queries, and where backjumping skips the
-    most search."""
+    depth, over K, T, D, B, S4 and S5 in turn; the number of steps the
+    search popped for them; and the number of ``blocking()`` results it
+    used with the number of those a full recomputation disagrees with.
+    Deep premises make long proofs with many beta splits, where a
+    reordering of the steps that fire shows up more often than in the
+    shallow golden queries, and where backjumping skips the most
+    search."""
 
     def run():
         rng = random.Random(1609)
@@ -1579,7 +1641,8 @@ def _deep_outcomes():
             outcomes.append(_outcome(decide, premises, conclusion, logics[i % len(logics)], max_labels=500))
         return outcomes
 
-    return _counting_popped(run)
+    (outcomes, popped), blocking = _checking_blocking(lambda: _counting_popped(run))
+    return outcomes, popped, blocking
 
 
 def _digest(is_proof, outcomes=None, encode=text_encoding):
@@ -1606,14 +1669,14 @@ class TestGoldenOutcomes:
     PROOFS_DIGEST = "9f73e1511f55c4c56fcb6a868e19ea0821014e21f1d70f83bc0a48f38cd1c7a0"
     TABLE_PROOFS_DIGEST = "cec0ea4069dfe939113bbb5fa715ff49d8f247f1dccdba87f5b784b226572a07"
     # steps popped over all 2,384 queries
-    POPPED_STEPS = 16_998
+    POPPED_STEPS = 15_755
     # the 792 deep queries' Invalid lines (none raises)
     DEEP_DIGEST = "82bc0f158d5b03ef33b0dcff06734ee2793cbcab44d750d1c9a34685be917721"
     # the 208 deep queries' Valid lines, in the text encoding and as JSON
     DEEP_PROOFS_DIGEST = "a4ca50b4c7d8027ac233e7f8f25ae38be8f97d67dfc106ec4c0af8b75ff6a440"
     DEEP_TABLE_PROOFS_DIGEST = "25b29405a42a237b0f81fa179d4b36be156bb639140724a71c917904c45db305"
     # steps popped over all 1,000 deep queries
-    DEEP_POPPED_STEPS = 32_180
+    DEEP_POPPED_STEPS = 26_567
 
     def test_outcomes_unchanged(self):
         assert _digest(False) == self.DIGEST
@@ -1638,3 +1701,10 @@ class TestGoldenOutcomes:
         # the deep queries split most, so this pins the work backjumping
         # leaves the search
         assert _deep_outcomes()[1] == self.DEEP_POPPED_STEPS
+
+    def test_blocking_equals_a_full_recomputation(self):
+        # blocking() recomputes only from the first label whose formula
+        # set changed; every result the golden and deep searches used must
+        # equal the one recomputed over every label
+        for checked, wrong in (_golden_outcomes()[2], _deep_outcomes()[2]):
+            assert checked > 0 and wrong == 0
